@@ -20,6 +20,7 @@ from .distfit import (
 from .simulator import (
     AgentLifeStats,
     EventRecord,
+    LifeStatsTable,
     SimulationConfig,
     SimulationResult,
     replicate,

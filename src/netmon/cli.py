@@ -239,6 +239,8 @@ def _load_fit(path_str: str):
         obj = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise CliError(f"fit file is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise CliError(f"fit file {path} must hold a JSON object")
     try:
         if obj.get("distribution") == "weibull" or "k" in obj:
             return WeibullFit(
@@ -304,6 +306,10 @@ def cmd_pipeline(args) -> int:
     offline_forced = os.environ.get("NETMON_OFFLINE") == "1"
     if args.online and args.redirect_map:
         raise CliError("--online and --redirect-map are mutually exclusive")
+    if args.top < 1:
+        raise CliError(f"--top must be >= 1, got {args.top}")
+    if args.max_depth < 0:
+        raise CliError(f"--max-depth must be >= 0, got {args.max_depth}")
 
     queries_path = Path(args.queries)
     if not queries_path.exists():
@@ -341,6 +347,12 @@ def cmd_pipeline(args) -> int:
                 mapping = json.loads(map_path.read_text())
             except json.JSONDecodeError as exc:
                 raise CliError(f"redirect map is not valid JSON: {exc}") from exc
+            if not isinstance(mapping, dict) or not all(
+                isinstance(target, (str, type(None))) for target in mapping.values()
+            ):
+                raise CliError(
+                    f"redirect map {map_path} must hold a JSON object of URL -> URL or null"
+                )
         fetcher = OfflineFetcher(mapping)
 
     out_dir = Path(args.out_dir)

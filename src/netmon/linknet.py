@@ -13,6 +13,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 from urllib.parse import urljoin, urlsplit
 
@@ -163,7 +164,10 @@ def extract_links(message: Message) -> list[ExtractedLink]:
 
 
 def _split_checked(url: str):
-    parts = urlsplit(url)
+    try:
+        parts = urlsplit(url)
+    except ValueError as exc:  # e.g. an unclosed IPv6 bracket
+        raise LinkParseError(f"unparsable URL {url!r}: {exc}") from exc
     if parts.scheme not in ("http", "https"):
         raise LinkParseError(f"unsupported scheme in {url!r}")
     if not parts.hostname:
@@ -201,11 +205,19 @@ def _host_of(url: str) -> str:
     return _split_checked(url).hostname.lower()
 
 
+@lru_cache(maxsize=8)
+def _shortener_hosts(bases: tuple[str, ...]) -> frozenset[str]:
+    """Hosts of a registry's base addresses, built once per registry."""
+    return frozenset(_host_of(b) for b in bases)
+
+
+_DEFAULT_SHORTENER_HOSTS = _shortener_hosts(DEFAULT_SHORTENER_BASES)
+
+
 def is_shortener(url: str, registry: Optional[Iterable[str]] = None) -> bool:
     """True when the URL's host is one of the short-address services."""
-    bases = DEFAULT_SHORTENER_BASES if registry is None else tuple(registry)
-    host = _host_of(url)
-    return host in {_host_of(b) for b in bases}
+    hosts = _DEFAULT_SHORTENER_HOSTS if registry is None else _shortener_hosts(tuple(registry))
+    return _host_of(url) in hosts
 
 
 class OfflineFetcher:

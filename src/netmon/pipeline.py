@@ -17,7 +17,7 @@ from typing import Mapping, Sequence, Union
 
 from .distfit import PowerLawFit, WeibullFit, ks_statistic, powerlaw_cdf, weibull_cdf
 from .ingest import Message, QueryPacket, format_timestamp
-from .linknet import LinkRecord, STATUS_NOT_SHORTENED, STATUS_RESOLVED
+from .linknet import _OK_STATUSES, LinkRecord
 
 __all__ = [
     "RankedResource",
@@ -36,8 +36,6 @@ EXPORT_FORMAT_VERSION = "corporate-v1"
 
 # Asymptotic 5% two-sided Kolmogorov critical value is 1.36 / sqrt(n).
 KOLMOGOROV_5PCT = 1.36
-
-_OK_STATUSES = (STATUS_RESOLVED, STATUS_NOT_SHORTENED)
 
 BaselineFit = Union[WeibullFit, PowerLawFit]
 

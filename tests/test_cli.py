@@ -205,6 +205,43 @@ class TestPipeline:
         assert len(rejects) == 1
         assert json.loads(rejects[0])["line_no"] == 2
 
+    def test_unclosed_ipv6_bracket_is_a_failed_link(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"m{i}", "author": "a", "timestamp": "2016-05-01T00:00:00Z",
+                        "text": f"market rates update {url}"}) + "\n"
+            for i, url in enumerate(["http://[::1", "https://news.test/a"])
+        ))
+        out = tmp_path / "out"
+        assert self.run_pipeline(out, corpus=corpus) == 0
+        resolved = [json.loads(l) for l in (out / "resolved.jsonl").read_text().splitlines()]
+        assert [(r["raw_url"], r["status"]) for r in resolved] == [
+            ("http://[::1", "fetch_failed"), ("https://news.test/a", "not_shortened"),
+        ]
+        exported = [json.loads(l)["url"] for l in (out / "export.jsonl").read_text().splitlines()]
+        assert exported == ["https://news.test/a"]
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--top", "0"], "--top"),
+        (["--max-depth", "-1"], "--max-depth"),
+    ])
+    def test_bad_flag_values_exit_two(self, tmp_path, capsys, flags, named):
+        assert self.run_pipeline(tmp_path / "out", extra=flags) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mapping", [
+        ["http://bit.ly/a", "https://target.test/"],
+        {"http://bit.ly/a": 5},
+    ])
+    def test_redirect_map_not_an_object_exits_two(self, tmp_path, capsys, mapping):
+        redirect = tmp_path / "map.json"
+        redirect.write_text(json.dumps(mapping))
+        assert self.run_pipeline(tmp_path / "out", redirect=redirect) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "redirect map" in err
+
 
 class TestCompare:
     def _baseline(self, tmp_path):
@@ -239,6 +276,16 @@ class TestCompare:
                      "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["top_outliers"][0]["key"] == "amplified"
+
+    def test_baseline_fit_not_an_object_exits_two(self, tmp_path, capsys):
+        src = tmp_path / "counts.txt"
+        src.write_text("".join(f"{i}\n" for i in range(1, 30)))
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps([1.9, 180.0]))
+        assert main(["compare", "--empirical", str(src), "--baseline-fit", str(fit),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "fit file" in err
 
     def test_too_few_counts(self, tmp_path):
         src = tmp_path / "counts.txt"

@@ -145,6 +145,21 @@ class TestIsShortener:
     def test_custom_registry(self):
         assert is_shortener("http://sho.rt/x", registry=("https://sho.rt/",))
         assert not is_shortener("http://bit.ly/x", registry=("https://sho.rt/",))
+        assert is_shortener("http://sho.rt/x", registry=["https://sho.rt/"])
+
+    def test_registry_hosts_parsed_once(self, monkeypatch):
+        import netmon.linknet as linknet_mod
+
+        parsed = []
+        real = linknet_mod.urlsplit
+        monkeypatch.setattr(linknet_mod, "urlsplit", lambda url: parsed.append(url) or real(url))
+        registry = ("https://once.test/", "http://twice.test/")
+        for _ in range(3):
+            assert is_shortener("http://once.test/a", registry=registry)
+            assert not is_shortener("http://bit.ly/a", registry=registry)
+            assert is_shortener("http://bit.ly/a")
+        assert sorted(set(parsed) - set(registry)) == ["http://bit.ly/a", "http://once.test/a"]
+        assert all(parsed.count(base) <= 1 for base in registry)
 
 
 class TestCanonicalize:
@@ -162,6 +177,12 @@ class TestCanonicalize:
         assert canonicalize("https://site.test:443/x") == "https://site.test/x"
         assert canonicalize("http://site.test:443/x") == "http://site.test:443/x"
         assert canonicalize("https://site.test:8443/x") == "https://site.test:8443/x"
+
+    def test_unclosed_ipv6_bracket_raises_parse_error(self):
+        with pytest.raises(LinkParseError):
+            canonicalize("http://[::1")
+        with pytest.raises(LinkParseError):
+            is_shortener("http://[::1")
 
     def test_malformed_raises(self):
         with pytest.raises(LinkParseError):

@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from netmon import simulator
 from netmon.diffusion import BehaviorParams, delta_distribution
 from netmon.simulator import (
     EVENT_DEATH,
@@ -12,6 +19,7 @@ from netmon.simulator import (
     EVENT_TRUNCATED,
     AgentLifeStats,
     SimulationConfig,
+    calibrated_default_config,
     events_from_jsonl,
     events_to_jsonl,
     life_stats_from_jsonl,
@@ -197,14 +205,25 @@ class TestLifetimeOracle:
         assert abs(mean_lifetime - tau) / tau < 0.02
 
 
+def run_by_run(cfg, n_runs):
+    """Pooled stats of ``replicate`` computed one scalar run at a time."""
+    pooled = []
+    for k in range(n_runs):
+        single = SimulationConfig(params=cfg.params, horizon=cfg.horizon, seed=cfg.seed + k,
+                                  max_agents=cfg.max_agents,
+                                  initial_agents=cfg.initial_agents)
+        pooled.extend(run_simulation(single, record_events=False).stats)
+    return pooled
+
+
 class TestReplicate:
     def test_single_run_equals_run_simulation(self):
         cfg = config(0.3, 0.1, e0=2, p_s=0.3, horizon=60, seed=12)
-        assert replicate(cfg, 1) == run_simulation(cfg).stats
+        assert list(replicate(cfg, 1)) == run_simulation(cfg).stats
 
     def test_repeatable(self):
         cfg = config(0.3, 0.1, e0=2, p_s=0.3, horizon=60, seed=12)
-        assert replicate(cfg, 20) == replicate(cfg, 20)
+        assert list(replicate(cfg, 20)) == list(replicate(cfg, 20))
 
     def test_seed_range_partition(self):
         cfg = config(0.3, 0.1, e0=2, p_s=0.3, horizon=60, seed=100)
@@ -212,11 +231,135 @@ class TestReplicate:
         first = replicate(cfg, 20)
         second_cfg = config(0.3, 0.1, e0=2, p_s=0.3, horizon=60, seed=120)
         second = replicate(second_cfg, 20)
-        assert whole == first + second
+        assert list(whole) == list(first) + list(second)
 
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError):
             replicate(config(0.5, 0.5), 0)
+
+
+def _energy_dependent(p_s, **kw):
+    # Values leave [0, 1] on both sides, so the clamps matter.
+    return BehaviorParams(p_s=p_s, e0=3, like_prob=lambda e: 1.3 - 0.25 * e,
+                          repost_prob=lambda e: 0.45 - 0.1 * e, **kw)
+
+
+EXACTNESS_GRID = {
+    **{
+        f"p_s={p_s} carriers={frac}": config(
+            0.3, 0.15, e0=2, p_s=p_s, horizon=40, seed=21,
+            link_carrier_fraction=frac, link_boost=1.5, initial_agents=2,
+        )
+        for p_s in (0.0, 0.3)
+        for frac in (0.0, 0.5, 1.0)
+    },
+    "rich-get-richer truncates": config(
+        0.3, 0.1, e0=3, p_s=0.3, horizon=60, seed=300, link_carrier_fraction=0.5,
+        link_boost=1.5, rich_get_richer_gamma=0.4, max_agents=800,
+    ),
+    "truncated at tick 0": config(0.3, 0.1, e0=2, p_s=0.3, horizon=20, seed=4,
+                                  initial_agents=3, max_agents=2),
+    "energy-dependent, clamped": SimulationConfig(
+        params=_energy_dependent(0.2, link_carrier_fraction=0.5, link_boost=2.0,
+                                 rich_get_richer_gamma=0.1),
+        horizon=50, seed=9, max_agents=400,
+    ),
+    "horizon 1": config(0.5, 0.5, e0=1, p_s=0.3, horizon=1, seed=2,
+                        link_carrier_fraction=0.5, initial_agents=2),
+    "calibrated": calibrated_default_config(seed=77),
+}
+
+
+class TestBatchedReplicate:
+    @pytest.mark.parametrize("name", sorted(EXACTNESS_GRID))
+    def test_equals_run_by_run(self, name):
+        cfg = EXACTNESS_GRID[name]
+        assert list(replicate(cfg, 25)) == run_by_run(cfg, 25)
+
+    def test_grid_reaches_truncation_and_clamps(self):
+        truncating = EXACTNESS_GRID["rich-get-richer truncates"]
+        assert any(run_simulation(SimulationConfig(
+            params=truncating.params, horizon=truncating.horizon, seed=truncating.seed + k,
+            max_agents=truncating.max_agents), record_events=False).truncated
+            for k in range(25))
+        params = EXACTNESS_GRID["energy-dependent, clamped"].params
+        assert params.like_prob(1) > 1.0 and params.repost_prob(5) < 0.0
+
+    def test_truncated_at_tick_zero(self):
+        stats = list(replicate(EXACTNESS_GRID["truncated at tick 0"], 4))
+        assert [(s.agent_id, s.lifetime, s.censored) for s in stats] == [
+            (i, 1, True) for _ in range(4) for i in range(3)
+        ]
+
+    def test_chunks_join_seamlessly(self, monkeypatch):
+        cfg = EXACTNESS_GRID["p_s=0.3 carriers=0.5"]
+        monkeypatch.setattr(simulator, "_CHUNK_RUNS", 4)
+        assert list(replicate(cfg, 11)) == run_by_run(cfg, 11)
+
+    def test_columns_match_rows(self):
+        cfg = EXACTNESS_GRID["p_s=0.3 carriers=0.5"]
+        table = replicate(cfg, 7)
+        rows = list(table)
+        assert len(table) == len(rows)
+        assert table.column("lifetime").tolist() == [s.lifetime for s in rows]
+        assert table.column("censored").tolist() == [s.censored for s in rows]
+        assert table.column("total_likes").tolist() == [s.total_likes for s in rows]
+        assert table.column("total_reposts").tolist() == [s.total_reposts for s in rows]
+        assert table.column("run_lengths").tolist() == [
+            sum(1 for s in run_simulation(SimulationConfig(
+                params=cfg.params, horizon=cfg.horizon, seed=cfg.seed + k,
+                initial_agents=cfg.initial_agents), record_events=False).stats)
+            for k in range(7)
+        ]
+        linked = table.column("link_index") >= 0
+        assert linked.tolist() == [s.carried_link is not None for s in rows]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p_s=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        e0=st.integers(1, 4),
+        p_like=st.floats(0.0, 1.0),
+        p_repost=st.floats(0.0, 1.0),
+        carriers=st.sampled_from([0.0, 0.3, 1.0]),
+        boost=st.sampled_from([1.0, 1.7]),
+        gamma=st.sampled_from([0.0, 0.5]),
+        horizon=st.integers(1, 12),
+        seed=st.integers(-1000, 2**40),
+        max_agents=st.none() | st.integers(1, 200),
+        initial_agents=st.integers(1, 3),
+        n_runs=st.integers(1, 5),
+    )
+    def test_property_equals_run_by_run(self, p_s, e0, p_like, p_repost, carriers, boost,
+                                        gamma, horizon, seed, max_agents, initial_agents,
+                                        n_runs):
+        params = BehaviorParams.constant(
+            p_s=p_s, e0=e0, p_like=p_like, p_repost=p_repost,
+            link_carrier_fraction=carriers, link_boost=boost, rich_get_richer_gamma=gamma,
+        )
+        cfg = SimulationConfig(params=params, horizon=horizon, seed=seed,
+                               max_agents=max_agents, initial_agents=initial_agents)
+        assert list(replicate(cfg, n_runs)) == run_by_run(cfg, n_runs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20160501, -7, 2**40 + 3])
+def test_bulk_draws_equal_random_random(seed):
+    import random
+
+    bulk, single = random.Random(seed), random.Random(seed)
+    for n in (1, 2, 7, 1000):
+        drawn = simulator._uniforms(simulator._draw_words(bulk, n), simulator._Scratch()).tolist()
+        assert drawn == [single.random() for _ in range(n)]
+    assert bulk.random() == single.random()
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, netmon.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestRepostCountsByLink:
