@@ -19,6 +19,8 @@ import math
 import os
 import sys
 import traceback
+from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 from .diffusion import BehaviorParams
@@ -48,13 +50,9 @@ from .pipeline import (
     rank_resources,
 )
 from .simulator import (
-    CALIBRATED_E0,
-    CALIBRATED_HORIZON,
-    CALIBRATED_P_LIKE,
-    CALIBRATED_P_REPOST,
-    CALIBRATED_P_S,
-    CALIBRATED_SEED,
     SimulationConfig,
+    calibrated_default_config,
+    events_to_jsonl,
     life_stats_to_jsonl,
     run_simulation,
 )
@@ -88,21 +86,23 @@ _SIM_CONFIG_FIELDS = {
 }
 
 
-def _load_sim_config(args) -> dict:
-    resolved = {
-        "p_s": CALIBRATED_P_S,
-        "e0": CALIBRATED_E0,
-        "p_like": CALIBRATED_P_LIKE,
-        "p_repost": CALIBRATED_P_REPOST,
-        "link_carrier_fraction": 0.0,
-        "link_boost": 1.0,
-        "rich_get_richer_gamma": 0.0,
-        "horizon": CALIBRATED_HORIZON,
-        "seed": CALIBRATED_SEED,
+def _default_sim_config() -> dict:
+    """Every simulate field at its value in the calibrated default config."""
+    config = calibrated_default_config()
+    params = config.params
+    values = {
+        **vars(params),
+        **vars(config),
+        # The calibrated probabilities do not depend on energy.
+        "p_like": params.like_prob(params.e0),
+        "p_repost": params.repost_prob(params.e0),
         "runs": 1,
-        "max_agents": None,
-        "initial_agents": 1,
     }
+    return {name: values[name] for name in _SIM_CONFIG_FIELDS}
+
+
+def _load_sim_config(args) -> dict:
+    resolved = _default_sim_config()
     if args.config is not None:
         path = Path(args.config)
         if not path.exists():
@@ -135,6 +135,8 @@ def _load_sim_config(args) -> dict:
 
 def cmd_simulate(args) -> int:
     resolved = _load_sim_config(args)
+    if resolved["runs"] < 1:
+        raise CliError(f"runs must be >= 1, got {resolved['runs']}")
     try:
         params = BehaviorParams.constant(
             p_s=resolved["p_s"],
@@ -145,50 +147,38 @@ def cmd_simulate(args) -> int:
             link_boost=resolved["link_boost"],
             rich_get_richer_gamma=resolved["rich_get_richer_gamma"],
         )
+        config = SimulationConfig(
+            params=params,
+            horizon=resolved["horizon"],
+            seed=resolved["seed"],
+            max_agents=resolved["max_agents"],
+            initial_agents=resolved["initial_agents"],
+        )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if resolved["runs"] < 1:
-        raise CliError(f"runs must be >= 1, got {resolved['runs']}")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    pooled = []
-    event_lines: list[str] = []
-    for k in range(resolved["runs"]):
-        try:
-            cfg = SimulationConfig(
-                params=params,
-                horizon=resolved["horizon"],
-                seed=resolved["seed"] + k,
-                max_agents=resolved["max_agents"],
-                initial_agents=resolved["initial_agents"],
-            )
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        result = run_simulation(cfg, record_events=not args.no_events)
-        pooled.extend(result.stats)
-        if not args.no_events:
-            for e in result.events:
-                event_lines.append(
-                    json.dumps(
-                        {
-                            "run": k,
-                            "tick": e.tick,
-                            "kind": e.kind,
-                            "agent_id": e.agent_id,
-                            "related_agent_id": e.related_agent_id,
-                        }
-                    )
-                )
+    # Each run's lines are written as soon as it ends, and its records are
+    # freed before the next run starts, so memory does not grow with the
+    # number of runs.
+    record_events = not args.no_events
+    n_agents = 0
+    with open(out_dir / "life_stats.jsonl", "w") as life_stats_out, (
+        open(out_dir / "events.jsonl", "w") if record_events else nullcontext()
+    ) as events_out:
+        for k in range(resolved["runs"]):
+            result = run_simulation(replace(config, seed=config.seed + k),
+                                    record_events=record_events)
+            n_agents += len(result.stats)
+            life_stats_out.write(life_stats_to_jsonl(result.stats))
+            if record_events:
+                events_out.write(events_to_jsonl(result.events, run=k))
+            del result
 
-    (out_dir / "life_stats.jsonl").write_text(life_stats_to_jsonl(pooled))
-    if not args.no_events:
-        (out_dir / "events.jsonl").write_text(
-            "".join(line + "\n" for line in event_lines)
-        )
     _write_sidecar(out_dir / "run_config.json", resolved)
-    print(f"simulated {resolved['runs']} run(s), {len(pooled)} agents -> {out_dir}")
+    print(f"simulated {resolved['runs']} run(s), {n_agents} agents -> {out_dir}")
     return 0
 
 

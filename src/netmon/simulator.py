@@ -39,6 +39,8 @@ from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from json.scanner import make_scanner
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -92,8 +94,7 @@ class SimulationConfig:
             raise ValueError(f"max_agents must be >= 1, got {self.max_agents}")
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     tick: int
     kind: str
     agent_id: int
@@ -264,6 +265,9 @@ def run_simulation(config: SimulationConfig, record_events: bool = True) -> Simu
         survivors.extend(pending)
         active = survivors
         pending = []
+        if not active and p_s == 0.0:
+            # No agent is left and none can appear: nothing changes any more.
+            break
 
         if config.max_agents is not None and len(birth) > config.max_agents:
             truncated = True
@@ -456,22 +460,40 @@ class _Scratch:
 class _StepTables:
     """Per-energy step probabilities and thresholds of one config.
 
-    Index e holds energy e, for 1 <= e <= max_energy; an agent gains at
-    most 2 per tick, so e0 + 2 * horizon bounds every energy a run can
-    reach.  Under a link boost or rich-get-richer term, thresholds are
-    computed per agent from the same clamped base probabilities.
+    Index e holds energy e, for 1 <= e <= ``top``.  The tables start
+    empty and ``cover`` grows them, by doubling, as ticks pass: an agent
+    gains at most 2 per tick, so energies stay within e0 + 2 * (tick + 1)
+    and one check per tick keeps every lookup inside them.  Growth stops
+    at ``max_energy``, the bound over the whole horizon.  Under a link
+    boost or rich-get-richer term, thresholds are computed per agent from
+    the same clamped base probabilities.
     """
 
     def __init__(self, params: BehaviorParams, max_energy: int):
-        energies = range(1, max_energy + 1)
-        self.p_like = np.array([0.0] + [_clamp01(params.like_prob(e)) for e in energies])
-        self.p_repost = np.array([0.0] + [effective_repost_prob(e, params) for e in energies])
-        self.c2, self.c21, self.c210, tmp = np.empty((4, max_energy + 1))
-        _cumulative_thresholds(self.p_like, self.p_repost, self.c2, self.c21, self.c210, tmp)
+        self.params = params
+        self.max_energy = max_energy
+        self.top = 0
+        self.p_like = self.p_repost = self.c2 = self.c21 = self.c210 = np.zeros(1)
         self.link_boost = params.link_boost
         self.gamma = params.rich_get_richer_gamma
         # With boost 1 and gamma 0 the linked formula reduces to the base one.
         self.boosted = self.link_boost != 1.0 or self.gamma != 0.0
+
+    def cover(self, energy: int) -> None:
+        """Grow the tables, if needed, to hold every energy up to ``energy``."""
+        if energy <= self.top:
+            return
+        params = self.params
+        top = min(max(energy, 2 * self.top), self.max_energy)
+        energies = range(self.top + 1, top + 1)
+        p_like = np.array([_clamp01(params.like_prob(e)) for e in energies])
+        p_repost = np.array([effective_repost_prob(e, params) for e in energies])
+        c2, c21, c210, tmp = np.empty((4, len(energies)))
+        _cumulative_thresholds(p_like, p_repost, c2, c21, c210, tmp)
+        for name, new in (("p_like", p_like), ("p_repost", p_repost),
+                          ("c2", c2), ("c21", c21), ("c210", c210)):
+            setattr(self, name, np.concatenate((getattr(self, name), new)))
+        self.top = top
 
     def outcomes(self, u, energy, scratch: _Scratch, linked=None, reposts=None):
         """Masks u < c2, u < c21 and u < c210 against each agent's thresholds.
@@ -691,6 +713,7 @@ def _run_chunk(config: SimulationConfig, tables: _StepTables, first_seed: int,
     for tick in range(horizon):
         if not live:
             break
+        tables.cover(params.e0 + 2 * (tick + 1))
         root_runs, root_links = array("i"), array("i")
         words: list[bytes] = []
         for r in live:
@@ -740,74 +763,87 @@ def repost_counts_by_link(stats: Iterable[AgentLifeStats]) -> dict[str, int]:
     return counts
 
 
-def events_to_jsonl(events: Iterable[EventRecord]) -> str:
-    lines = []
-    for e in events:
-        lines.append(
-            json.dumps(
-                {
-                    "tick": e.tick,
-                    "kind": e.kind,
-                    "agent_id": e.agent_id,
-                    "related_agent_id": e.related_agent_id,
-                }
-            )
-        )
-    return "".join(line + "\n" for line in lines)
+# Lines are filled into fixed templates with json.dumps's key order and
+# separators: integers print as json.dumps prints them, strings go
+# through json's ASCII-escaping encoder (quotes included), None is null.
+# An event line's head, "{" or '{"run": k, ', comes before these fields.
+_EVENT_FIELDS = '"tick": {}, "kind": {}, "agent_id": {}, "related_agent_id": {}}}\n'
+_LIFE_STATS_LINE = (
+    '{{"agent_id": {}, "lifetime": {}, "censored": {}, "total_likes": {}, '
+    '"total_reposts": {}, "carried_link": {}}}\n'
+).format
+# Decodes one JSON value at a given index of a string, in C.
+_scan_once = make_scanner(json.JSONDecoder())
+
+
+def events_to_jsonl(events: Iterable[EventRecord], run: Optional[int] = None) -> str:
+    """One JSON object per event, keys tick, kind, agent_id, related_agent_id.
+
+    With ``run`` each line starts with ``"run": run``, as in the event
+    log ``netmon simulate`` writes.
+    """
+    head = "{{" if run is None else '{{"run": %d, ' % run
+    line = (head + _EVENT_FIELDS).format
+    quote = encode_basestring_ascii
+    return "".join([
+        line(tick, quote(kind), agent_id, "null" if related is None else related)
+        for tick, kind, agent_id, related in events
+    ])
 
 
 def events_from_jsonl(text: str) -> list[EventRecord]:
-    out = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        d = json.loads(line)
-        out.append(
-            EventRecord(
-                tick=d["tick"],
-                kind=d["kind"],
-                agent_id=d["agent_id"],
-                related_agent_id=d.get("related_agent_id"),
-            )
-        )
-    return out
+    """The events of ``events_to_jsonl`` text; blank lines are skipped.
+
+    Other keys, such as ``run``, are ignored.
+    """
+    return [
+        EventRecord(d["tick"], d["kind"], d["agent_id"], d.get("related_agent_id"))
+        for d in _json_objects(text)
+    ]
 
 
 def life_stats_to_jsonl(stats: Iterable[AgentLifeStats]) -> str:
-    lines = []
-    for s in stats:
-        lines.append(
-            json.dumps(
-                {
-                    "agent_id": s.agent_id,
-                    "lifetime": s.lifetime,
-                    "censored": s.censored,
-                    "total_likes": s.total_likes,
-                    "total_reposts": s.total_reposts,
-                    "carried_link": s.carried_link,
-                }
-            )
-        )
-    return "".join(line + "\n" for line in lines)
+    """One JSON object per agent, keys in AgentLifeStats field order."""
+    line = _LIFE_STATS_LINE
+    quote = encode_basestring_ascii
+    return "".join([
+        line(agent_id, lifetime, "true" if censored else "false", likes, reposts,
+             "null" if link is None else quote(link))
+        for agent_id, lifetime, censored, likes, reposts, link in stats
+    ])
 
 
 def life_stats_from_jsonl(text: str) -> list[AgentLifeStats]:
-    out = []
+    """The rows of ``life_stats_to_jsonl`` text; blank lines are skipped."""
+    return [
+        _make_row((d["agent_id"], d["lifetime"], d["censored"], d["total_likes"],
+                   d["total_reposts"], d.get("carried_link")))
+        for d in _json_objects(text)
+    ]
+
+
+def _json_objects(text: str) -> Iterator[dict]:
+    """The JSON object on each non-blank line of ``text``.
+
+    A line is decoded by one call of json's C scanner.  A line the scan
+    does not consume whole (surrounding whitespace, trailing data, a
+    syntax error, a blank line) goes to ``json.loads``, so lines decode,
+    and fail with ``json.JSONDecodeError``, exactly as ``json.loads``
+    has them; a value that is not an object fails the same way.
+    """
+    scan = _scan_once
     for line in text.splitlines():
-        if not line.strip():
-            continue
-        d = json.loads(line)
-        out.append(
-            AgentLifeStats(
-                agent_id=d["agent_id"],
-                lifetime=d["lifetime"],
-                censored=d["censored"],
-                total_likes=d["total_likes"],
-                total_reposts=d["total_reposts"],
-                carried_link=d.get("carried_link"),
-            )
-        )
-    return out
+        try:
+            obj, end = scan(line, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(line) or type(obj) is not dict:
+            if not line.strip():
+                continue
+            obj = json.loads(line)
+            if type(obj) is not dict:
+                raise json.JSONDecodeError("Expecting a JSON object", line, 0)
+        yield obj
 
 
 # Default configuration, calibrated once: pooled repost counts of the

@@ -7,6 +7,7 @@ code paths they verify.
 
 from __future__ import annotations
 
+import json
 import string
 from decimal import Decimal, getcontext
 
@@ -151,3 +152,68 @@ def naive_word_match(text: str, query: str) -> bool:
     t = tokens(text)
     q = tokens(query)
     return bool(q) and q.issubset(t)
+
+
+# The simulator's JSONL serializers as first written, one json.dumps or
+# json.loads per line; netmon.simulator's template-based ones must agree
+# with them byte for byte.
+
+def reference_events_to_jsonl(events, run=None) -> str:
+    lines = []
+    for e in events:
+        record = {} if run is None else {"run": run}
+        record.update(
+            tick=e.tick,
+            kind=e.kind,
+            agent_id=e.agent_id,
+            related_agent_id=e.related_agent_id,
+        )
+        lines.append(json.dumps(record))
+    return "".join(line + "\n" for line in lines)
+
+
+def reference_events_from_jsonl(text: str) -> list[tuple]:
+    """(tick, kind, agent_id, related_agent_id) per non-blank line."""
+    out = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        d = json.loads(line)
+        out.append((d["tick"], d["kind"], d["agent_id"], d.get("related_agent_id")))
+    return out
+
+
+def reference_life_stats_to_jsonl(stats) -> str:
+    lines = []
+    for s in stats:
+        lines.append(
+            json.dumps(
+                {
+                    "agent_id": s.agent_id,
+                    "lifetime": s.lifetime,
+                    "censored": s.censored,
+                    "total_likes": s.total_likes,
+                    "total_reposts": s.total_reposts,
+                    "carried_link": s.carried_link,
+                }
+            )
+        )
+    return "".join(line + "\n" for line in lines)
+
+
+def reference_life_stats_from_jsonl(text: str) -> list[tuple]:
+    """The AgentLifeStats fields, in order, per non-blank line."""
+    out = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        d = json.loads(line)
+        out.append((
+            d["agent_id"],
+            d["lifetime"],
+            d["censored"],
+            d["total_likes"],
+            d["total_reposts"],
+            d.get("carried_link"),
+        ))
+    return out

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -70,6 +72,84 @@ class TestSimulate:
                      "--no-events", "--out", str(out)]) == 0
         assert not (out / "events.jsonl").exists()
         assert (out / "life_stats.jsonl").exists()
+
+    # sha256 of the outputs written by the json.dumps-per-line serializers
+    # these files were first produced with.
+    PINNED_DIGESTS = {
+        "a9": {
+            "events.jsonl": "7786600eeafea1f2b2e81ed2d1f730d0d00663567b5ca1a8325bfd2cfe5d4e46",
+            "life_stats.jsonl": "25429e2eddd3c081013b1f19eae6ba0b55bc2dacd5b34109116e83f7994e39c9",
+        },
+        "linked": {
+            "events.jsonl": "371e197493c9b9d0e7b95f67491c841a3a3688ee10308e8e396cc46f1fb75605",
+            "life_stats.jsonl": "a85af8509781c5ef1daba5f13300691f6c2966eecb87abb4dec50a49f34be220",
+        },
+    }
+    # The A6 link parameters.
+    LINKED_CONFIG = {
+        "p_s": 0.3, "e0": 3, "p_like": 0.3, "p_repost": 0.1,
+        "link_carrier_fraction": 0.5, "link_boost": 1.5, "rich_get_richer_gamma": 0.4,
+        "horizon": 60, "max_agents": 800,
+    }
+
+    def test_output_bytes_pinned(self, tmp_path):
+        cfg = tmp_path / "linked.json"
+        cfg.write_text(json.dumps(self.LINKED_CONFIG))
+        for name, args in (
+            ("a9", ["--runs", "3", "--seed", "11", "--steps", "50"]),
+            ("linked", ["--config", str(cfg), "--runs", "5", "--seed", "7"]),
+        ):
+            out = tmp_path / name
+            assert main(["simulate", *args, "--out", str(out)]) == 0
+            digests = {
+                f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+                for f in ("events.jsonl", "life_stats.jsonl")
+            }
+            assert digests == self.PINNED_DIGESTS[name], name
+
+    def test_default_run_config(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--out", str(out)]) == 0
+        assert (out / "run_config.json").read_text() == (
+            "{\n"
+            '  "e0": 28,\n'
+            '  "horizon": 65,\n'
+            '  "initial_agents": 1,\n'
+            '  "link_boost": 1.0,\n'
+            '  "link_carrier_fraction": 0.0,\n'
+            '  "max_agents": null,\n'
+            '  "p_like": 0.2,\n'
+            '  "p_repost": 0.1,\n'
+            '  "p_s": 0.0,\n'
+            '  "rich_get_richer_gamma": 0.0,\n'
+            '  "runs": 1,\n'
+            '  "seed": 20160501\n'
+            "}\n"
+        )
+
+    def test_memory_does_not_grow_with_runs(self, tmp_path):
+        # Agents never die and one appears every tick, so every run has the
+        # same 100 agents and about 5k events, whatever its seed.
+        cfg = tmp_path / "steady.json"
+        cfg.write_text(json.dumps({"p_s": 1.0, "e0": 1, "p_like": 1.0, "p_repost": 0.0,
+                                   "horizon": 100}))
+
+        def peak(runs: int) -> int:
+            args = ["simulate", "--config", str(cfg), "--runs", str(runs),
+                    "--out", str(tmp_path / f"runs{runs}")]
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call allocations (caches, lazy imports)
+        few, many = peak(2), peak(20)
+        assert many < 1.2 * few, (few, many)
+        assert (tmp_path / "runs20" / "events.jsonl").read_text().count("\n") == 20 * (
+            (tmp_path / "runs2" / "events.jsonl").read_text().count("\n") // 2
+        )
 
 
 class TestFit:

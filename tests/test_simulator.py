@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter, defaultdict
@@ -18,6 +20,7 @@ from netmon.simulator import (
     EVENT_SELF_GENERATE,
     EVENT_TRUNCATED,
     AgentLifeStats,
+    EventRecord,
     SimulationConfig,
     calibrated_default_config,
     events_from_jsonl,
@@ -27,6 +30,13 @@ from netmon.simulator import (
     replicate,
     repost_counts_by_link,
     run_simulation,
+)
+
+from _oracles import (
+    reference_events_from_jsonl,
+    reference_events_to_jsonl,
+    reference_life_stats_from_jsonl,
+    reference_life_stats_to_jsonl,
 )
 
 
@@ -436,6 +446,121 @@ class TestSerialization:
         res = run_simulation(config(0.0, 0.0, e0=2, horizon=10))
         line = life_stats_to_jsonl(res.stats).splitlines()[0]
         assert '"lifetime": 2' in line
+
+
+# Text that json must escape: quotes, backslashes, control characters,
+# non-ASCII letters and characters outside the Basic Multilingual Plane.
+tricky_text = st.text() | st.sampled_from(
+    ['"', "\\", '\\"', "\n", "\r\n", "\x00\x1f\x7f", "\u2028", "é", "漢字", "\U0001f600", ""]
+)
+json_int = st.integers(-2**63, 2**63)
+event_records = st.builds(EventRecord, json_int, tricky_text, json_int,
+                          st.none() | json_int)
+life_stats_rows = st.builds(AgentLifeStats, json_int, json_int, st.booleans(), json_int,
+                            json_int, st.none() | tricky_text)
+runs = st.none() | st.integers(0, 2**40)
+blank_lines = st.lists(st.sampled_from(["", " ", "\t", "  \t "]), max_size=3)
+
+
+def with_blank_lines(text: str, blanks: list[str]) -> str:
+    """``text`` with the given blank lines put before its lines in turn."""
+    lines = text.splitlines(keepends=True)
+    for i, blank in enumerate(blanks):
+        lines.insert(min(2 * i, len(lines)), blank + "\n")
+    return "".join(lines)
+
+
+class TestSerializationAgainstOracles:
+    """The template writers and scanner readers against json.dumps/json.loads."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(events=st.lists(event_records, max_size=8), run=runs, blanks=blank_lines)
+    def test_events_match_json_module(self, events, run, blanks):
+        text = events_to_jsonl(events, run=run)
+        assert text == reference_events_to_jsonl(events, run=run)
+        assert events_from_jsonl(text) == events
+        padded = with_blank_lines(text, blanks)
+        assert events_from_jsonl(padded) == reference_events_from_jsonl(padded) == events
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(life_stats_rows, max_size=8), blanks=blank_lines)
+    def test_life_stats_match_json_module(self, rows, blanks):
+        text = life_stats_to_jsonl(rows)
+        assert text == reference_life_stats_to_jsonl(rows)
+        assert life_stats_from_jsonl(text) == rows
+        padded = with_blank_lines(text, blanks)
+        assert life_stats_from_jsonl(padded) == reference_life_stats_from_jsonl(padded) == rows
+
+    @settings(max_examples=100, deadline=None)
+    @given(row=life_stats_rows, before=st.sampled_from(["", " ", "\t", " \r"]),
+           after=st.sampled_from(["", " ", "\t\t", "\r "]))
+    def test_surrounding_whitespace_decodes_as_json_loads(self, row, before, after):
+        line = before + life_stats_to_jsonl([row]).rstrip("\n") + after
+        assert life_stats_from_jsonl(line) == reference_life_stats_from_jsonl(line) == [row]
+
+    @settings(max_examples=100, deadline=None)
+    @given(event=event_records, run=runs,
+           junk=st.sampled_from(["x", "}", ", 1", " {}", "[]", "\"", "\t0"]))
+    def test_trailing_data_raises_decode_error(self, event, run, junk):
+        line = events_to_jsonl([event], run=run).rstrip("\n") + junk
+        for read in (events_from_jsonl, reference_events_from_jsonl):
+            with pytest.raises(json.JSONDecodeError):
+                read(line)
+
+    @pytest.mark.parametrize("line", [
+        '{"agent_id": 0, "lifetime": 1',
+        '{"agent_id": 0, "lifetime": }',
+        "{'agent_id': 0}",
+        "agent_id",
+        "\ufeff{}",
+    ])
+    def test_broken_line_raises_decode_error(self, line):
+        text = life_stats_to_jsonl([AgentLifeStats(0, 1, True, 0, 0)]) + line + "\n"
+        for read in (life_stats_from_jsonl, reference_life_stats_from_jsonl):
+            with pytest.raises(json.JSONDecodeError):
+                read(text)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "5", '"text"', "null", " true "])
+    def test_line_that_is_not_an_object_raises_decode_error(self, line):
+        for read in (events_from_jsonl, life_stats_from_jsonl):
+            with pytest.raises(json.JSONDecodeError):
+                read(line + "\n")
+
+
+class TestEarlyStop:
+    """A run with no agent left and no self-generation stops ticking."""
+
+    def test_run_simulation_stops_after_last_death(self, monkeypatch):
+        draws = 0
+
+        class CountingRandom(random.Random):
+            def random(self):
+                nonlocal draws
+                draws += 1
+                return super().random()
+
+        monkeypatch.setattr(simulator.random, "Random", CountingRandom)
+        long_run = run_simulation(config(0.0, 0.0, e0=1, horizon=10**6))
+        assert draws < 10
+        short_run = run_simulation(config(0.0, 0.0, e0=1, horizon=10))
+        assert long_run.stats == short_run.stats
+        assert long_run.events == short_run.events
+        assert [s.lifetime for s in long_run.stats] == [1]
+
+    def test_replicate_tables_grow_only_as_ticks_pass(self, monkeypatch):
+        calls = 0
+        kernel = simulator.effective_repost_prob
+
+        def counting_kernel(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "effective_repost_prob", counting_kernel)
+        cfg = config(0.0, 0.0, e0=1, horizon=10**6)
+        # Eagerly the tables would cover energies 1..2 * 10**6 + 1.
+        assert list(replicate(cfg, 1)) == run_simulation(cfg, record_events=False).stats
+        assert calls < 100
 
 
 class TestConfigValidation:
