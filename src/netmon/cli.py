@@ -381,14 +381,8 @@ def cmd_pipeline(args) -> int:
         extracted, fetcher, registry=registry, max_depth=args.max_depth,
         max_in_flight=args.max_in_flight,
     )
-    seen: set[str] = set()
-    resolved_lines = []
-    for link in extracted:
-        if link.raw_url in seen:
-            continue
-        seen.add(link.raw_url)
-        r = resolved[link.raw_url]
-        resolved_lines.append(
+    (out_dir / "resolved.jsonl").write_text(
+        "".join(
             json.dumps(
                 {
                     "raw_url": r.raw_url,
@@ -398,9 +392,9 @@ def cmd_pipeline(args) -> int:
                     "status": r.status,
                 }
             )
+            + "\n"
+            for r in resolved.values()
         )
-    (out_dir / "resolved.jsonl").write_text(
-        "".join(line + "\n" for line in resolved_lines)
     )
 
     records = build_link_records(matched, extracted, resolved)
@@ -431,30 +425,20 @@ def cmd_pipeline(args) -> int:
     export_records = build_export_records(matched, records, packet)
     (out_dir / "export.jsonl").write_bytes(export_stream(export_records))
 
-    # summary statistics
-    if matched:
-        stats = link_stats(matched, extracted, resolved)
-        stats_obj = {
-            "n_messages": len(messages),
-            "n_matched": len(matched),
-            "n_rejected": len(rejects),
-            "n_links": stats.n_links,
-            "messages_with_links_fraction": stats.messages_with_links_fraction,
-            "unique_links_fraction": stats.unique_links_fraction,
-            "unique_links_fraction_pre_resolution": stats.unique_links_fraction_pre_resolution,
-            "per_source_counts": dict(sorted(stats.per_source_counts.items())),
-        }
-    else:
-        stats_obj = {
-            "n_messages": len(messages),
-            "n_matched": 0,
-            "n_rejected": len(rejects),
-            "n_links": 0,
-            "messages_with_links_fraction": None,
-            "unique_links_fraction": None,
-            "unique_links_fraction_pre_resolution": None,
-            "per_source_counts": {},
-        }
+    # summary statistics; the link ratios are undefined when nothing matched
+    stats = link_stats(matched, extracted, resolved) if matched else None
+    stats_obj = {
+        "n_messages": len(messages),
+        "n_matched": len(matched),
+        "n_rejected": len(rejects),
+        "n_links": len(extracted),
+        "messages_with_links_fraction": stats and stats.messages_with_links_fraction,
+        "unique_links_fraction": stats and stats.unique_links_fraction,
+        "unique_links_fraction_pre_resolution": (
+            stats and stats.unique_links_fraction_pre_resolution
+        ),
+        "per_source_counts": dict(sorted(stats.per_source_counts.items())) if stats else {},
+    }
     (out_dir / "stats.json").write_text(json.dumps(stats_obj, indent=2) + "\n")
 
     _write_sidecar(

@@ -105,6 +105,7 @@ class ResolvedLink:
     redirect_chain: tuple[str, ...]
     was_shortened: bool
     status: str
+    host: str  # lower-cased host of final_url; "" when raw_url does not parse
 
 
 @dataclass(frozen=True)
@@ -186,9 +187,14 @@ def canonicalize(url: str) -> str:
     keeps path and query byte-for-byte, and drops the trailing slash of
     an otherwise empty path.
     """
-    parts = _split_checked(url)
+    return _canonical(_split_checked(url))
+
+
+def _canonical(parts) -> str:
     scheme = parts.scheme.lower()
     host = parts.hostname.lower()
+    if ":" in host:  # an IPv6 literal keeps its brackets (RFC 3986 3.2.2)
+        host = f"[{host}]"
     port = parts.port
     default_port = 80 if scheme == "http" else 443
     netloc = host if port is None or port == default_port else f"{host}:{port}"
@@ -214,10 +220,13 @@ def _shortener_hosts(bases: tuple[str, ...]) -> frozenset[str]:
 _DEFAULT_SHORTENER_HOSTS = _shortener_hosts(DEFAULT_SHORTENER_BASES)
 
 
+def _registry_hosts(registry: Optional[Iterable[str]]) -> frozenset[str]:
+    return _DEFAULT_SHORTENER_HOSTS if registry is None else _shortener_hosts(tuple(registry))
+
+
 def is_shortener(url: str, registry: Optional[Iterable[str]] = None) -> bool:
     """True when the URL's host is one of the short-address services."""
-    hosts = _DEFAULT_SHORTENER_HOSTS if registry is None else _shortener_hosts(tuple(registry))
-    return _host_of(url) in hosts
+    return _host_of(url) in _registry_hosts(registry)
 
 
 class OfflineFetcher:
@@ -270,10 +279,13 @@ def resolve(
     registry: Optional[Iterable[str]] = None,
     max_depth: int = 10,
 ) -> ResolvedLink:
-    """Follow redirects for one link; failures are statuses, not raises."""
+    """Follow redirects for one link; failures are statuses, not raises.
+
+    Parses the raw URL and each redirect target once; the final URL and
+    its host come from the last parse the chain accepted."""
     raw = link.raw_url
     try:
-        from_shortener = is_shortener(raw, registry)
+        parts = _split_checked(raw)
     except LinkParseError:
         return ResolvedLink(
             raw_url=raw,
@@ -281,47 +293,44 @@ def resolve(
             redirect_chain=(raw,),
             was_shortened=False,
             status=STATUS_FAILED,
+            host="",
         )
+    from_shortener = parts.hostname.lower() in _registry_hosts(registry)
     chain = [raw]
-    current = raw
-    followed = 0
     status = None
     while status is None:
         try:
-            target = fetcher(current)
+            target = fetcher(chain[-1])
         except FetchFailed:
             status = STATUS_FAILED
             break
         if target is None:
             status = (
-                STATUS_RESOLVED if (from_shortener or followed > 0) else STATUS_NOT_SHORTENED
+                STATUS_RESOLVED if (from_shortener or len(chain) > 1) else STATUS_NOT_SHORTENED
             )
             break
-        try:
-            _split_checked(target)
-        except LinkParseError:
-            status = STATUS_FAILED
-            break
+        # Every chain entry already parsed, so a loop needs no new parse.
         if target in chain:
             status = STATUS_LOOP
             break
-        if followed >= max_depth:
+        try:
+            target_parts = _split_checked(target)
+        except LinkParseError:
+            status = STATUS_FAILED
+            break
+        if len(chain) > max_depth:
             status = STATUS_DEPTH
             break
         chain.append(target)
-        current = target
-        followed += 1
+        parts = target_parts
 
-    try:
-        final = canonicalize(chain[-1])
-    except LinkParseError:
-        final = chain[-1]
     return ResolvedLink(
         raw_url=raw,
-        final_url=final,
+        final_url=_canonical(parts),
         redirect_chain=tuple(chain),
         was_shortened=from_shortener or len(chain) > 1,
         status=status,
+        host=parts.hostname.lower(),
     )
 
 
@@ -332,8 +341,8 @@ def resolve_all(
     max_depth: int = 10,
     max_in_flight: int = 8,
 ) -> dict[str, ResolvedLink]:
-    """Resolve each distinct raw URL once; keyed results keep the output
-    independent of completion order."""
+    """Resolve each distinct raw URL once; the result, keyed by raw URL,
+    iterates in first-occurrence order whatever ``max_in_flight`` is."""
     distinct: list[ExtractedLink] = []
     seen: set[str] = set()
     for link in links:
@@ -366,10 +375,6 @@ def build_link_records(
     for link in extracted:
         res = resolved[link.raw_url]
         msg = by_id[link.message_id]
-        try:
-            host = _host_of(res.final_url)
-        except LinkParseError:
-            host = ""
         records.append(
             LinkRecord(
                 message_id=msg.id,
@@ -377,10 +382,10 @@ def build_link_records(
                 timestamp=msg.timestamp,
                 raw_url=link.raw_url,
                 final_url=res.final_url,
-                host=host,
+                host=res.host,
                 status=res.status,
                 was_shortened=res.was_shortened,
-                social=_is_social(host) if host else False,
+                social=_is_social(res.host),
             )
         )
     return records
@@ -397,28 +402,25 @@ def link_stats(
     with_links = {link.message_id for link in extracted}
     n_links = len(extracted)
 
-    finals = []
-    raw_canonicals = []
+    finals = set()
     per_source: dict[str, int] = {}
     for link in extracted:
         res = resolved[link.raw_url]
-        try:
-            raw_canonicals.append(canonicalize(link.raw_url))
-        except LinkParseError:
-            raw_canonicals.append(link.raw_url)
         if res.status in _OK_STATUSES:
-            finals.append(res.final_url)
-            try:
-                host = _host_of(res.final_url)
-            except LinkParseError:
-                host = res.final_url
-            per_source[host] = per_source.get(host, 0) + 1
+            finals.add(res.final_url)
+            per_source[res.host] = per_source.get(res.host, 0) + 1
+    raw_canonicals = set()
+    for raw in {link.raw_url for link in extracted}:
+        try:
+            raw_canonicals.add(canonicalize(raw))
+        except LinkParseError:
+            raw_canonicals.add(raw)
 
     return LinkStats(
         messages_with_links_fraction=len(with_links) / len(messages),
-        unique_links_fraction=(len(set(finals)) / n_links) if n_links else 0.0,
+        unique_links_fraction=(len(finals) / n_links) if n_links else 0.0,
         unique_links_fraction_pre_resolution=(
-            len(set(raw_canonicals)) / n_links if n_links else 0.0
+            len(raw_canonicals) / n_links if n_links else 0.0
         ),
         per_source_counts=per_source,
         n_messages=len(messages),

@@ -153,17 +153,12 @@ def build_export_records(
     ]
 
 
-def export_stream(
-    records: Sequence[ExportRecord],
-    format_version: str = EXPORT_FORMAT_VERSION,
-) -> bytes:
-    """Serialize export records as deterministic line-delimited JSON.
+def export_stream(records: Sequence[ExportRecord]) -> bytes:
+    """Serialize export records as ``EXPORT_FORMAT_VERSION`` line-delimited JSON.
 
     Lines are sorted by citations descending then url ascending; equal
     inputs always produce identical bytes.
     """
-    if format_version != EXPORT_FORMAT_VERSION:
-        raise ValueError(f"unsupported export format version {format_version!r}")
     seen: set[str] = set()
     for r in records:
         if r.url in seen:

@@ -245,6 +245,49 @@ class TestPipeline:
         assert (out / "export.jsonl").read_bytes() == b""
         assert (out / "manifest.txt").read_text() == ""
 
+    # sha256 of every output but run_config.json (it holds the input paths),
+    # taken from the pipeline before URL parsing moved into resolve().
+    EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    FIXTURE_SHA = {
+        "export.jsonl": "71a2b9f92fc87ac669bf0f30ea39897908d17b6304af212f724ef1034ed47d14",
+        "links.jsonl": "618b1474cf7b9285a816a12f6986bb5e5ddbbf9fc0c9c4b9dd7660c9a8fcc269",
+        "manifest.txt": "86fcbe2421785da1aeec8b279a0374a99762d60adddd92e34e0014075bb1b643",
+        "matched.jsonl": "cf44634c4c6a939cdc5570aa46e17d58c625270afe160d6cda909f8c8c3f0cab",
+        "ranking.json": "a40d36d81aa68bec4d471444fd89bd0cf668a9cc0a1cbcd1922e253c53a9872d",
+        "rejects.jsonl": EMPTY_SHA,
+        "resolved.jsonl": "7a4f1ef0c3cdf8851e4e6b7dbcf8e0dea30c5e4eb11f123596715ca77a2c5b54",
+        "stats.json": "606178a2e07fe477ad538d755599d5384a8895ce0afa57cf16aba6bd91f2fcee",
+    }
+    PINNED_DIGESTS = {
+        "document": FIXTURE_SHA,
+        "host": {
+            **FIXTURE_SHA,
+            "ranking.json": "d67222afb3c8024190170bc051d90bd926325606382673d7cd2f622f47bd3f01",
+        },
+        "empty": {
+            **dict.fromkeys(FIXTURE_SHA, EMPTY_SHA),
+            "ranking.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+            "stats.json": "faadc607963b80e38d92094fe7fae7dc14b113124536c10f2bcc65a535bcdb10",
+        },
+    }
+
+    def test_output_bytes_pinned(self, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        for name, corpus, extra in (
+            ("document", None, []),
+            ("host", None, ["--granularity", "host"]),
+            ("empty", empty, []),
+        ):
+            out = tmp_path / name
+            assert self.run_pipeline(out, corpus=corpus, extra=extra) == 0
+            digests = {
+                p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.iterdir()
+                if p.name != "run_config.json"
+            }
+            assert digests == self.PINNED_DIGESTS[name], name
+
     def test_online_and_map_mutually_exclusive(self, tmp_path):
         code = self.run_pipeline(tmp_path / "out", extra=["--online"])
         assert code == 2

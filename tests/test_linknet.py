@@ -1,7 +1,10 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netmon.linknet as linknet_mod
 from netmon.ingest import Message, parse_timestamp
 from netmon.linknet import (
     DEFAULT_SHORTENER_BASES,
@@ -34,6 +37,15 @@ def msg(mid, text, author="user"):
 
 def link(url, mid="m1", pos=0):
     return ExtractedLink(message_id=mid, raw_url=url, position=pos)
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """Every URL netmon.linknet hands to urlsplit, in call order."""
+    calls = []
+    real = linknet_mod.urlsplit
+    monkeypatch.setattr(linknet_mod, "urlsplit", lambda url: calls.append(url) or real(url))
+    return calls
 
 
 class TestExtractLinks:
@@ -147,12 +159,7 @@ class TestIsShortener:
         assert not is_shortener("http://bit.ly/x", registry=("https://sho.rt/",))
         assert is_shortener("http://sho.rt/x", registry=["https://sho.rt/"])
 
-    def test_registry_hosts_parsed_once(self, monkeypatch):
-        import netmon.linknet as linknet_mod
-
-        parsed = []
-        real = linknet_mod.urlsplit
-        monkeypatch.setattr(linknet_mod, "urlsplit", lambda url: parsed.append(url) or real(url))
+    def test_registry_hosts_parsed_once(self, parsed):
         registry = ("https://once.test/", "http://twice.test/")
         for _ in range(3):
             assert is_shortener("http://once.test/a", registry=registry)
@@ -192,8 +199,18 @@ class TestCanonicalize:
         with pytest.raises(LinkParseError):
             canonicalize("http://bad:port:99x/")
 
+    def test_ipv6_host_keeps_brackets(self):
+        assert canonicalize("http://[::1]/x") == "http://[::1]/x"
+        assert canonicalize("HTTP://[2001:DB8::1]:80/") == "http://[2001:db8::1]"
+        # a port and a longer address must not collapse into one form
+        assert canonicalize("http://[2001:db8::1]:8080/p") == "http://[2001:db8::1]:8080/p"
+        assert canonicalize("http://[2001:db8::1:8080]/p") == "http://[2001:db8::1:8080]/p"
+
     @given(
-        host=st.from_regex(r"[a-z]{1,8}\.(test|example)", fullmatch=True),
+        host=st.one_of(
+            st.from_regex(r"[a-z]{1,8}\.(test|example)", fullmatch=True),
+            st.ip_addresses(v=6).map(lambda addr: f"[{addr}]"),
+        ),
         path=st.from_regex(r"(/[A-Za-z0-9._~%-]{0,6}){0,3}", fullmatch=True),
         query=st.from_regex(r"([a-z]{1,3}=[A-Za-z0-9]{0,4}(&[a-z]{1,3}=[A-Za-z0-9]{0,4}){0,2})?", fullmatch=True),
         scheme=st.sampled_from(["http", "https", "HTTP", "Https"]),
@@ -262,6 +279,31 @@ class TestResolve:
         res = resolve(link("http://bit.ly/a"), fetcher)
         assert res.final_url == "https://news.test/x"
 
+    def test_host_of_final_url(self):
+        fetcher = OfflineFetcher({"http://bit.ly/a": "https://News.TEST/x",
+                                  "http://bit.ly/b": "ftp://elsewhere.test/"})
+        assert resolve(link("http://bit.ly/a"), fetcher).host == "news.test"
+        # a rejected target leaves the last accepted URL final
+        assert resolve(link("http://bit.ly/b"), fetcher).host == "bit.ly"
+        assert resolve(link("http://[::1]:8080/x"), fetcher).host == "::1"
+        unparsable = resolve(link("http://[::1"), fetcher)
+        assert (unparsable.status, unparsable.host) == (STATUS_FAILED, "")
+
+    @pytest.mark.parametrize("mapping, visited", [
+        ({"http://bit.ly/a": "http://mid.test/b", "http://mid.test/b": "https://end.test/c"},
+         ["http://bit.ly/a", "http://mid.test/b", "https://end.test/c"]),
+        ({"http://bit.ly/a": "http://mid.test/b", "http://mid.test/b": "http://bit.ly/a"},
+         ["http://bit.ly/a", "http://mid.test/b"]),
+        ({"http://bit.ly/a": "ftp://mid.test/b"}, ["http://bit.ly/a", "ftp://mid.test/b"]),
+        ({"http://bit.ly/a": "http://mid.test/b", "http://mid.test/b": None},
+         ["http://bit.ly/a", "http://mid.test/b"]),
+        ({f"http://bit.ly/{i}": f"http://bit.ly/{i + 1}" for i in range(5)},
+         [f"http://bit.ly/{i}" for i in range(4)]),
+    ], ids=["resolved", "loop", "bad_target", "fetch_failed", "depth"])
+    def test_each_visited_url_parsed_once(self, parsed, mapping, visited):
+        resolve(link(visited[0]), OfflineFetcher(mapping), max_depth=2)
+        assert parsed == visited
+
     def test_chain_never_longer_than_depth_plus_one(self):
         chain = {f"http://hop.test/{i}": f"http://hop.test/{i+1}" for i in range(50)}
         for depth in (1, 3, 10):
@@ -277,6 +319,19 @@ class TestResolveAll:
         res = resolve_all(links, fetcher)
         assert set(res) == {"http://bit.ly/a", "https://n.test/2"}
         assert res["http://bit.ly/a"].status == STATUS_RESOLVED
+
+    @pytest.mark.parametrize("max_in_flight", [1, 8])
+    def test_first_occurrence_order(self, max_in_flight):
+        urls = [f"http://bit.ly/{i}" for i in range(12)]
+        links = [link(u, f"m{i}") for i, u in enumerate(urls[5:] + urls + urls[:3])]
+
+        def slow_fetcher(url):
+            # later URLs answer first, so completion order is reversed
+            time.sleep(0.002 * (12 - int(url.rsplit("/", 1)[1])))
+            return None
+
+        res = resolve_all(links, slow_fetcher, max_in_flight=max_in_flight)
+        assert list(res) == urls[5:] + urls[:5]
 
     def test_parallel_equals_serial(self):
         mapping = {f"http://bit.ly/{i}": f"https://n.test/{i}" for i in range(40)}
@@ -330,6 +385,33 @@ class TestLinkRecordsAndStats:
     def test_zero_messages_undefined(self):
         with pytest.raises(ValueError):
             link_stats([], [], {})
+
+    def test_ipv6_link_host_agrees(self):
+        messages = [msg("m1", "local http://[::1]/x and http://[::1]:80/x")]
+        extracted = extract_links(messages[0])
+        resolved = resolve_all(extracted, OfflineFetcher({}))
+        records = build_link_records(messages, extracted, resolved)
+        assert [(r.final_url, r.host) for r in records] == [("http://[::1]/x", "::1")] * 2
+        stats = link_stats(messages, extracted, resolved)
+        assert stats.per_source_counts == {"::1": 2}
+        assert stats.unique_links_fraction == stats.unique_links_fraction_pre_resolution == 0.5
+
+    def test_each_distinct_url_parsed_once(self, parsed):
+        urls = ["http://bit.ly/a", "https://news.test/one", "https://www.youtube.com/v"]
+        messages = [msg(f"m{i}", urls[i % 3]) for i in range(1000)]
+        extracted = [l for m in messages for l in extract_links(m)]
+        assert len(extracted) == 1000
+        fetcher = OfflineFetcher({"http://bit.ly/a": "https://news.test/one"})
+        resolved = resolve_all(extracted, fetcher)
+        # bit.ly/a and its target, then the two plain URLs
+        assert sorted(parsed) == sorted(urls + ["https://news.test/one"])
+        parsed.clear()
+        records = build_link_records(messages, extracted, resolved)
+        assert parsed == []
+        assert {r.host for r in records} == {"news.test", "www.youtube.com"}
+        stats = link_stats(messages, extracted, resolved)
+        assert sorted(parsed) == sorted(urls)
+        assert stats.per_source_counts == {"news.test": 667, "www.youtube.com": 333}
 
     def test_failed_links_excluded_from_sources(self):
         messages = [msg("m1", "x http://bit.ly/dead y https://ok.test/a")]

@@ -215,10 +215,6 @@ class TestExportStream:
         with pytest.raises(ValueError, match="https://news.test/alpha"):
             export_stream(records)
 
-    def test_unknown_version_rejected(self):
-        with pytest.raises(ValueError):
-            export_stream([], format_version="corporate-v2")
-
 
 def baseline_int_samples(n, seed):
     return [max(1, int(round(v))) for v in weibull_samples(1.9, 180.0, n, seed)]
