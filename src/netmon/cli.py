@@ -32,7 +32,14 @@ from .distfit import (
     fit_powerlaw_mle,
     fit_weibull_mle,
 )
-from .ingest import dedupe, format_timestamp, load_corpus, load_query_packet, match_queries
+from .ingest import (
+    dedupe,
+    load_corpus,
+    load_query_packet,
+    match_queries,
+    matched_jsonl,
+    rejects_jsonl,
+)
 from .linknet import (
     DEFAULT_SHORTENER_BASES,
     LiveFetcher,
@@ -40,7 +47,9 @@ from .linknet import (
     build_link_records,
     extract_links,
     link_stats,
+    links_jsonl,
     resolve_all,
+    resolved_jsonl,
 )
 from .pipeline import (
     build_export_records,
@@ -282,14 +291,10 @@ def cmd_fit(args) -> int:
 
 # ---------------------------------------------------------------- pipeline
 
-def _message_to_dict(msg) -> dict:
-    return {
-        "id": msg.id,
-        "author": msg.author,
-        "timestamp": format_timestamp(msg.timestamp),
-        "text": msg.text,
-        "matched_queries": sorted(msg.matched_queries),
-    }
+def _write_lines(target: Path, lines) -> None:
+    """Stream ``lines`` to ``target`` without joining them first."""
+    with target.open("w") as fh:
+        fh.writelines(lines)
 
 
 def cmd_pipeline(args) -> int:
@@ -354,48 +359,19 @@ def cmd_pipeline(args) -> int:
     messages = dedupe(messages)
     matched = match_queries(messages, packet)
 
-    (out_dir / "rejects.jsonl").write_text(
-        "".join(
-            json.dumps({"line_no": r.line_no, "reason": r.reason, "raw": r.raw}) + "\n"
-            for r in rejects
-        )
-    )
-    (out_dir / "matched.jsonl").write_text(
-        "".join(json.dumps(_message_to_dict(m)) + "\n" for m in matched)
-    )
+    _write_lines(out_dir / "rejects.jsonl", rejects_jsonl(rejects))
+    _write_lines(out_dir / "matched.jsonl", matched_jsonl(matched))
 
     # stage 3: extract hyperlinks
     extracted = [link for msg in matched for link in extract_links(msg)]
-    (out_dir / "links.jsonl").write_text(
-        "".join(
-            json.dumps(
-                {"message_id": l.message_id, "raw_url": l.raw_url, "position": l.position}
-            )
-            + "\n"
-            for l in extracted
-        )
-    )
+    _write_lines(out_dir / "links.jsonl", links_jsonl(extracted))
 
     # stage 4: open short addresses, canonicalize, rank
     resolved = resolve_all(
         extracted, fetcher, registry=registry, max_depth=args.max_depth,
         max_in_flight=args.max_in_flight,
     )
-    (out_dir / "resolved.jsonl").write_text(
-        "".join(
-            json.dumps(
-                {
-                    "raw_url": r.raw_url,
-                    "final_url": r.final_url,
-                    "redirect_chain": list(r.redirect_chain),
-                    "was_shortened": r.was_shortened,
-                    "status": r.status,
-                }
-            )
-            + "\n"
-            for r in resolved.values()
-        )
-    )
+    _write_lines(out_dir / "resolved.jsonl", resolved_jsonl(resolved.values()))
 
     records = build_link_records(matched, extracted, resolved)
     ranked = rank_resources(records, granularity=args.granularity)

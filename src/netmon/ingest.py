@@ -10,9 +10,12 @@ whole word, case-insensitively.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import IO, Iterable, Union
+from json.encoder import encode_basestring_ascii
+from json.scanner import make_scanner
+from typing import IO, Iterable, Iterator, Union
 
 __all__ = [
     "QueryPacket",
@@ -24,6 +27,8 @@ __all__ = [
     "dedupe",
     "parse_timestamp",
     "format_timestamp",
+    "matched_jsonl",
+    "rejects_jsonl",
 ]
 
 
@@ -42,7 +47,7 @@ class QueryPacket:
                 raise ValueError("queries must be non-empty")
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     id: str
     author: str
@@ -67,10 +72,13 @@ def parse_timestamp(value: str) -> datetime:
 
 
 def format_timestamp(dt: datetime) -> str:
-    """RFC 3339 UTC with a Z suffix, whole seconds."""
+    """RFC 3339 UTC with a Z suffix, whole seconds and a 4-digit year."""
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    dt = dt.astimezone(timezone.utc)
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (
+        dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second
+    )
 
 
 def load_query_packet(source: Union[IO[str], Iterable[str]], name: str = "packet") -> QueryPacket:
@@ -85,6 +93,8 @@ def load_query_packet(source: Union[IO[str], Iterable[str]], name: str = "packet
 
 
 _REQUIRED_FIELDS = ("id", "author", "timestamp", "text")
+# Decodes one JSON value at a given index of a string, in C.
+_scan_once = make_scanner(json.JSONDecoder())
 
 
 def load_corpus(
@@ -92,61 +102,71 @@ def load_corpus(
 ) -> tuple[list[Message], list[RejectRecord]]:
     """Parse a line-delimited JSON corpus.
 
-    Malformed lines go into the rejects list with their 1-based line
-    number instead of being dropped silently.
+    Each line is stripped of surrounding whitespace and decoded as by
+    ``json.loads``.  Malformed lines go into the rejects list with their
+    1-based line number instead of being dropped silently.
     """
     messages: list[Message] = []
     rejects: list[RejectRecord] = []
+    scan = _scan_once
     for line_no, line in enumerate(source, start=1):
         stripped = line.strip()
         if not stripped:
             continue
+        # One C scan decodes a well-formed line; a line it does not
+        # consume whole goes to json.loads for its exact error message.
         try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            rejects.append(RejectRecord(line_no, f"invalid JSON: {exc.msg}", stripped))
-            continue
-        if not isinstance(obj, dict):
+            obj, end = scan(stripped, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(stripped):
+            try:
+                obj = json.loads(stripped)
+            except json.JSONDecodeError as exc:
+                rejects.append(RejectRecord(line_no, f"invalid JSON: {exc.msg}", stripped))
+                continue
+            except ValueError as exc:  # an integer too long to convert
+                rejects.append(RejectRecord(line_no, f"invalid JSON: {exc}", stripped))
+                continue
+            except RecursionError:
+                rejects.append(RejectRecord(line_no, "invalid JSON: nested too deeply", stripped))
+                continue
+        if type(obj) is not dict:
             rejects.append(RejectRecord(line_no, "not a JSON object", stripped))
             continue
-        missing = [f for f in _REQUIRED_FIELDS if f not in obj]
-        if missing:
-            rejects.append(
-                RejectRecord(line_no, f"missing fields: {', '.join(missing)}", stripped)
-            )
+        try:
+            mid, author, stamp, text = obj["id"], obj["author"], obj["timestamp"], obj["text"]
+        except KeyError:
+            missing = ", ".join(f for f in _REQUIRED_FIELDS if f not in obj)
+            rejects.append(RejectRecord(line_no, f"missing fields: {missing}", stripped))
             continue
         try:
-            ts = parse_timestamp(str(obj["timestamp"]))
-        except ValueError:
-            rejects.append(
-                RejectRecord(line_no, f"bad timestamp: {obj['timestamp']!r}", stripped)
-            )
+            ts = parse_timestamp(str(stamp))
+        except (ValueError, OverflowError):
+            rejects.append(RejectRecord(line_no, f"bad timestamp: {stamp!r}", stripped))
             continue
-        messages.append(
-            Message(
-                id=str(obj["id"]),
-                author=str(obj["author"]),
-                timestamp=ts,
-                text=str(obj["text"]),
-            )
-        )
+        messages.append(Message(str(mid), str(author), ts, str(text)))
     return messages, rejects
 
 
-def _tokens(text: str) -> frozenset[str]:
-    # Split on any non-alphanumeric character; numerals kept.
-    toks = []
-    current: list[str] = []
-    for ch in text:
-        if ch.isalnum():
-            current.append(ch)
-        else:
-            if current:
-                toks.append("".join(current).casefold())
-                current = []
-    if current:
-        toks.append("".join(current).casefold())
-    return frozenset(toks)
+# Words are maximal runs of str.isalnum characters, which is what
+# [^\W_] matches.  On ASCII text those are [A-Za-z0-9] and casefold is
+# lower, so one byte translation lowers the letters and turns every other
+# character into a space to split on.
+_WORD = re.compile(r"[^\W_]+")
+_ASCII_FOLD = bytes(
+    ord(chr(b).lower()) if chr(b).isascii() and chr(b).isalnum() else ord(" ")
+    for b in range(256)
+)
+
+
+def _words(text: str) -> list[str]:
+    """The case-folded words of ``text``, repeats included."""
+    if text.isascii():
+        return text.encode("ascii").translate(_ASCII_FOLD).decode("ascii").split()
+    # Each word is folded on its own: folding the whole text first is not
+    # the same, as "İ".casefold() ends in U+0307, which is no alphanumeric.
+    return [word.casefold() for word in _WORD.findall(text)]
 
 
 def match_queries(messages: Iterable[Message], packet: QueryPacket) -> list[Message]:
@@ -155,17 +175,19 @@ def match_queries(messages: Iterable[Message], packet: QueryPacket) -> list[Mess
     A message matches a query when every term of the query appears in
     the message's token set (whole-word, case-folded).
     """
-    query_tokens = [_tokens(q) for q in packet.queries]
+    # A query without words matches nothing.  A message is tested only
+    # against the query words it contains.
+    queries = [(idx, terms) for idx, q in enumerate(packet.queries)
+               if (terms := frozenset(_words(q)))]
+    vocabulary = frozenset().union(*(terms for _, terms in queries))
     out: list[Message] = []
     for msg in messages:
-        text_tokens = _tokens(msg.text)
-        matched = frozenset(
-            idx
-            for idx, q_tokens in enumerate(query_tokens)
-            if q_tokens and q_tokens.issubset(text_tokens)
-        )
+        present = vocabulary.intersection(_words(msg.text))
+        if not present:
+            continue
+        matched = frozenset([idx for idx, terms in queries if terms <= present])
         if matched:
-            out.append(replace(msg, matched_queries=matched))
+            out.append(Message(msg.id, msg.author, msg.timestamp, msg.text, matched))
     return out
 
 
@@ -179,3 +201,29 @@ def dedupe(messages: Iterable[Message]) -> list[Message]:
         seen.add(msg.id)
         out.append(msg)
     return out
+
+
+# Output lines are filled into fixed templates with json.dumps's key
+# order and separators; strings go through json's ASCII-escaping encoder,
+# quotes included.
+_MATCHED_LINE = (
+    '{{"id": {}, "author": {}, "timestamp": "{}", "text": {}, "matched_queries": [{}]}}\n'
+).format
+_REJECT_LINE = '{{"line_no": {}, "reason": {}, "raw": {}}}\n'.format
+
+
+def matched_jsonl(messages: Iterable[Message]) -> Iterator[str]:
+    """One ``matched.jsonl`` line per message, matched queries ascending."""
+    line = _MATCHED_LINE
+    quote = encode_basestring_ascii
+    for m in messages:
+        yield line(quote(m.id), quote(m.author), format_timestamp(m.timestamp),
+                   quote(m.text), ", ".join(map(str, sorted(m.matched_queries))))
+
+
+def rejects_jsonl(rejects: Iterable[RejectRecord]) -> Iterator[str]:
+    """One ``rejects.jsonl`` line per rejected corpus line."""
+    line = _REJECT_LINE
+    quote = encode_basestring_ascii
+    for r in rejects:
+        yield line(r.line_no, quote(r.reason), quote(r.raw))

@@ -14,7 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from urllib.parse import urljoin, urlsplit
 
 from .ingest import Message
@@ -42,6 +43,8 @@ __all__ = [
     "resolve_all",
     "build_link_records",
     "link_stats",
+    "links_jsonl",
+    "resolved_jsonl",
 ]
 
 # Short-address services whose links must be expanded before the target
@@ -426,3 +429,31 @@ def link_stats(
         n_messages=len(messages),
         n_links=n_links,
     )
+
+
+# Output lines are filled into fixed templates with json.dumps's key
+# order and separators; strings go through json's ASCII-escaping encoder,
+# quotes included.
+_LINK_LINE = '{{"message_id": {}, "raw_url": {}, "position": {}}}\n'.format
+_RESOLVED_LINE = (
+    '{{"raw_url": {}, "final_url": {}, "redirect_chain": [{}], '
+    '"was_shortened": {}, "status": {}}}\n'
+).format
+
+
+def links_jsonl(links: Iterable[ExtractedLink]) -> Iterator[str]:
+    """One ``links.jsonl`` line per extracted link occurrence."""
+    line = _LINK_LINE
+    quote = encode_basestring_ascii
+    for link in links:
+        yield line(quote(link.message_id), quote(link.raw_url), link.position)
+
+
+def resolved_jsonl(resolved: Iterable[ResolvedLink]) -> Iterator[str]:
+    """One ``resolved.jsonl`` line per distinct raw URL."""
+    line = _RESOLVED_LINE
+    quote = encode_basestring_ascii
+    for r in resolved:
+        yield line(quote(r.raw_url), quote(r.final_url),
+                   ", ".join(map(quote, r.redirect_chain)),
+                   "true" if r.was_shortened else "false", quote(r.status))

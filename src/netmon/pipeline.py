@@ -9,10 +9,10 @@ amplified campaigns stand out.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence, Union
 
 from .distfit import PowerLawFit, WeibullFit, ks_statistic, powerlaw_cdf, weibull_cdf
@@ -153,6 +153,14 @@ def build_export_records(
     ]
 
 
+# An export line: json.dumps's key order and separators, strings through
+# json's ASCII-escaping encoder, quotes included.
+_EXPORT_LINE = (
+    '{{"url": {}, "first_seen": "{}", "citations": {}, '
+    '"query_labels": [{}], "source_message_ids": [{}]}}\n'
+).format
+
+
 def export_stream(records: Sequence[ExportRecord]) -> bytes:
     """Serialize export records as ``EXPORT_FORMAT_VERSION`` line-delimited JSON.
 
@@ -165,20 +173,14 @@ def export_stream(records: Sequence[ExportRecord]) -> bytes:
             raise ValueError(f"duplicate export url: {r.url}")
         seen.add(r.url)
     ordered = sorted(records, key=lambda r: (-r.citations, r.url))
-    lines = []
-    for r in ordered:
-        lines.append(
-            json.dumps(
-                {
-                    "url": r.url,
-                    "first_seen": format_timestamp(r.first_seen),
-                    "citations": r.citations,
-                    "query_labels": list(r.query_labels),
-                    "source_message_ids": list(r.source_message_ids),
-                }
-            )
-        )
-    return "".join(line + "\n" for line in lines).encode("utf-8")
+    line = _EXPORT_LINE
+    quote = encode_basestring_ascii
+    return "".join([
+        line(quote(r.url), format_timestamp(r.first_seen), r.citations,
+             ", ".join(map(quote, r.query_labels)),
+             ", ".join(map(quote, r.source_message_ids)))
+        for r in ordered
+    ]).encode("utf-8")
 
 
 def _baseline_cdf(baseline: BaselineFit):

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import json
 import string
+from datetime import timezone
 from decimal import Decimal, getcontext
 
 import numpy as np
+
+from netmon.ingest import parse_timestamp
 
 
 def decimal_weibull_pdf(x: float, k: float, lam: float, prec: int = 50) -> Decimal:
@@ -217,3 +220,120 @@ def reference_life_stats_from_jsonl(text: str) -> list[tuple]:
             d.get("carried_link"),
         ))
     return out
+
+
+# The pipeline's line writers and corpus reader as first written, one
+# json.dumps or json.loads per line; netmon's template-based writers and
+# its C-scanner corpus reader must agree with them byte for byte.
+
+def reference_timestamp(dt) -> str:
+    """RFC 3339 UTC with a Z suffix, by datetime.isoformat."""
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    naive = dt.astimezone(timezone.utc).replace(tzinfo=None)
+    return naive.isoformat(timespec="seconds") + "Z"
+
+
+def reference_matched_jsonl(messages) -> str:
+    return "".join(
+        json.dumps(
+            {
+                "id": m.id,
+                "author": m.author,
+                "timestamp": reference_timestamp(m.timestamp),
+                "text": m.text,
+                "matched_queries": sorted(m.matched_queries),
+            }
+        )
+        + "\n"
+        for m in messages
+    )
+
+
+def reference_links_jsonl(links) -> str:
+    return "".join(
+        json.dumps({"message_id": l.message_id, "raw_url": l.raw_url, "position": l.position})
+        + "\n"
+        for l in links
+    )
+
+
+def reference_resolved_jsonl(resolved) -> str:
+    return "".join(
+        json.dumps(
+            {
+                "raw_url": r.raw_url,
+                "final_url": r.final_url,
+                "redirect_chain": list(r.redirect_chain),
+                "was_shortened": r.was_shortened,
+                "status": r.status,
+            }
+        )
+        + "\n"
+        for r in resolved
+    )
+
+
+def reference_rejects_jsonl(rejects) -> str:
+    return "".join(
+        json.dumps({"line_no": r.line_no, "reason": r.reason, "raw": r.raw}) + "\n"
+        for r in rejects
+    )
+
+
+def reference_export_stream(records) -> bytes:
+    ordered = sorted(records, key=lambda r: (-r.citations, r.url))
+    return "".join(
+        json.dumps(
+            {
+                "url": r.url,
+                "first_seen": reference_timestamp(r.first_seen),
+                "citations": r.citations,
+                "query_labels": list(r.query_labels),
+                "source_message_ids": list(r.source_message_ids),
+            }
+        )
+        + "\n"
+        for r in ordered
+    ).encode("utf-8")
+
+
+_CORPUS_FIELDS = ("id", "author", "timestamp", "text")
+
+
+def reference_load_corpus(lines):
+    """(messages, rejects) as (id, author, timestamp, text) and
+    (line_no, reason, raw) tuples, one json.loads per stripped line.
+
+    Timestamps go through netmon's own parse_timestamp: this reference
+    checks decoding and reject reasons, not timestamp parsing."""
+    messages, rejects = [], []
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            obj = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            rejects.append((line_no, f"invalid JSON: {exc.msg}", stripped))
+            continue
+        except ValueError as exc:
+            rejects.append((line_no, f"invalid JSON: {exc}", stripped))
+            continue
+        except RecursionError:
+            rejects.append((line_no, "invalid JSON: nested too deeply", stripped))
+            continue
+        if not isinstance(obj, dict):
+            rejects.append((line_no, "not a JSON object", stripped))
+            continue
+        missing = [f for f in _CORPUS_FIELDS if f not in obj]
+        if missing:
+            rejects.append((line_no, f"missing fields: {', '.join(missing)}", stripped))
+            continue
+        try:
+            ts = parse_timestamp(str(obj["timestamp"]))
+        except (ValueError, OverflowError):
+            rejects.append((line_no, f"bad timestamp: {obj['timestamp']!r}", stripped))
+            continue
+        messages.append((str(obj["id"]), str(obj["author"]), ts, str(obj["text"])))
+    return messages, rejects

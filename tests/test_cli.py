@@ -1,12 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from datetime import datetime
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netmon.cli import main
 
@@ -364,6 +370,104 @@ class TestPipeline:
         assert self.run_pipeline(tmp_path / "out", redirect=redirect) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "redirect map" in err
+
+    def test_timestamp_out_of_range_in_utc_is_a_reject(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"m{i}", "author": "a", "timestamp": ts,
+                        "text": "market rates update"}) + "\n"
+            for i, ts in enumerate(["0001-01-01T00:00:00+01:00", "2016-05-01T00:00:00Z",
+                                    "9999-12-31T23:59:59-01:00"])
+        ))
+        out = tmp_path / "out"
+        assert self.run_pipeline(out, corpus=corpus) == 0
+        rejects = [json.loads(l) for l in (out / "rejects.jsonl").read_text().splitlines()]
+        assert [(r["line_no"], r["reason"]) for r in rejects] == [
+            (1, "bad timestamp: '0001-01-01T00:00:00+01:00'"),
+            (3, "bad timestamp: '9999-12-31T23:59:59-01:00'"),
+        ]
+        assert json.loads((out / "stats.json").read_text())["n_matched"] == 1
+
+    def test_year_below_1000_written_with_four_digits(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps({
+            "id": "m1", "author": "a", "timestamp": "0999-01-01T00:00:00Z",
+            "text": "market rates update https://news.test/a",
+        }) + "\n")
+        out = tmp_path / "out"
+        assert self.run_pipeline(out, corpus=corpus) == 0
+        matched = json.loads((out / "matched.jsonl").read_text())
+        exported = json.loads((out / "export.jsonl").read_text())
+        assert matched["timestamp"] == exported["first_seen"] == "0999-01-01T00:00:00Z"
+
+
+_FUZZ_QUERIES = "market rates\nİstanbul\nstraße\n"
+_FUZZ_REDIRECTS = {
+    "http://bit.ly/a": "https://news.test/final",
+    "http://bit.ly/hop": "http://bit.ly/a",
+    "http://bit.ly/loop": "http://bit.ly/loop",
+    "http://bit.ly/dead": None,
+}
+_FUZZ_WORDS = st.sampled_from([
+    "market", "RATES", "İstanbul", "STRASSE", "bank", "http://bit.ly/a", "http://bit.ly/hop",
+    "http://bit.ly/loop", "http://bit.ly/dead", "https://news.test/x?q=1", "http://[::1",
+    "https://youtu.be/v", "(https://wire.test/a).",
+])
+_FUZZ_MESSAGE = st.fixed_dictionaries(
+    {
+        "id": st.one_of(st.sampled_from(["m1", "m2", "m3"]), st.integers()),
+        "author": st.text(max_size=3),
+        "timestamp": st.one_of(
+            st.just("2016-05-01T00:00:00Z"),
+            st.tuples(
+                # instants near either end of the datetime range, and any other
+                st.one_of(st.datetimes(max_value=datetime(1, 1, 2)),
+                          st.datetimes(min_value=datetime(9999, 12, 31)),
+                          st.datetimes()),
+                st.sampled_from(["", "Z", "+01:00", "-01:00", "+23:59", "-23:59"]),
+            ).map(lambda t: t[0].isoformat() + t[1]),
+            st.text(max_size=5),
+        ),
+        "text": st.lists(st.one_of(_FUZZ_WORDS, st.text(max_size=4)), max_size=8).map(" ".join),
+    },
+    optional={"extra": st.text(max_size=3)},
+)
+_FUZZ_LINE = st.one_of(_FUZZ_MESSAGE.map(json.dumps), st.text(max_size=30))
+
+
+class TestPipelineFuzz:
+    """Arbitrary corpora run offline: no crash, and reruns are byte-identical."""
+
+    @staticmethod
+    def run(root: Path, name: str):
+        out = root / name
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([
+                "pipeline",
+                "--queries", str(root / "queries.txt"),
+                "--corpus", str(root / "corpus.jsonl"),
+                "--redirect-map", str(root / "redirects.json"),
+                "--max-depth", "3",
+                "--out-dir", str(out),
+            ])
+        tree = read_tree(out)
+        tree.pop("run_config.json", None)  # holds the output path
+        return code, stderr.getvalue(), tree
+
+    @given(st.lists(_FUZZ_LINE, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_never_crashes_and_reruns_identically(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "queries.txt").write_text(_FUZZ_QUERIES, encoding="utf-8")
+            (root / "redirects.json").write_text(json.dumps(_FUZZ_REDIRECTS))
+            (root / "corpus.jsonl").write_text("\n".join(lines), encoding="utf-8")
+            first = self.run(root, "a")
+            second = self.run(root, "b")
+        code, err, tree = first
+        assert code == 0 and "Traceback" not in err, err
+        assert second == first
 
 
 class TestCompare:

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import sys
 from datetime import datetime, timezone
 
 import pytest
@@ -10,15 +11,24 @@ from hypothesis import strategies as st
 from netmon.ingest import (
     Message,
     QueryPacket,
+    RejectRecord,
     dedupe,
     format_timestamp,
     load_corpus,
     load_query_packet,
     match_queries,
+    matched_jsonl,
     parse_timestamp,
+    rejects_jsonl,
 )
 
-from _oracles import naive_word_match
+from _oracles import (
+    naive_word_match,
+    reference_load_corpus,
+    reference_matched_jsonl,
+    reference_rejects_jsonl,
+)
+from _strategies import JSON_TEXT
 
 
 def msg(mid, text, author="user", ts="2016-05-04T10:00:00Z"):
@@ -27,6 +37,66 @@ def msg(mid, text, author="user", ts="2016-05-04T10:00:00Z"):
 
 def corpus_line(mid, text="hello", author="a", ts="2016-05-04T10:00:00Z"):
     return json.dumps({"id": mid, "author": author, "timestamp": ts, "text": text})
+
+
+_WORDS = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=6)
+
+
+@st.composite
+def _text_and_queries(draw):
+    """A text and a packet of queries, mostly built from shared words."""
+    words = draw(st.lists(_WORDS, min_size=1, max_size=6))
+    word = st.sampled_from(words).flatmap(
+        lambda w: st.sampled_from([w, w.upper(), w.lower(), w.casefold(), w.swapcase()])
+    )
+    glue = st.one_of(st.just(" "), st.text(max_size=2))
+    text = draw(st.one_of(
+        st.text(),
+        st.lists(st.tuples(word, glue).map("".join), max_size=10).map("".join),
+    ))
+    query = st.one_of(st.text(), st.lists(word, min_size=1, max_size=3).map(" ".join))
+    queries = draw(st.lists(query.filter(str.strip), min_size=1, max_size=4))
+    return text, tuple(queries)
+
+
+TEXT_AND_QUERIES = _text_and_queries()
+
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+_TIMESTAMP = st.one_of(
+    st.just("2016-05-04T10:00:00Z"),
+    st.tuples(st.datetimes(), st.sampled_from(["", "Z", "+01:00", "-01:00", "+23:59"])).map(
+        lambda t: t[0].isoformat() + t[1]
+    ),
+    st.text(max_size=8),
+    _JSON_VALUE,
+)
+_CORPUS_OBJECT = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": st.one_of(st.text(max_size=4), _JSON_VALUE),
+        "author": st.one_of(st.text(max_size=4), _JSON_VALUE),
+        "timestamp": _TIMESTAMP,
+        "text": st.one_of(JSON_TEXT, _JSON_VALUE),
+        "extra": _JSON_VALUE,
+    },
+)
+_WHITESPACE = st.text(st.sampled_from(" \t\r\n\x0b\x0c\x1c\x85\xa0\u2028\u3000"), max_size=3)
+CORPUS_LINE = st.one_of(
+    _CORPUS_OBJECT.map(json.dumps),
+    st.tuples(_WHITESPACE, _CORPUS_OBJECT.map(json.dumps), _WHITESPACE).map("".join),
+    st.tuples(_CORPUS_OBJECT.map(json.dumps), st.sampled_from([" x", "{}", "]", ",", " 1"])).map(
+        "".join
+    ),
+    _CORPUS_OBJECT.map(json.dumps).flatmap(
+        lambda s: st.integers(0, len(s) - 1).map(lambda n: s[:n])
+    ),
+    _JSON_VALUE.map(json.dumps),
+    st.text(),
+)
 
 
 class TestQueryPacket:
@@ -81,6 +151,44 @@ class TestLoadCorpus:
         messages, rejects = load_corpus(io.StringIO('[1, 2]\n'))
         assert messages == [] and rejects[0].reason == "not a JSON object"
 
+    @pytest.mark.parametrize("ts", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"])
+    def test_timestamp_out_of_range_in_utc_rejected(self, ts):
+        # Valid ISO-8601 whose UTC instant falls outside years 1..9999.
+        messages, rejects = load_corpus(io.StringIO(corpus_line("m1", ts=ts)))
+        assert messages == []
+        assert [(r.line_no, r.reason) for r in rejects] == [(1, f"bad timestamp: {ts!r}")]
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python converts integer strings of any length")
+    def test_integer_too_long_to_convert_rejected(self):
+        line = '{"id": ' + "1" * 5000 + "}"
+        messages, rejects = load_corpus(io.StringIO(corpus_line("m1") + "\n" + line))
+        assert [m.id for m in messages] == ["m1"]
+        assert rejects[0].line_no == 2
+        assert rejects[0].reason.startswith("invalid JSON: Exceeds the limit")
+        assert rejects[0].raw == line
+
+    def test_nesting_too_deep_rejected(self):
+        line = "[" * 100_000 + "]" * 100_000
+        messages, rejects = load_corpus(io.StringIO(line + "\n" + corpus_line("m1")))
+        assert [m.id for m in messages] == ["m1"]
+        assert [(r.line_no, r.reason) for r in rejects] == [(1, "invalid JSON: nested too deeply")]
+
+    def test_non_string_fields_kept_as_their_str(self):
+        line = json.dumps({"id": 7, "author": None, "timestamp": "2016-05-04T10:00:00Z",
+                           "text": ["a", 1]})
+        (m,), _ = load_corpus([line])
+        assert (m.id, m.author, m.text) == ("7", "None", "['a', 1]")
+
+    @given(st.lists(CORPUS_LINE, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_json_loads_reference(self, lines):
+        messages, rejects = load_corpus(lines)
+        ref_messages, ref_rejects = reference_load_corpus(lines)
+        assert [(m.id, m.author, m.timestamp, m.text) for m in messages] == ref_messages
+        assert all(m.matched_queries == frozenset() for m in messages)
+        assert [(r.line_no, r.reason, r.raw) for r in rejects] == ref_rejects
+
 
 class TestTimestamps:
     def test_z_suffix_and_offset(self):
@@ -91,6 +199,22 @@ class TestTimestamps:
     def test_round_trip(self):
         ts = "2016-05-31T23:59:07Z"
         assert format_timestamp(parse_timestamp(ts)) == ts
+
+    @pytest.mark.parametrize("ts", ["0001-01-01T00:00:00Z", "0999-12-31T23:59:59Z",
+                                    "0042-06-01T08:05:09Z"])
+    def test_years_below_1000_zero_padded(self, ts):
+        assert format_timestamp(parse_timestamp(ts)) == ts
+
+    def test_offset_converted_to_utc(self):
+        assert format_timestamp(parse_timestamp("1000-01-01T00:30:00+01:00")) == (
+            "0999-12-31T23:30:00Z"
+        )
+
+    @given(st.datetimes(timezones=st.sampled_from([None, timezone.utc])))
+    @settings(max_examples=200)
+    def test_agrees_with_isoformat(self, dt):
+        expected = dt.replace(microsecond=0, tzinfo=None).isoformat() + "Z"
+        assert format_timestamp(dt) == expected
 
 
 class TestMatchQueries:
@@ -144,6 +268,60 @@ class TestMatchQueries:
             )
             assert out.get(str(i), frozenset()) == expected
 
+    # Words whose case folding or alphanumeric class differs between
+    # ASCII and the rest of Unicode.
+    UNICODE_CASES = [
+        ("İstanbul stays open", "İSTANBUL", True),
+        ("İstanbul stays open", "stanbul", False),
+        ("İstanbul stays open", "istanbul", False),
+        ("die Straße ist gesperrt", "STRASSE", True),
+        ("STRASSE gesperrt", "straße", True),
+        ("snake_case names", "snake case", True),
+        ("snake_case names", "snake_case", True),
+        ("x² grows", "x", False),
+        ("x² grows", "X²", True),
+        ("price １２３ units", "123", False),
+        ("price １２３ units", "１２３", True),
+        ("cafe\u0301 au lait", "cafe lait", True),
+        ("café au lait", "cafe", False),
+        ("ΣΊΣΥΦΟΣ myth", "σίσυφος", True),
+        ("plain ascii market rates", "market", True),
+        ("mixed market ünd rates", "MARKET RATES", True),
+    ]
+
+    @pytest.mark.parametrize("text,query,expected", UNICODE_CASES)
+    def test_unicode_words(self, text, query, expected):
+        out = match_queries([msg("1", text)], QueryPacket(queries=(query,)))
+        assert bool(out) is expected
+        assert naive_word_match(text, query) is expected
+
+    def test_every_ascii_character_splits_or_joins_as_the_oracle(self):
+        packet = QueryPacket(queries=("ab cd",))
+        for code in range(128):
+            text = f"AB{chr(code)}cd"
+            matched = bool(match_queries([msg("1", text)], packet))
+            assert matched is naive_word_match(text, "ab cd"), repr(text)
+
+    def test_ascii_and_unicode_texts_in_one_run(self):
+        texts = [t for t, _, _ in self.UNICODE_CASES]
+        queries = tuple(dict.fromkeys(q for _, q, _ in self.UNICODE_CASES))
+        out = {m.id: m.matched_queries
+               for m in match_queries([msg(str(i), t) for i, t in enumerate(texts)],
+                                      QueryPacket(queries=queries))}
+        for i, text in enumerate(texts):
+            expected = frozenset(qi for qi, q in enumerate(queries) if naive_word_match(text, q))
+            assert out.get(str(i), frozenset()) == expected
+
+    @given(TEXT_AND_QUERIES)
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_token_oracle_on_unicode(self, case):
+        text, queries = case
+        out = match_queries([msg("1", text)], QueryPacket(queries=queries))
+        expected = frozenset(qi for qi, q in enumerate(queries) if naive_word_match(text, q))
+        assert (out[0].matched_queries if out else frozenset()) == expected
+        if out:
+            assert (out[0].id, out[0].text) == ("1", text)
+
     @given(st.text(alphabet="AbCdE fGh", min_size=1, max_size=40), st.booleans())
     @settings(max_examples=100)
     def test_case_invariance(self, text, flip_query):
@@ -180,3 +358,31 @@ class TestDedupe:
         messages = [msg(f"m{rng.randrange(40)}", "t") for _ in range(200)]
         once = dedupe(messages)
         assert dedupe(once) == once
+
+
+class TestWriters:
+    @given(st.lists(st.builds(
+        Message,
+        id=JSON_TEXT,
+        author=JSON_TEXT,
+        timestamp=st.datetimes(timezones=st.just(timezone.utc)),
+        text=JSON_TEXT,
+        matched_queries=st.frozensets(st.integers(0, 40)),
+    ), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_matched_agrees_with_json_dumps_reference(self, messages):
+        assert "".join(matched_jsonl(messages)) == reference_matched_jsonl(messages)
+
+    @given(st.lists(st.builds(RejectRecord, line_no=st.integers(1, 10**9),
+                              reason=JSON_TEXT, raw=JSON_TEXT), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_rejects_agree_with_json_dumps_reference(self, rejects):
+        assert "".join(rejects_jsonl(rejects)) == reference_rejects_jsonl(rejects)
+
+    def test_escapes_and_four_digit_year(self):
+        m = Message(id='q"\\', author="\u00e9", timestamp=parse_timestamp("0999-01-01T00:00:00Z"),
+                    text="\U0001f600\n", matched_queries=frozenset({2, 0}))
+        assert "".join(matched_jsonl([m])) == (
+            '{"id": "q\\"\\\\", "author": "\\u00e9", "timestamp": "0999-01-01T00:00:00Z", '
+            '"text": "\\ud83d\\ude00\\n", "matched_queries": [0, 2]}\n'
+        )

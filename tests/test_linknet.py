@@ -17,16 +17,20 @@ from netmon.linknet import (
     FetchFailed,
     LinkParseError,
     OfflineFetcher,
+    ResolvedLink,
     build_link_records,
     canonicalize,
     extract_links,
     is_shortener,
     link_stats,
+    links_jsonl,
     resolve,
     resolve_all,
+    resolved_jsonl,
 )
 
-from _oracles import reference_url_scan
+from _oracles import reference_links_jsonl, reference_resolved_jsonl, reference_url_scan
+from _strategies import JSON_TEXT
 
 
 def msg(mid, text, author="user"):
@@ -420,3 +424,25 @@ class TestLinkRecordsAndStats:
         stats = link_stats(messages, extracted, resolved)
         assert stats.per_source_counts == {"ok.test": 1}
         assert sum(stats.per_source_counts.values()) == 1
+
+
+class TestWriters:
+    @given(st.lists(st.builds(ExtractedLink, message_id=JSON_TEXT, raw_url=JSON_TEXT,
+                              position=st.integers(0, 10**6)), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_links_agree_with_json_dumps_reference(self, links):
+        assert "".join(links_jsonl(links)) == reference_links_jsonl(links)
+
+    @given(st.lists(st.builds(
+        ResolvedLink,
+        raw_url=JSON_TEXT,
+        final_url=JSON_TEXT,
+        redirect_chain=st.lists(JSON_TEXT, max_size=3).map(tuple),
+        was_shortened=st.booleans(),
+        status=st.one_of(st.sampled_from([STATUS_RESOLVED, STATUS_LOOP, STATUS_DEPTH,
+                                          STATUS_FAILED, STATUS_NOT_SHORTENED]), JSON_TEXT),
+        host=JSON_TEXT,
+    ), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_resolved_agree_with_json_dumps_reference(self, resolved):
+        assert "".join(resolved_jsonl(resolved)) == reference_resolved_jsonl(resolved)

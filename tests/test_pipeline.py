@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from datetime import timezone
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,8 @@ from netmon.pipeline import (
     rank_resources,
 )
 
-from _oracles import weibull_samples
+from _oracles import reference_export_stream, weibull_samples
+from _strategies import JSON_TEXT
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -214,6 +216,28 @@ class TestExportStream:
         records = self._records() + [self._records()[0]]
         with pytest.raises(ValueError, match="https://news.test/alpha"):
             export_stream(records)
+
+    def test_year_below_1000_zero_padded(self):
+        record = ExportRecord(
+            url="https://old.test/",
+            first_seen=parse_timestamp("0999-01-01T00:00:00Z"),
+            citations=1,
+            query_labels=("q",),
+            source_message_ids=("m",),
+        )
+        assert b'"first_seen": "0999-01-01T00:00:00Z"' in export_stream([record])
+
+    @given(st.lists(st.builds(
+        ExportRecord,
+        url=JSON_TEXT,
+        first_seen=st.datetimes(timezones=st.just(timezone.utc)),
+        citations=st.integers(1, 10**6),
+        query_labels=st.lists(JSON_TEXT, max_size=3).map(tuple),
+        source_message_ids=st.lists(JSON_TEXT, max_size=3).map(tuple),
+    ), max_size=6, unique_by=lambda r: r.url))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_json_dumps_reference(self, records):
+        assert export_stream(records) == reference_export_stream(records)
 
 
 def baseline_int_samples(n, seed):
