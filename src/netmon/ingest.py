@@ -13,9 +13,9 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from json.encoder import encode_basestring_ascii
-from json.scanner import make_scanner
 from typing import IO, Iterable, Iterator, Union
+
+from .jsonl import decode_line, quote
 
 __all__ = [
     "QueryPacket",
@@ -93,8 +93,6 @@ def load_query_packet(source: Union[IO[str], Iterable[str]], name: str = "packet
 
 
 _REQUIRED_FIELDS = ("id", "author", "timestamp", "text")
-# Decodes one JSON value at a given index of a string, in C.
-_scan_once = make_scanner(json.JSONDecoder())
 
 
 def load_corpus(
@@ -108,29 +106,21 @@ def load_corpus(
     """
     messages: list[Message] = []
     rejects: list[RejectRecord] = []
-    scan = _scan_once
     for line_no, line in enumerate(source, start=1):
         stripped = line.strip()
         if not stripped:
             continue
-        # One C scan decodes a well-formed line; a line it does not
-        # consume whole goes to json.loads for its exact error message.
         try:
-            obj, end = scan(stripped, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end != len(stripped):
-            try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                rejects.append(RejectRecord(line_no, f"invalid JSON: {exc.msg}", stripped))
-                continue
-            except ValueError as exc:  # an integer too long to convert
-                rejects.append(RejectRecord(line_no, f"invalid JSON: {exc}", stripped))
-                continue
-            except RecursionError:
-                rejects.append(RejectRecord(line_no, "invalid JSON: nested too deeply", stripped))
-                continue
+            obj = decode_line(stripped)
+        except json.JSONDecodeError as exc:
+            rejects.append(RejectRecord(line_no, f"invalid JSON: {exc.msg}", stripped))
+            continue
+        except ValueError as exc:  # an integer too long to convert
+            rejects.append(RejectRecord(line_no, f"invalid JSON: {exc}", stripped))
+            continue
+        except RecursionError:
+            rejects.append(RejectRecord(line_no, "invalid JSON: nested too deeply", stripped))
+            continue
         if type(obj) is not dict:
             rejects.append(RejectRecord(line_no, "not a JSON object", stripped))
             continue
@@ -150,20 +140,12 @@ def load_corpus(
 
 
 # Words are maximal runs of str.isalnum characters, which is what
-# [^\W_] matches.  On ASCII text those are [A-Za-z0-9] and casefold is
-# lower, so one byte translation lowers the letters and turns every other
-# character into a space to split on.
+# [^\W_] matches.
 _WORD = re.compile(r"[^\W_]+")
-_ASCII_FOLD = bytes(
-    ord(chr(b).lower()) if chr(b).isascii() and chr(b).isalnum() else ord(" ")
-    for b in range(256)
-)
 
 
 def _words(text: str) -> list[str]:
     """The case-folded words of ``text``, repeats included."""
-    if text.isascii():
-        return text.encode("ascii").translate(_ASCII_FOLD).decode("ascii").split()
     # Each word is folded on its own: folding the whole text first is not
     # the same, as "İ".casefold() ends in U+0307, which is no alphanumeric.
     return [word.casefold() for word in _WORD.findall(text)]
@@ -183,8 +165,6 @@ def match_queries(messages: Iterable[Message], packet: QueryPacket) -> list[Mess
     out: list[Message] = []
     for msg in messages:
         present = vocabulary.intersection(_words(msg.text))
-        if not present:
-            continue
         matched = frozenset([idx for idx, terms in queries if terms <= present])
         if matched:
             out.append(Message(msg.id, msg.author, msg.timestamp, msg.text, matched))
@@ -203,9 +183,7 @@ def dedupe(messages: Iterable[Message]) -> list[Message]:
     return out
 
 
-# Output lines are filled into fixed templates with json.dumps's key
-# order and separators; strings go through json's ASCII-escaping encoder,
-# quotes included.
+# Line templates in the format of netmon.jsonl.
 _MATCHED_LINE = (
     '{{"id": {}, "author": {}, "timestamp": "{}", "text": {}, "matched_queries": [{}]}}\n'
 ).format
@@ -215,7 +193,6 @@ _REJECT_LINE = '{{"line_no": {}, "reason": {}, "raw": {}}}\n'.format
 def matched_jsonl(messages: Iterable[Message]) -> Iterator[str]:
     """One ``matched.jsonl`` line per message, matched queries ascending."""
     line = _MATCHED_LINE
-    quote = encode_basestring_ascii
     for m in messages:
         yield line(quote(m.id), quote(m.author), format_timestamp(m.timestamp),
                    quote(m.text), ", ".join(map(str, sorted(m.matched_queries))))
@@ -224,6 +201,5 @@ def matched_jsonl(messages: Iterable[Message]) -> Iterator[str]:
 def rejects_jsonl(rejects: Iterable[RejectRecord]) -> Iterator[str]:
     """One ``rejects.jsonl`` line per rejected corpus line."""
     line = _REJECT_LINE
-    quote = encode_basestring_ascii
     for r in rejects:
         yield line(r.line_no, quote(r.reason), quote(r.raw))

@@ -14,11 +14,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from urllib.parse import urljoin, urlsplit
 
 from .ingest import Message
+from .jsonl import quote
 
 __all__ = [
     "ExtractedLink",
@@ -431,9 +431,7 @@ def link_stats(
     )
 
 
-# Output lines are filled into fixed templates with json.dumps's key
-# order and separators; strings go through json's ASCII-escaping encoder,
-# quotes included.
+# Line templates in the format of netmon.jsonl.
 _LINK_LINE = '{{"message_id": {}, "raw_url": {}, "position": {}}}\n'.format
 _RESOLVED_LINE = (
     '{{"raw_url": {}, "final_url": {}, "redirect_chain": [{}], '
@@ -444,7 +442,6 @@ _RESOLVED_LINE = (
 def links_jsonl(links: Iterable[ExtractedLink]) -> Iterator[str]:
     """One ``links.jsonl`` line per extracted link occurrence."""
     line = _LINK_LINE
-    quote = encode_basestring_ascii
     for link in links:
         yield line(quote(link.message_id), quote(link.raw_url), link.position)
 
@@ -452,7 +449,6 @@ def links_jsonl(links: Iterable[ExtractedLink]) -> Iterator[str]:
 def resolved_jsonl(resolved: Iterable[ResolvedLink]) -> Iterator[str]:
     """One ``resolved.jsonl`` line per distinct raw URL."""
     line = _RESOLVED_LINE
-    quote = encode_basestring_ascii
     for r in resolved:
         yield line(quote(r.raw_url), quote(r.final_url),
                    ", ".join(map(quote, r.redirect_chain)),

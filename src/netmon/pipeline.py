@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence, Union
 
 from .distfit import PowerLawFit, WeibullFit, ks_statistic, powerlaw_cdf, weibull_cdf
 from .ingest import Message, QueryPacket, format_timestamp
+from .jsonl import quote
 from .linknet import _OK_STATUSES, LinkRecord
 
 __all__ = [
@@ -153,8 +153,7 @@ def build_export_records(
     ]
 
 
-# An export line: json.dumps's key order and separators, strings through
-# json's ASCII-escaping encoder, quotes included.
+# An export line, a template in the format of netmon.jsonl.
 _EXPORT_LINE = (
     '{{"url": {}, "first_seen": "{}", "citations": {}, '
     '"query_labels": [{}], "source_message_ids": [{}]}}\n'
@@ -174,7 +173,6 @@ def export_stream(records: Sequence[ExportRecord]) -> bytes:
         seen.add(r.url)
     ordered = sorted(records, key=lambda r: (-r.citations, r.url))
     line = _EXPORT_LINE
-    quote = encode_basestring_ascii
     return "".join([
         line(quote(r.url), format_timestamp(r.first_seen), r.citations,
              ", ".join(map(quote, r.query_labels)),

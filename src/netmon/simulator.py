@@ -39,13 +39,12 @@ from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
-from json.scanner import make_scanner
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .diffusion import AgentState, BehaviorParams, _clamp01, effective_repost_prob
+from .jsonl import decode_line, quote
 
 __all__ = [
     "SimulationConfig",
@@ -763,17 +762,13 @@ def repost_counts_by_link(stats: Iterable[AgentLifeStats]) -> dict[str, int]:
     return counts
 
 
-# Lines are filled into fixed templates with json.dumps's key order and
-# separators: integers print as json.dumps prints them, strings go
-# through json's ASCII-escaping encoder (quotes included), None is null.
+# Line templates in the format of netmon.jsonl.
 # An event line's head, "{" or '{"run": k, ', comes before these fields.
 _EVENT_FIELDS = '"tick": {}, "kind": {}, "agent_id": {}, "related_agent_id": {}}}\n'
 _LIFE_STATS_LINE = (
     '{{"agent_id": {}, "lifetime": {}, "censored": {}, "total_likes": {}, '
     '"total_reposts": {}, "carried_link": {}}}\n'
 ).format
-# Decodes one JSON value at a given index of a string, in C.
-_scan_once = make_scanner(json.JSONDecoder())
 
 
 def events_to_jsonl(events: Iterable[EventRecord], run: Optional[int] = None) -> str:
@@ -784,7 +779,6 @@ def events_to_jsonl(events: Iterable[EventRecord], run: Optional[int] = None) ->
     """
     head = "{{" if run is None else '{{"run": %d, ' % run
     line = (head + _EVENT_FIELDS).format
-    quote = encode_basestring_ascii
     return "".join([
         line(tick, quote(kind), agent_id, "null" if related is None else related)
         for tick, kind, agent_id, related in events
@@ -805,7 +799,6 @@ def events_from_jsonl(text: str) -> list[EventRecord]:
 def life_stats_to_jsonl(stats: Iterable[AgentLifeStats]) -> str:
     """One JSON object per agent, keys in AgentLifeStats field order."""
     line = _LIFE_STATS_LINE
-    quote = encode_basestring_ascii
     return "".join([
         line(agent_id, lifetime, "true" if censored else "false", likes, reposts,
              "null" if link is None else quote(link))
@@ -825,24 +818,16 @@ def life_stats_from_jsonl(text: str) -> list[AgentLifeStats]:
 def _json_objects(text: str) -> Iterator[dict]:
     """The JSON object on each non-blank line of ``text``.
 
-    A line is decoded by one call of json's C scanner.  A line the scan
-    does not consume whole (surrounding whitespace, trailing data, a
-    syntax error, a blank line) goes to ``json.loads``, so lines decode,
-    and fail with ``json.JSONDecodeError``, exactly as ``json.loads``
-    has them; a value that is not an object fails the same way.
+    Lines decode, and fail with ``json.JSONDecodeError``, exactly as
+    ``json.loads`` has them; a value that is not an object fails the
+    same way.
     """
-    scan = _scan_once
     for line in text.splitlines():
-        try:
-            obj, end = scan(line, 0)
-        except (StopIteration, ValueError):
-            end = -1
-        if end != len(line) or type(obj) is not dict:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if type(obj) is not dict:
-                raise json.JSONDecodeError("Expecting a JSON object", line, 0)
+        if not line.strip():
+            continue
+        obj = decode_line(line)
+        if type(obj) is not dict:
+            raise json.JSONDecodeError("Expecting a JSON object", line, 0)
         yield obj
 
 
