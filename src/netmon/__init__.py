@@ -1,7 +1,6 @@
 """Microblog message-diffusion model and link-monitoring pipeline."""
 
 from .diffusion import (
-    AgentState,
     BehaviorParams,
     DeltaDistribution,
     delta_distribution,
@@ -19,6 +18,7 @@ from .distfit import (
 )
 from .simulator import (
     AgentLifeStats,
+    EventLog,
     EventRecord,
     LifeStatsTable,
     SimulationConfig,

@@ -59,6 +59,7 @@ from .pipeline import (
     rank_resources,
 )
 from .simulator import (
+    CHUNK_RUNS,
     SimulationConfig,
     calibrated_default_config,
     events_to_jsonl,
@@ -75,6 +76,35 @@ class CliError(Exception):
 
 def _write_sidecar(target: Path, config: dict) -> None:
     target.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+
+
+def _read_text(path: Path, what: str) -> str:
+    """The text of an input file, which must be UTF-8."""
+    if not path.exists():
+        raise CliError(f"{what} not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{what} {path} is not UTF-8: {exc}") from exc
+    except OSError as exc:
+        raise CliError(f"cannot read {what} {path}: {exc.strerror}") from exc
+
+
+def _read_json(path: Path, what: str):
+    """The JSON value of an input file."""
+    text = _read_text(path, what)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too long an integer, too deep nesting
+        raise CliError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _is_finite(value) -> bool:
+    """Whether a number is finite as a float (a huge integer is not)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 # ---------------------------------------------------------------- simulate
@@ -113,13 +143,7 @@ def _default_sim_config() -> dict:
 def _load_sim_config(args) -> dict:
     resolved = _default_sim_config()
     if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise CliError(f"config file not found: {path}")
-        try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise CliError(f"config file is not valid JSON: {exc}") from exc
+        loaded = _read_json(Path(args.config), "config file")
         if not isinstance(loaded, dict):
             raise CliError("config file must hold a JSON object")
         for key, value in loaded.items():
@@ -130,7 +154,7 @@ def _load_sim_config(args) -> dict:
                 continue
             try:
                 resolved[key] = _SIM_CONFIG_FIELDS[key](value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise CliError(f"bad value for config field {key}: {value!r}") from exc
     # flags override the config file
     if args.steps is not None:
@@ -169,22 +193,29 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Each run's lines are written as soon as it ends, and its records are
-    # freed before the next run starts, so memory does not grow with the
-    # number of runs.
+    # The runs step together a chunk at a time.  A chunk's lines are
+    # written run by run, and the chunk is freed before the next one
+    # starts, so memory does not grow past one chunk's whatever the number
+    # of runs.
     record_events = not args.no_events
+    runs = resolved["runs"]
     n_agents = 0
     with open(out_dir / "life_stats.jsonl", "w") as life_stats_out, (
         open(out_dir / "events.jsonl", "w") if record_events else nullcontext()
     ) as events_out:
-        for k in range(resolved["runs"]):
-            result = run_simulation(replace(config, seed=config.seed + k),
-                                    record_events=record_events)
+        for first in range(0, runs, CHUNK_RUNS):
+            last = min(first + CHUNK_RUNS, runs)
+            result = run_simulation(replace(config, seed=config.seed + first),
+                                    record_events=record_events, runs=last - first)
             n_agents += len(result.stats)
-            life_stats_out.write(life_stats_to_jsonl(result.stats))
-            if record_events:
-                events_out.write(events_to_jsonl(result.events, run=k))
-            del result
+            # Each run's rows and events are made just before they are
+            # written and dropped right after.
+            stats, events = result.stats.runs(), result.events.runs()
+            for k in range(first, last):
+                life_stats_out.write(life_stats_to_jsonl(next(stats)))
+                if record_events:
+                    events_out.write(events_to_jsonl(next(events), run=k))
+            del result, stats, events
 
     _write_sidecar(out_dir / "run_config.json", resolved)
     print(f"simulated {resolved['runs']} run(s), {n_agents} agents -> {out_dir}")
@@ -195,17 +226,18 @@ def cmd_simulate(args) -> int:
 
 def _read_samples(path_str: str, want_int: bool) -> list:
     path = Path(path_str)
-    if not path.exists():
-        raise CliError(f"input file not found: {path}")
     samples = []
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, line in enumerate(_read_text(path, "input file").splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
         try:
-            samples.append(int(stripped) if want_int else float(stripped))
+            value = int(stripped) if want_int else float(stripped)
         except ValueError as exc:
             raise CliError(f"non-numeric value on line {line_no}: {stripped!r}") from exc
+        if not _is_finite(value):
+            raise CliError(f"value out of range on line {line_no}: {stripped!r}")
+        samples.append(value)
     if not samples:
         raise CliError(f"no samples in {path}")
     return samples
@@ -231,34 +263,40 @@ def _fit_to_dict(fit) -> dict:
 
 
 def _load_fit(path_str: str):
+    """The fit in a fit file: a Weibull with finite k > 0 and lambda > 0, or
+    a power law with finite alpha > 1 and xmin >= 1; every other number in
+    it finite too."""
     path = Path(path_str)
-    if not path.exists():
-        raise CliError(f"fit file not found: {path}")
-    try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CliError(f"fit file is not valid JSON: {exc}") from exc
+    obj = _read_json(path, "fit file")
     if not isinstance(obj, dict):
         raise CliError(f"fit file {path} must hold a JSON object")
     try:
         if obj.get("distribution") == "weibull" or "k" in obj:
-            return WeibullFit(
+            fit = WeibullFit(
                 k=float(obj["k"]),
                 lam=float(obj["lambda"]),
                 log_likelihood=float(obj.get("log_likelihood", 0.0)),
                 n_samples=int(obj.get("n_samples", 0) or 0),
                 ks_statistic=float(obj.get("ks_statistic", 0.0)),
             )
-        if obj.get("distribution") == "powerlaw" or "alpha" in obj:
-            return PowerLawFit(
+            in_range = fit.k > 0 and fit.lam > 0
+            floats = (fit.k, fit.lam, fit.log_likelihood, fit.ks_statistic)
+        elif obj.get("distribution") == "powerlaw" or "alpha" in obj:
+            fit = PowerLawFit(
                 alpha=float(obj["alpha"]),
                 xmin=int(obj.get("xmin", 1)),
                 log_likelihood=float(obj.get("log_likelihood", 0.0)),
                 n_tail=int(obj.get("n_tail", 0) or 0),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+            in_range = fit.alpha > 1 and fit.xmin >= 1
+            floats = (fit.alpha, fit.log_likelihood)
+        else:
+            raise CliError(f"fit file {path} names no known distribution")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"bad fit file {path}: {exc}") from exc
-    raise CliError(f"fit file {path} names no known distribution")
+    if not (in_range and all(map(math.isfinite, floats))):
+        raise CliError(f"bad fit file {path}: parameters out of range in {_fit_to_dict(fit)}")
+    return fit
 
 
 def cmd_fit(args) -> int:
@@ -313,7 +351,7 @@ def cmd_pipeline(args) -> int:
     if not corpus_path.exists():
         raise CliError(f"corpus file not found: {corpus_path}")
 
-    with queries_path.open() as fh:
+    with queries_path.open(encoding="utf-8") as fh:
         try:
             packet = load_query_packet(fh, name=queries_path.stem)
         except ValueError as exc:
@@ -322,11 +360,9 @@ def cmd_pipeline(args) -> int:
     registry = DEFAULT_SHORTENER_BASES
     if args.shortener_registry:
         reg_path = Path(args.shortener_registry)
-        if not reg_path.exists():
-            raise CliError(f"shortener registry not found: {reg_path}")
         registry = tuple(
             line.strip()
-            for line in reg_path.read_text().splitlines()
+            for line in _read_text(reg_path, "shortener registry").splitlines()
             if line.strip() and not line.strip().startswith("#")
         )
 
@@ -336,12 +372,7 @@ def cmd_pipeline(args) -> int:
         mapping = {}
         if args.redirect_map:
             map_path = Path(args.redirect_map)
-            if not map_path.exists():
-                raise CliError(f"redirect map not found: {map_path}")
-            try:
-                mapping = json.loads(map_path.read_text())
-            except json.JSONDecodeError as exc:
-                raise CliError(f"redirect map is not valid JSON: {exc}") from exc
+            mapping = _read_json(map_path, "redirect map")
             if not isinstance(mapping, dict) or not all(
                 isinstance(target, (str, type(None))) for target in mapping.values()
             ):
@@ -353,8 +384,9 @@ def cmd_pipeline(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # stages 1-2: scan and match
-    with corpus_path.open() as fh:
+    # stages 1-2: scan and match; bytes that are not UTF-8 reach
+    # load_corpus as lone surrogates, which it rejects line by line
+    with corpus_path.open(encoding="utf-8", errors="surrogateescape") as fh:
         messages, rejects = load_corpus(fh)
     messages = dedupe(messages)
     matched = match_queries(messages, packet)
@@ -443,33 +475,37 @@ def cmd_pipeline(args) -> int:
 
 def _read_counts(path_str: str):
     path = Path(path_str)
-    if not path.exists():
-        raise CliError(f"empirical file not found: {path}")
     keyed: dict[str, int] = {}
     plain: list[int] = []
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, line in enumerate(_read_text(path, "empirical file").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         parts = stripped.split()
         try:
-            if len(parts) == 1:
-                plain.append(int(parts[0]))
-            elif len(parts) == 2:
-                keyed[parts[0]] = int(parts[1])
-            else:
+            if len(parts) not in (1, 2):
                 raise ValueError(stripped)
+            count = int(parts[-1])
+            if not _is_finite(count):
+                raise ValueError(f"{count} does not fit a float")
         except ValueError as exc:
             raise CliError(
                 f"bad count on line {line_no}: {stripped!r} "
                 "(expected 'count' or 'key count')"
             ) from exc
+        if len(parts) == 1:
+            plain.append(count)
+        else:
+            keyed[parts[0]] = count
     if keyed and plain:
         raise CliError("mix of keyed and plain count lines")
     return keyed or plain
 
 
 def cmd_compare(args) -> int:
+    if args.threshold is not None and not math.isfinite(args.threshold):
+        # report.json holds it, and JSON has no NaN or infinity
+        raise CliError(f"--threshold must be finite, got {args.threshold}")
     counts = _read_counts(args.empirical)
     baseline = _load_fit(args.baseline_fit)
     try:

@@ -12,41 +12,19 @@ integers with 0 absorbing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
-    "AgentState",
     "BehaviorParams",
     "DeltaDistribution",
     "delta_distribution",
     "transition_probability",
     "sample_delta",
     "effective_repost_prob",
-    "potential",
 ]
 
 _PROB_SUM_TOL = 1e-12
-
-
-@dataclass
-class AgentState:
-    """One message-agent and its recorded history.
-
-    ``authority`` counts agents whose ``parent_id`` points here; because
-    every repost creates exactly one such child, it always equals
-    ``reposts_spawned`` in this model, and both are kept for reporting.
-    """
-
-    id: int
-    birth_tick: int
-    energy: int
-    parent_id: Optional[int] = None
-    likes_received: int = 0
-    reposts_spawned: int = 0
-    authority: int = 0
-    link_ref: Optional[str] = None
-    alive: bool = True
 
 
 @dataclass
@@ -218,17 +196,3 @@ def sample_delta(dist: DeltaDistribution, rng: random.Random) -> int:
     if u < c:
         return 0
     return -1
-
-
-def potential(
-    agent: AgentState,
-    tick: int,
-    weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
-) -> float:
-    """Reporting-only score from age, authority and fruitfulness.
-
-    Never enters the dynamics; exposed for ranking agents in reports.
-    """
-    w_age, w_auth, w_fruit = weights
-    age = tick - agent.birth_tick
-    return w_age * age + w_auth * agent.authority + w_fruit * agent.reposts_spawned

@@ -32,6 +32,9 @@ __all__ = [
 
 MIN_SAMPLES = 10
 
+# Natural log of the largest float.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
 # k-solver bracket; the stationarity residual is increasing in k, so a
 # sign change inside this interval pins the root.
 _K_LO = 1e-3
@@ -84,7 +87,21 @@ def weibull_pdf(x: float, k: float, lam: float) -> float:
             return 1.0 / lam
         return math.inf
     z = x / lam
-    return (k / lam) * z ** (k - 1.0) * math.exp(-(z**k))
+    try:
+        density = (k / lam) * z ** (k - 1.0) * math.exp(-(z**k))
+    except (OverflowError, ZeroDivisionError):  # a power beyond the float range
+        density = math.nan
+    if math.isfinite(density):
+        return density
+    # A factor left the float range.  In logs the density is
+    # log k - log lam + (k - 1) log z - z^k, with log z = log x - log lam.
+    log_z = math.log(x) - math.log(lam)
+    if k * log_z > _LOG_FLOAT_MAX:
+        return 0.0  # z^k beyond the float range outweighs every other term
+    try:
+        return math.exp(math.log(k) - math.log(lam) + (k - 1.0) * log_z - math.exp(k * log_z))
+    except OverflowError:
+        return math.inf
 
 
 def weibull_cdf(x: float, k: float, lam: float) -> float:
@@ -93,7 +110,10 @@ def weibull_cdf(x: float, k: float, lam: float) -> float:
         raise ValueError(f"shape and scale must be positive, got k={k}, lam={lam}")
     if x <= 0:
         return 0.0
-    return 1.0 - math.exp(-((x / lam) ** k))
+    try:
+        return 1.0 - math.exp(-((x / lam) ** k))
+    except OverflowError:  # (x / lam)^k beyond the float range
+        return 1.0
 
 
 def powerlaw_cdf(x: float, alpha: float, xmin: float) -> float:
@@ -269,7 +289,7 @@ def emit_pdf_points(
     """Evenly spaced (x, pdf) pairs on [0, x_max] for external plotting."""
     if n_points < 2:
         raise ValueError(f"need at least 2 points, got {n_points}")
-    if x_max <= 0:
-        raise ValueError(f"x_max must be positive, got {x_max}")
+    if not 0 < x_max < math.inf:
+        raise ValueError(f"x_max must be positive and finite, got {x_max}")
     xs = np.linspace(0.0, x_max, n_points)
     return [(float(x), weibull_pdf(float(x), fit.k, fit.lam)) for x in xs]

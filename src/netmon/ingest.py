@@ -94,6 +94,9 @@ def load_query_packet(source: Union[IO[str], Iterable[str]], name: str = "packet
 
 _REQUIRED_FIELDS = ("id", "author", "timestamp", "text")
 
+# A byte that is not UTF-8, as a reader with errors="surrogateescape" hands it on.
+_UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
+
 
 def load_corpus(
     source: Union[IO[str], Iterable[str]],
@@ -102,7 +105,10 @@ def load_corpus(
 
     Each line is stripped of surrounding whitespace and decoded as by
     ``json.loads``.  Malformed lines go into the rejects list with their
-    1-based line number instead of being dropped silently.
+    1-based line number instead of being dropped silently.  So does a
+    line read from bytes that are not UTF-8: open the corpus as UTF-8 with
+    ``errors="surrogateescape"``, and each such byte arrives as a lone
+    surrogate U+DC80..U+DCFF, which no UTF-8 text can hold.
     """
     messages: list[Message] = []
     rejects: list[RejectRecord] = []
@@ -110,6 +116,13 @@ def load_corpus(
         stripped = line.strip()
         if not stripped:
             continue
+        if not stripped.isascii():
+            undecoded = _UNDECODED_BYTE.search(stripped)
+            if undecoded:
+                byte = ord(undecoded.group()) - 0xDC00
+                rejects.append(RejectRecord(line_no, f"invalid UTF-8: byte 0x{byte:02x}",
+                                            stripped))
+                continue
         try:
             obj = decode_line(stripped)
         except json.JSONDecodeError as exc:

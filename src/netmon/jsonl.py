@@ -1,6 +1,6 @@
 """Line-delimited JSON shared by the pipeline and simulation outputs.
 
-Writers fill fixed ``str.format`` line templates that keep
+Writers fill fixed line templates (``str.format`` or f-strings) that keep
 ``json.dumps``'s key order and ``", "``/``": "`` separators: integers
 print as ``json.dumps`` prints them, strings go through :func:`quote`,
 json's ASCII-escaping encoder (quotes included), ``None`` is ``null``.

@@ -14,21 +14,24 @@ Every uniform draw comes from one ``random.Random(seed)`` stream: one
 draw per tick for self-generation, one per created non-repost agent for
 link carriage, one per agent step.
 
-Two engines follow this protocol.  ``run_simulation`` steps one run agent
-by agent in Python and records the event log; it is the single-run path
-and the reference the other engine is tested against.  ``replicate``
-steps all runs of a chunk together with numpy: agent state lives in
-int32 columns, step thresholds come from per-energy tables, and
-outcomes, deaths and spawns are vector operations over the concatenated
-active set.  Each run still owns its ``random.Random(seed + k)`` and
-reads it in the order above, so the pooled statistics equal, row for
-row, those of the runs done one at a time; numpy's own generators are
-never used.  It returns a :class:`LifeStatsTable` of column arrays whose
-iterator makes the :class:`AgentLifeStats` rows.  A single run stays on
-the scalar loop because the batched engine's fixed per-tick cost does
-not pay off for one small run: 300 short runs of the A4 shape took
-about 0.8 s as one-run batches against 0.09 s scalar (2-CPU Xeon,
-Python 3.11.7, numpy 2.4.6).
+One engine follows this protocol, ``_run_chunk``.  In the model each
+message's energy is a Markov chain and its reposts are independent
+copies, so runs never interact and a chunk of them steps together with
+numpy: agent state lives in int32 columns, step thresholds come from
+per-energy tables, and outcomes, deaths and spawns are vector operations
+over the concatenated active set.  Each run still owns its
+``random.Random(seed + k)`` and reads it in the order above, so every run
+is the same as if it had been stepped alone; numpy's own generators are
+never used.  ``replicate`` pools life statistics over any number of runs
+in chunks; ``run_simulation`` steps a given number of runs as one chunk
+and can also record the event log.  The engine does not store events:
+per agent it keeps the parent, birth and death ticks it needs anyway,
+and per agent-step only the like outcome, one bit.  ``EventLog`` rebuilds
+each run's events from them when the run is read.  There is no scalar
+path for a single run: callers with many runs pass them together, since
+a batch of one run pays the engine's fixed per-tick cost for little work
+(150 runs of the A6 shape took about 1.5 s as one-run batches against
+0.2 s in chunks of 15; 2-CPU Xeon, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .diffusion import AgentState, BehaviorParams, _clamp01, effective_repost_prob
+from .diffusion import BehaviorParams, _clamp01, effective_repost_prob
 from .jsonl import decode_line, quote
 
 __all__ = [
@@ -52,11 +55,13 @@ __all__ = [
     "AgentLifeStats",
     "SimulationResult",
     "LifeStatsTable",
+    "EventLog",
     "EVENT_SELF_GENERATE",
     "EVENT_REPOST",
     "EVENT_LIKE",
     "EVENT_DEATH",
     "EVENT_TRUNCATED",
+    "CHUNK_RUNS",
     "run_simulation",
     "replicate",
     "repost_counts_by_link",
@@ -74,6 +79,11 @@ EVENT_DEATH = "death"
 # Marker appended when max_agents halts a run early; not a regular agent
 # event, its agent_id is -1.
 EVENT_TRUNCATED = "truncated"
+
+# Runs stepped together per engine call by replicate and by netmon
+# simulate; bounds the generators, draw buffers and agent columns held at
+# once, whatever the number of runs.
+CHUNK_RUNS = 1024
 
 
 @dataclass(frozen=True)
@@ -111,238 +121,70 @@ class AgentLifeStats(NamedTuple):
 
 @dataclass
 class SimulationResult:
-    events: list[EventRecord]
-    agents: list[AgentState]
-    stats: list[AgentLifeStats]
-    truncated: bool = False
-    truncated_at: Optional[int] = None
+    """Runs seeded seed, seed+1, ... stepped together by ``run_simulation``.
 
-
-def run_simulation(config: SimulationConfig, record_events: bool = True) -> SimulationResult:
-    """Run one simulation; equal configs produce identical results.
-
-    With ``record_events=False`` the event log is skipped (the random
-    stream and all statistics are unchanged); replication harnesses use
-    this to keep memory flat.
+    ``stats`` holds every run's agents, run by run; ``events`` is empty
+    unless events were recorded; ``truncated_at`` holds, per run, the
+    tick at which max_agents halted it, or None.
     """
-    params = config.params
-    rng = random.Random(config.seed)
-    rand = rng.random
-    e0 = params.e0
-    p_s = params.p_s
-    carrier_frac = params.link_carrier_fraction
-    gamma_active = params.rich_get_richer_gamma > 0.0
 
-    # Per-agent parallel arrays indexed by id (assigned in creation order).
-    birth: list[int] = []
-    energy: list[int] = []
-    parent: list[Optional[int]] = []
-    likes: list[int] = []
-    reposts: list[int] = []
-    link: list[Optional[str]] = []
-    death_tick: list[Optional[int]] = []
+    stats: LifeStatsTable
+    events: EventLog
+    truncated_at: list[Optional[int]]
 
-    events: list[EventRecord] = []
-    link_counter = 0
-    seed_tag = f"r{config.seed}"
+    @property
+    def truncated(self) -> int:
+        """The number of runs max_agents halted."""
+        return sum(tick is not None for tick in self.truncated_at)
 
-    def spawn_root(tick: int) -> int:
-        # Self-generated message: fresh id, maybe carrying a new link.
-        nonlocal link_counter
-        aid = len(birth)
-        carries = rand() < carrier_frac
-        if carries:
-            ref: Optional[str] = f"{seed_tag}-l{link_counter}"
-            link_counter += 1
-        else:
-            ref = None
-        birth.append(tick)
-        energy.append(e0)
-        parent.append(None)
-        likes.append(0)
-        reposts.append(0)
-        link.append(ref)
-        death_tick.append(None)
-        return aid
 
-    def spawn_child(tick: int, parent_id: int) -> int:
-        aid = len(birth)
-        birth.append(tick)
-        energy.append(e0)
-        parent.append(parent_id)
-        likes.append(0)
-        reposts.append(0)
-        link.append(link[parent_id])
-        death_tick.append(None)
-        return aid
+def run_simulation(config: SimulationConfig, record_events: bool = True,
+                   runs: int = 1) -> SimulationResult:
+    """Runs seeded seed, ..., seed+runs-1, stepped together as one chunk.
 
-    # Cumulative step thresholds cached per (energy, link?, tally) key;
-    # the repost tally only matters once the preferential term is on.
-    threshold_cache: dict[tuple, tuple[float, float, float]] = {}
-
-    def thresholds(e: int, has_link: bool, n_reposts: int) -> tuple[float, float, float]:
-        key = (e, has_link, n_reposts if (gamma_active and has_link) else 0)
-        cached = threshold_cache.get(key)
-        if cached is not None:
-            return cached
-        p_like = params.like_prob(e)
-        p_like = 0.0 if p_like < 0.0 else 1.0 if p_like > 1.0 else p_like
-        p_repost = effective_repost_prob(e, params, has_link, n_reposts)
-        c2 = p_like * p_repost
-        c21 = c2 + (1.0 - p_like) * p_repost
-        c210 = c21 + p_like * (1.0 - p_repost)
-        out = (c2, c21, c210)
-        threshold_cache[key] = out
-        return out
-
-    active: list[int] = []       # stepping this tick, ascending ids
-    pending: list[int] = []      # born this tick, step from the next one
-    truncated = False
-    truncated_at: Optional[int] = None
-
-    # Initial agents are the tick-0 self-generations; tick 0 still takes
-    # its own Bernoulli(p_s) draw afterwards like every other tick.
-    for _ in range(config.initial_agents):
-        aid = spawn_root(0)
-        pending.append(aid)
-        if record_events:
-            events.append(EventRecord(0, EVENT_SELF_GENERATE, aid))
-    if config.max_agents is not None and len(birth) > config.max_agents:
-        truncated = True
-        truncated_at = 0
-        if record_events:
-            events.append(EventRecord(0, EVENT_TRUNCATED, -1))
-
-    for tick in range(config.horizon):
-        if truncated:
-            break
-        if rand() < p_s:
-            aid = spawn_root(tick)
-            pending.append(aid)
-            if record_events:
-                events.append(EventRecord(tick, EVENT_SELF_GENERATE, aid))
-
-        survivors: list[int] = []
-        for aid in active:
-            e = energy[aid]
-            c2, c21, c210 = thresholds(e, link[aid] is not None, reposts[aid])
-            u = rand()
-            if u < c2:       # like + repost
-                likes[aid] += 1
-                child = spawn_child(tick, aid)
-                reposts[aid] += 1
-                pending.append(child)
-                if record_events:
-                    events.append(EventRecord(tick, EVENT_LIKE, aid))
-                    events.append(EventRecord(tick, EVENT_REPOST, aid, child))
-                energy[aid] = e + 2
-                survivors.append(aid)
-            elif u < c21:    # repost only
-                child = spawn_child(tick, aid)
-                reposts[aid] += 1
-                pending.append(child)
-                if record_events:
-                    events.append(EventRecord(tick, EVENT_REPOST, aid, child))
-                energy[aid] = e + 1
-                survivors.append(aid)
-            elif u < c210:   # like only, energy unchanged
-                likes[aid] += 1
-                if record_events:
-                    events.append(EventRecord(tick, EVENT_LIKE, aid))
-                survivors.append(aid)
-            else:            # neither: decay, possibly death
-                e -= 1
-                energy[aid] = e
-                if e == 0:
-                    death_tick[aid] = tick
-                    if record_events:
-                        events.append(EventRecord(tick, EVENT_DEATH, aid))
-                else:
-                    survivors.append(aid)
-
-        # Newborn ids all exceed surviving ids, so order stays ascending.
-        survivors.extend(pending)
-        active = survivors
-        pending = []
-        if not active and p_s == 0.0:
-            # No agent is left and none can appear: nothing changes any more.
-            break
-
-        if config.max_agents is not None and len(birth) > config.max_agents:
-            truncated = True
-            truncated_at = tick
-            if record_events:
-                events.append(EventRecord(tick, EVENT_TRUNCATED, -1))
-
-    # Censoring point: end of the horizon, or end of the truncated tick.
-    censor_tick = (truncated_at + 1) if truncated else config.horizon
-
-    agents: list[AgentState] = []
-    stats: list[AgentLifeStats] = []
-    for aid in range(len(birth)):
-        dead = death_tick[aid] is not None
-        n_rep = reposts[aid]
-        agents.append(
-            AgentState(
-                id=aid,
-                birth_tick=birth[aid],
-                energy=energy[aid],
-                parent_id=parent[aid],
-                likes_received=likes[aid],
-                reposts_spawned=n_rep,
-                authority=n_rep,
-                link_ref=link[aid],
-                alive=not dead,
-            )
-        )
-        lifetime = (death_tick[aid] - birth[aid]) if dead else (censor_tick - birth[aid])
-        stats.append(
-            AgentLifeStats(
-                agent_id=aid,
-                lifetime=lifetime,
-                censored=not dead,
-                total_likes=likes[aid],
-                total_reposts=n_rep,
-                carried_link=link[aid],
-            )
-        )
-
-    return SimulationResult(
-        events=events,
-        agents=agents,
-        stats=stats,
-        truncated=truncated,
-        truncated_at=truncated_at,
-    )
+    Equal configs produce identical results, and each run is the same
+    whatever else it is stepped with.  With ``record_events=False`` the
+    event log is left out; the statistics are unchanged.  Memory grows
+    with ``runs``: pass at most ``CHUNK_RUNS`` or so at a time.
+    """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    tables = _StepTables(config.params, config.params.e0 + 2 * config.horizon)
+    chunk = _run_chunk(config, tables, config.seed, runs, record_events)
+    columns = chunk.agents.by_run(chunk.censor)
+    events = EventLog(columns, chunk.censor, chunk.truncated, chunk.likes)
+    stats = LifeStatsTable(config.seed, [{name: columns[name] for name in _LIFE_STATS_COLUMNS}])
+    truncated_at = [c - 1 if t else None
+                    for c, t in zip(chunk.censor.tolist(), chunk.truncated.tolist())]
+    return SimulationResult(stats, events, truncated_at)
 
 
 def replicate(config: SimulationConfig, n_runs: int) -> LifeStatsTable:
     """Pool life statistics over runs seeded seed, seed+1, ..., seed+n-1.
 
-    Row for row equal to concatenating the ``run_simulation(...).stats``
-    of those seeds, but the runs step together in chunks (see
-    ``_run_chunk``).
+    Row for row equal to the ``run_simulation(...).stats`` of those runs;
+    the runs step together ``CHUNK_RUNS`` at a time (see ``_run_chunk``).
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     tables = _StepTables(config.params, config.params.e0 + 2 * config.horizon)
     parts = []
-    for first in range(0, n_runs, _CHUNK_RUNS):
+    for first in range(0, n_runs, CHUNK_RUNS):
         # The chunk's work arrays are gone before its results are made,
         # so the results can take their place in the heap.
-        agents, censor = _run_chunk(config, tables, config.seed + first,
-                                    min(_CHUNK_RUNS, n_runs - first))
-        parts.append(agents.life_stats(censor))
+        chunk = _run_chunk(config, tables, config.seed + first,
+                           min(CHUNK_RUNS, n_runs - first))
+        parts.append(chunk.agents.by_run(chunk.censor))
     return LifeStatsTable(config.seed, parts)
 
 
 # Builds an AgentLifeStats from a tuple of its fields at C speed, skipping
-# the keyword handling of the generated __new__.
+# the keyword handling of the generated __new__; likewise an EventRecord.
 _make_row = partial(tuple.__new__, AgentLifeStats)
+_make_event = partial(tuple.__new__, EventRecord)
 
-# Runs stepped together by replicate; bounds the generators, draw buffers
-# and agent columns held at once, whatever the number of runs.
-_CHUNK_RUNS = 1024
+_LIFE_STATS_COLUMNS = ("run_lengths", "lifetime", "censored", "total_likes",
+                       "total_reposts", "link_index")
 
 
 class LifeStatsTable:
@@ -354,12 +196,9 @@ class LifeStatsTable:
     ``censored``, ``total_likes``, ``total_reposts`` and ``link_index``;
     ``column`` joins one across chunks.  ``link_index`` is -1 for agents
     without a link, otherwise the carried link is
-    ``f"r{seed + run}-l{link_index}"``, the label ``run_simulation`` uses.
-    Iterating yields :class:`AgentLifeStats` rows, made on the fly.
+    ``f"r{seed + run}-l{link_index}"``.  Iterating yields
+    :class:`AgentLifeStats` rows, made on the fly.
     """
-
-    # Rows converted to Python objects per step of the iterator.
-    _ROW_BLOCK = 4096
 
     def __init__(self, seed: int, chunks: list[dict[str, np.ndarray]]):
         self.seed = seed
@@ -373,41 +212,142 @@ class LifeStatsTable:
         return np.concatenate([chunk[name] for chunk in self._chunks])
 
     def __iter__(self) -> Iterator[AgentLifeStats]:
-        # Rows pass through C-level iterators only; a generator per row
-        # would cost more than making the row.
-        return chain.from_iterable(self._row_blocks())
+        return chain.from_iterable(map(_make_row, run) for run in self.runs())
 
-    def _row_blocks(self) -> Iterator[Iterator[AgentLifeStats]]:
-        # Index arrays always span a full block, so that their sizes do
-        # not vary from call to call (see _Scratch); the rows past the end
-        # are cut off after conversion.
-        span = np.arange(self._ROW_BLOCK)
-        first_seed = self.seed
+    def runs(self) -> Iterator[Iterator[tuple]]:
+        """Each run's rows in turn, as plain tuples of the AgentLifeStats fields.
+
+        A run's rows come as a one-pass iterator over its columns, made on
+        the fly.  Rows pass through C-level iterators only; a generator per
+        row would cost more than making the row, and so would a NamedTuple
+        per row for a caller that only unpacks it.
+        """
+        seed = self.seed
         for chunk in self._chunks:
-            run_lengths = chunk["run_lengths"]
-            run_ends = np.cumsum(run_lengths)
-            n = len(chunk["lifetime"])
-            any_links = n > 0 and chunk["link_index"].max() >= 0
-            for lo in range(0, n, self._ROW_BLOCK):
-                rows = span + lo
-                run = np.searchsorted(run_ends, rows, side="right")
-                np.minimum(run, len(run_lengths) - 1, out=run)
-                agent_id = rows - (run_ends[run] - run_lengths[run])
-                block = slice(lo, lo + self._ROW_BLOCK)
-                k = min(self._ROW_BLOCK, n - lo)
+            columns = [chunk[name] for name in _LIFE_STATS_COLUMNS[1:-1]]
+            link_index = chunk["link_index"]
+            any_links = len(link_index) > 0 and link_index.max() >= 0
+            lo = 0
+            for n in chunk["run_lengths"].tolist():
+                hi = lo + n
                 links = [
-                    None if i < 0 else f"r{first_seed + r}-l{i}"
-                    for r, i in zip(run[:k].tolist(), chunk["link_index"][block].tolist())
+                    None if i < 0 else f"r{seed}-l{i}" for i in link_index[lo:hi].tolist()
                 ] if any_links else repeat(None)
-                yield map(_make_row, zip(
-                    agent_id[:k].tolist(),
-                    chunk["lifetime"][block].tolist(),
-                    chunk["censored"][block].tolist(),
-                    chunk["total_likes"][block].tolist(),
-                    chunk["total_reposts"][block].tolist(),
-                    links,
-                ))
-            first_seed += len(run_lengths)
+                yield zip(range(n), *(c[lo:hi].tolist() for c in columns), links)
+                seed += 1
+                lo = hi
+
+
+class EventLog:
+    """The event log of runs stepped together, rebuilt run by run when read.
+
+    The engine keeps, per agent, its run, birth tick, parent and death
+    tick, and per agent-step one bit: whether the step was a like.  A
+    run's events follow from them: a root's birth is its
+    ``self_generate``, a child's birth its parent's ``repost``, a death
+    tick a ``death``, a set bit a ``like``, and a halted run ends in
+    ``truncated``.  They come in the order the tick protocol emits them:
+    per tick the self-generations, then per agent in ascending id its
+    like, repost and death, then the truncation marker.
+
+    Iterating yields every run's :class:`EventRecord`\\ s, run after run.
+    ``runs`` yields each run's events as a one-pass iterator of plain
+    tuples of the EventRecord fields, so only one run's are held at a
+    time.  Without recorded events both are empty.
+    """
+
+    # Kind codes 0..4, in the order _run_events gathers the kinds.
+    _KIND_NAMES = np.array([EVENT_SELF_GENERATE, EVENT_LIKE, EVENT_REPOST, EVENT_DEATH,
+                            EVENT_TRUNCATED], dtype=object)
+
+    def __init__(self, columns: dict[str, np.ndarray], censor: np.ndarray,
+                 truncated: np.ndarray, likes: Optional[_LikeLog]):
+        self._columns = columns
+        self._censor = censor
+        self._truncated = truncated
+        self._likes = likes
+
+    def __len__(self) -> int:
+        if self._likes is None:
+            return 0
+        cols = self._columns
+        # A birth per agent, then the likes, deaths and truncation markers.
+        return (len(cols["birth"]) + int(cols["total_likes"].sum())
+                + int(np.count_nonzero(~cols["censored"])) + int(self._truncated.sum()))
+
+    def __iter__(self) -> Iterator[EventRecord]:
+        return chain.from_iterable(map(_make_event, run) for run in self.runs())
+
+    def runs(self) -> Iterator[Iterator[tuple]]:
+        """The events of each run in turn."""
+        if self._likes is None:
+            for _ in range(len(self._censor)):
+                yield iter(())
+            return
+        cols = self._columns
+        bits = np.frombuffer(self._likes.bits, dtype=np.uint8)
+        tick_start = np.frombuffer(self._likes.tick_start, dtype=np.int64)
+        # Agents of the runs done so far that stepped at each tick: a run's
+        # like bits follow theirs within the tick.
+        before = np.zeros(len(tick_start), dtype=np.int64)
+        lo = 0
+        for run, n in enumerate(cols["run_lengths"].tolist()):
+            hi = lo + n
+            yield self._run_events(
+                cols["birth"][lo:hi], cols["parent"][lo:hi], cols["death"][lo:hi],
+                int(self._censor[run]), bool(self._truncated[run]), bits, tick_start, before,
+            )
+            lo = hi
+
+    def _run_events(self, birth, parent, death, censor: int, truncated: bool,
+                    bits, tick_start, before) -> Iterator[tuple]:
+        n = len(birth)
+        # Each agent steps on the ticks after its birth up to its death or
+        # the last tick the run ran; count this run's steps per tick.
+        last = np.where(death >= 0, death, censor - 1)
+        n_steps = last - birth
+        n_ticks = len(before)
+        stepping = np.cumsum(np.bincount(birth + 1, minlength=n_ticks)[:n_ticks]
+                             - np.bincount(last + 1, minlength=n_ticks)[:n_ticks])
+        # Every step as (tick, agent), ordered by tick, then id: the order of
+        # this run's like bits within each tick.
+        agent = np.repeat(np.arange(n), n_steps)
+        tick = np.arange(len(agent)) + np.repeat(birth + 1 - (np.cumsum(n_steps) - n_steps),
+                                                 n_steps)
+        order = np.argsort(tick * n + agent, kind="stable")
+        tick, agent = tick[order], agent[order]
+        bit = (tick_start[tick] + before[tick]
+               + np.arange(len(tick)) - (np.cumsum(stepping) - stepping)[tick])
+        liked = ((bits[bit >> 3] >> (bit & 7)) & 1).astype(bool)
+        before += stepping
+        like_tick, like_agent = tick[liked], agent[liked]
+
+        roots = np.flatnonzero(parent < 0)
+        children = np.flatnonzero(parent >= 0)
+        dead = np.flatnonzero(death >= 0)
+        parents = parent[children]
+        halt = np.array([censor - 1] if truncated else [], dtype=np.int64)
+        ticks = np.concatenate((birth[roots], like_tick, birth[children], death[dead], halt))
+        agents = np.concatenate((roots, like_agent, parents, dead, np.full(len(halt), -1)))
+        related = np.concatenate((np.full(len(roots) + len(like_tick), -1), children,
+                                  np.full(len(dead) + len(halt), -1)))
+        kinds = np.repeat(np.arange(5), (len(roots), len(like_tick), len(children),
+                                         len(dead), len(halt)))
+        # Within a tick: self-generations by id, then per agent its like,
+        # repost and death, then the truncation marker.
+        slot = np.concatenate((roots, n + 3 * like_agent, n + 3 * parents + 1,
+                               n + 3 * dead + 2, np.full(len(halt), 4 * n)))
+        order = np.argsort(ticks * (4 * n + 1) + slot, kind="stable")
+        related = related[order]
+        reposts = np.flatnonzero(related >= 0)
+        related_ids = np.full(len(related), None, dtype=object)
+        related_ids[reposts] = related[reposts]
+        return zip(
+            ticks[order].tolist(),
+            self._KIND_NAMES[kinds[order]].tolist(),
+            agents[order].tolist(),
+            related_ids.tolist(),
+        )
 
 
 def _cumulative_thresholds(p_like, p_repost, c2, c21, c210, tmp) -> None:
@@ -552,22 +492,26 @@ def _uniforms(words: bytes, scratch: _Scratch) -> np.ndarray:
 
 
 class _AgentColumns:
-    """Growable per-agent state of one chunk of runs, in creation order."""
+    """Growable per-agent state of one chunk of runs, in creation order.
 
-    _FIELDS = ("run", "birth", "energy", "likes", "reposts", "death", "link")
+    With ``parents`` each agent also records its parent's row (-1 for a
+    root), which the event log needs.
+    """
 
-    def __init__(self, capacity: int, e0: int):
+    def __init__(self, capacity: int, e0: int, parents: bool = False):
         self.n = 0
         self.e0 = e0
-        for name in self._FIELDS:
+        self._fields = ("run", "birth", "energy", "likes", "reposts", "death", "link",
+                        *(("parent",) if parents else ()))
+        for name in self._fields:
             setattr(self, name, np.empty(capacity, dtype=np.int32))
 
-    def append(self, run, tick: int, link) -> None:
+    def append(self, run, tick: int, link, parent=-1) -> None:
         """Add agents born at ``tick`` to the given runs, with these links."""
         lo, hi = self.n, self.n + len(run)
         if hi > len(self.run):
             capacity = max(hi, 2 * len(self.run))
-            for name in self._FIELDS:
+            for name in self._fields:
                 grown = np.empty(capacity, dtype=np.int32)
                 grown[:lo] = getattr(self, name)[:lo]
                 setattr(self, name, grown)
@@ -578,6 +522,8 @@ class _AgentColumns:
         self.reposts[lo:hi] = 0
         self.death[lo:hi] = -1
         self.link[lo:hi] = link
+        if "parent" in self._fields:
+            self.parent[lo:hi] = parent
         self.n = hi
 
     def _gather(self, column: np.ndarray, rows: np.ndarray, scratch: _Scratch,
@@ -587,7 +533,8 @@ class _AgentColumns:
     def step(self, active, active_run, u, tables: _StepTables, tick: int, scratch: _Scratch):
         """One energy step of each active agent, children appended.
 
-        Returns the survivors and their runs, in active-set order.
+        Returns the survivors and their runs, in active-set order, and
+        which active agents were liked.
         """
         n = len(active)
         energy = self._gather(self.energy, active, scratch, "energy")
@@ -621,8 +568,8 @@ class _AgentColumns:
         survivors = active.compress(alive, out=scratch("survivors", n_alive))
         survivor_runs = active_run.compress(alive, out=scratch("survivor_runs", n_alive))
         self.append(self._gather(self.run, parents, scratch, "child_run"), tick,
-                    self._gather(self.link, parents, scratch, "child_link"))
-        return survivors, survivor_runs
+                    self._gather(self.link, parents, scratch, "child_link"), parents)
+        return survivors, survivor_runs, liked
 
     def next_active(self, survivors, survivor_runs, first_new: int, scratch: _Scratch):
         """Survivors and the agents born since ``first_new``, grouped by run.
@@ -645,38 +592,77 @@ class _AgentColumns:
         active_run = np.right_shift(key, 32, out=scratch("active_run", len(key)))
         return active, active_run
 
-    def life_stats(self, censor: np.ndarray) -> dict[str, np.ndarray]:
+    def by_run(self, censor: np.ndarray) -> dict[str, np.ndarray]:
         """Columns of a LifeStatsTable, rows ordered by run, then id.
 
-        ``censor`` holds each run's censoring tick.
+        ``censor`` holds each run's censoring tick.  With parents, the
+        columns ``birth``, ``death`` (-1 while alive) and ``parent`` (the
+        parent's id within the run, -1 for a root) come too.
         """
         n = self.n
         order = np.argsort(self.run[:n], kind="stable")
         run = self.run[:n][order]
+        run_lengths = np.bincount(run, minlength=len(censor))
         death = self.death[:n][order]
+        birth = self.birth[:n][order]
         alive = death < 0
         # Lifetime ends at death, or at the run's censoring tick.
         lifetime = np.where(alive, censor[run], death)
-        lifetime -= self.birth[:n][order]
-        return {
-            "run_lengths": np.bincount(run, minlength=len(censor)),
+        lifetime -= birth
+        columns = {
+            "run_lengths": run_lengths,
             "lifetime": lifetime,
             "censored": alive,
             "total_likes": self.likes[:n][order],
             "total_reposts": self.reposts[:n][order],
             "link_index": self.link[:n][order],
         }
+        if "parent" in self._fields:
+            # A row's id is its place among its run's rows.
+            ident = np.empty(n, dtype=np.int32)
+            ident[order] = np.arange(n) - np.repeat(np.cumsum(run_lengths) - run_lengths,
+                                                    run_lengths)
+            parent = self.parent[:n][order]
+            columns.update(birth=birth, death=death,
+                           parent=np.where(parent >= 0, ident[parent], -1))
+        return columns
+
+
+class _LikeLog:
+    """One bit per agent-step of a chunk: was the step a like.
+
+    A tick's bits follow the order of its active set, grouped by run and
+    ascending id within a run, packed least significant bit first from bit
+    ``tick_start[tick]`` on; each tick starts on a fresh byte.
+    """
+
+    def __init__(self):
+        self.bits = bytearray()
+        self.tick_start = array("q")
+
+    def add(self, tick: int, liked: np.ndarray) -> None:
+        """The outcomes of the agents that stepped at ``tick``, past the last tick added."""
+        self.tick_start.extend(repeat(8 * len(self.bits), tick + 1 - len(self.tick_start)))
+        self.bits += np.packbits(liked, bitorder="little").tobytes()
+
+
+class _Chunk(NamedTuple):
+    agents: _AgentColumns
+    censor: np.ndarray         # per run, the tick its live agents are censored at
+    truncated: np.ndarray      # per run, whether max_agents halted it
+    likes: Optional[_LikeLog]  # only when events are recorded
 
 
 def _run_chunk(config: SimulationConfig, tables: _StepTables, first_seed: int,
-               n_runs: int) -> tuple[_AgentColumns, np.ndarray]:
+               n_runs: int, record_events: bool = False) -> _Chunk:
     """Runs seeded first_seed.. stepped together under the tick protocol.
 
-    Each run reads its own ``random.Random(seed)`` exactly as
-    ``run_simulation`` does: per tick the self-generation draw, the
-    carrier draw of a root it creates, then one draw per stepping agent
-    in ascending id.  The active set is kept grouped by run and ascending
-    within a run, so the concatenated draws line up with it.
+    Each run reads its own ``random.Random(seed)`` in the protocol's
+    order: per tick the self-generation draw, the carrier draw of a root
+    it creates, then one draw per stepping agent in ascending id.  The
+    active set is kept grouped by run and ascending within a run, so the
+    concatenated draws line up with it.  ``record_events`` keeps parents
+    and like bits for the event log.
     """
     params = config.params
     p_s = params.p_s
@@ -685,7 +671,8 @@ def _run_chunk(config: SimulationConfig, tables: _StepTables, first_seed: int,
     max_agents = config.max_agents
     rngs = [random.Random(first_seed + r) for r in range(n_runs)]
     next_link = [0] * n_runs
-    agents = _AgentColumns(max(64 * n_runs, 1024), params.e0)
+    agents = _AgentColumns(max(64 * n_runs, 1024), params.e0, parents=record_events)
+    likes = _LikeLog() if record_events else None
     scratch = _Scratch()
 
     def carrier_draw(r: int) -> int:
@@ -704,6 +691,7 @@ def _run_chunk(config: SimulationConfig, tables: _StepTables, first_seed: int,
     live = list(range(n_runs))
     if max_agents is not None and config.initial_agents > max_agents:
         censor[:] = 1
+        running[:] = False
         live = []
 
     active = active_run = scratch("active", 0)
@@ -726,7 +714,10 @@ def _run_chunk(config: SimulationConfig, tables: _StepTables, first_seed: int,
                       np.frombuffer(root_links, dtype=np.intc))
         if len(active):
             u = _uniforms(b"".join(words), scratch)
-            active, active_run = agents.step(active, active_run, u, tables, tick, scratch)
+            active, active_run, liked = agents.step(active, active_run, u, tables, tick,
+                                                    scratch)
+            if likes is not None:
+                likes.add(tick, liked)
         active, active_run = agents.next_active(active, active_run, first_new, scratch)
 
         if max_agents is not None:
@@ -749,7 +740,7 @@ def _run_chunk(config: SimulationConfig, tables: _StepTables, first_seed: int,
             # Without self-generation a run with no agent left is over.
             live = [r for r in live if n_active[r]]
 
-    return agents, censor
+    return _Chunk(agents, censor, ~running, likes)
 
 
 def repost_counts_by_link(stats: Iterable[AgentLifeStats]) -> dict[str, int]:
@@ -762,14 +753,9 @@ def repost_counts_by_link(stats: Iterable[AgentLifeStats]) -> dict[str, int]:
     return counts
 
 
-# Line templates in the format of netmon.jsonl.
-# An event line's head, "{" or '{"run": k, ', comes before these fields.
-_EVENT_FIELDS = '"tick": {}, "kind": {}, "agent_id": {}, "related_agent_id": {}}}\n'
-_LIFE_STATS_LINE = (
-    '{{"agent_id": {}, "lifetime": {}, "censored": {}, "total_likes": {}, '
-    '"total_reposts": {}, "carried_link": {}}}\n'
-).format
-
+# The writers fill their line templates with f-strings in the format of
+# netmon.jsonl: each field goes through format(value, ""), as it would
+# through str.format, at about half the cost per line.
 
 def events_to_jsonl(events: Iterable[EventRecord], run: Optional[int] = None) -> str:
     """One JSON object per event, keys tick, kind, agent_id, related_agent_id.
@@ -777,10 +763,10 @@ def events_to_jsonl(events: Iterable[EventRecord], run: Optional[int] = None) ->
     With ``run`` each line starts with ``"run": run``, as in the event
     log ``netmon simulate`` writes.
     """
-    head = "{{" if run is None else '{{"run": %d, ' % run
-    line = (head + _EVENT_FIELDS).format
+    head = "{" if run is None else '{"run": %d, ' % run
     return "".join([
-        line(tick, quote(kind), agent_id, "null" if related is None else related)
+        f'{head}"tick": {tick}, "kind": {quote(kind)}, "agent_id": {agent_id}, '
+        f'"related_agent_id": {"null" if related is None else related}}}\n'
         for tick, kind, agent_id, related in events
     ])
 
@@ -798,10 +784,11 @@ def events_from_jsonl(text: str) -> list[EventRecord]:
 
 def life_stats_to_jsonl(stats: Iterable[AgentLifeStats]) -> str:
     """One JSON object per agent, keys in AgentLifeStats field order."""
-    line = _LIFE_STATS_LINE
     return "".join([
-        line(agent_id, lifetime, "true" if censored else "false", likes, reposts,
-             "null" if link is None else quote(link))
+        f'{{"agent_id": {agent_id}, "lifetime": {lifetime}, '
+        f'"censored": {"true" if censored else "false"}, "total_likes": {likes}, '
+        f'"total_reposts": {reposts}, '
+        f'"carried_link": {"null" if link is None else quote(link)}}}\n'
         for agent_id, lifetime, censored, likes, reposts, link in stats
     ])
 

@@ -8,13 +8,25 @@ code paths they verify.
 from __future__ import annotations
 
 import json
+import random
 import string
 from datetime import timezone
 from decimal import Decimal, getcontext
+from typing import NamedTuple, Optional
 
 import numpy as np
 
+from netmon.diffusion import effective_repost_prob
 from netmon.ingest import parse_timestamp
+from netmon.simulator import (
+    EVENT_DEATH,
+    EVENT_LIKE,
+    EVENT_REPOST,
+    EVENT_SELF_GENERATE,
+    EVENT_TRUNCATED,
+    AgentLifeStats,
+    EventRecord,
+)
 
 
 def decimal_weibull_pdf(x: float, k: float, lam: float, prec: int = 50) -> Decimal:
@@ -155,6 +167,150 @@ def naive_word_match(text: str, query: str) -> bool:
     t = tokens(text)
     q = tokens(query)
     return bool(q) and q.issubset(t)
+
+
+class ReferenceRun(NamedTuple):
+    events: list
+    stats: list
+    truncated_at: Optional[int]
+
+
+def reference_run(config, record_events: bool = True) -> ReferenceRun:
+    """One run stepped agent by agent in Python, as the simulator was first written.
+
+    Follows the tick protocol of ``netmon.simulator`` literally: lists per
+    agent, one ``random.Random(config.seed)`` read draw by draw, events
+    appended in the order they happen.  The batched engine must agree with
+    it event for event and row for row.
+    """
+    params = config.params
+    rng = random.Random(config.seed)
+    rand = rng.random
+    e0 = params.e0
+    p_s = params.p_s
+    carrier_frac = params.link_carrier_fraction
+
+    # Per-agent parallel lists indexed by id (assigned in creation order).
+    birth: list[int] = []
+    energy: list[int] = []
+    likes: list[int] = []
+    reposts: list[int] = []
+    link: list[Optional[str]] = []
+    death_tick: list[Optional[int]] = []
+    events: list[EventRecord] = []
+    link_counter = 0
+
+    def spawn(tick: int, parent_id: Optional[int]) -> int:
+        nonlocal link_counter
+        if parent_id is None:
+            # Self-generated message: maybe carrying a new link.
+            if rand() < carrier_frac:
+                ref: Optional[str] = f"r{config.seed}-l{link_counter}"
+                link_counter += 1
+            else:
+                ref = None
+        else:
+            ref = link[parent_id]
+        birth.append(tick)
+        energy.append(e0)
+        likes.append(0)
+        reposts.append(0)
+        link.append(ref)
+        death_tick.append(None)
+        return len(birth) - 1
+
+    def emit(*event) -> None:
+        if record_events:
+            events.append(EventRecord(*event))
+
+    def over_cap() -> bool:
+        return config.max_agents is not None and len(birth) > config.max_agents
+
+    active: list[int] = []       # stepping this tick, ascending ids
+    pending: list[int] = []      # born this tick, step from the next one
+    truncated_at: Optional[int] = None
+
+    # Initial agents are the tick-0 self-generations; tick 0 still takes
+    # its own Bernoulli(p_s) draw afterwards like every other tick.
+    for _ in range(config.initial_agents):
+        pending.append(spawn(0, None))
+        emit(0, EVENT_SELF_GENERATE, pending[-1])
+    if over_cap():
+        truncated_at = 0
+        emit(0, EVENT_TRUNCATED, -1)
+
+    for tick in range(config.horizon):
+        if truncated_at is not None:
+            break
+        if rand() < p_s:
+            pending.append(spawn(tick, None))
+            emit(tick, EVENT_SELF_GENERATE, pending[-1])
+
+        survivors: list[int] = []
+        for aid in active:
+            e = energy[aid]
+            p_like = params.like_prob(e)
+            p_like = 0.0 if p_like < 0.0 else 1.0 if p_like > 1.0 else p_like
+            p_repost = effective_repost_prob(e, params, link[aid] is not None, reposts[aid])
+            u = rand()
+            liked = reposted = False
+            if u < p_like * p_repost:
+                liked = reposted = True
+            elif u < p_like * p_repost + (1.0 - p_like) * p_repost:
+                reposted = True
+            elif u < (p_like * p_repost + (1.0 - p_like) * p_repost
+                      + p_like * (1.0 - p_repost)):
+                liked = True
+            if liked:
+                likes[aid] += 1
+                emit(tick, EVENT_LIKE, aid)
+            if reposted:
+                reposts[aid] += 1
+                child = spawn(tick, aid)
+                pending.append(child)
+                emit(tick, EVENT_REPOST, aid, child)
+            energy[aid] = e + (2 if liked and reposted else 1 if reposted else
+                               0 if liked else -1)
+            if energy[aid] == 0:
+                death_tick[aid] = tick
+                emit(tick, EVENT_DEATH, aid)
+            else:
+                survivors.append(aid)
+
+        # Newborn ids all exceed surviving ids, so order stays ascending.
+        active = survivors + pending
+        pending = []
+        if not active and p_s == 0.0:
+            # No agent is left and none can appear: nothing changes any more.
+            break
+        if over_cap():
+            truncated_at = tick
+            emit(tick, EVENT_TRUNCATED, -1)
+
+    # Censoring point: end of the horizon, or end of the truncated tick.
+    censor_tick = config.horizon if truncated_at is None else truncated_at + 1
+    stats = [
+        AgentLifeStats(
+            agent_id=aid,
+            lifetime=(censor_tick if death_tick[aid] is None else death_tick[aid]) - birth[aid],
+            censored=death_tick[aid] is None,
+            total_likes=likes[aid],
+            total_reposts=reposts[aid],
+            carried_link=link[aid],
+        )
+        for aid in range(len(birth))
+    ]
+    return ReferenceRun(events, stats, truncated_at)
+
+
+def reference_runs(config, n_runs: int, record_events: bool = True) -> list[ReferenceRun]:
+    """``reference_run`` of the seeds seed, seed+1, ..., seed+n_runs-1."""
+    return [
+        reference_run(type(config)(params=config.params, horizon=config.horizon,
+                                   seed=config.seed + k, max_agents=config.max_agents,
+                                   initial_agents=config.initial_agents), record_events)
+        for k in range(n_runs)
+    ]
 
 
 # The simulator's JSONL serializers as first written, one json.dumps or
@@ -303,7 +459,8 @@ _CORPUS_FIELDS = ("id", "author", "timestamp", "text")
 
 def reference_load_corpus(lines):
     """(messages, rejects) as (id, author, timestamp, text) and
-    (line_no, reason, raw) tuples, one json.loads per stripped line.
+    (line_no, reason, raw) tuples, one json.loads per stripped line; a
+    line holding bytes that are not UTF-8 is rejected first.
 
     Timestamps go through netmon's own parse_timestamp: this reference
     checks decoding and reject reasons, not timestamp parsing."""
@@ -312,6 +469,17 @@ def reference_load_corpus(lines):
         stripped = line.strip()
         if not stripped:
             continue
+        try:
+            # The bytes of a line read with errors="surrogateescape".
+            raw = stripped.encode("utf-8", "surrogateescape")
+        except UnicodeEncodeError:
+            pass  # other lone surrogates: text that never was bytes
+        else:
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                rejects.append((line_no, f"invalid UTF-8: byte 0x{raw[exc.start]:02x}", stripped))
+                continue
         try:
             obj = json.loads(stripped)
         except json.JSONDecodeError as exc:

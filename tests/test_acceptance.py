@@ -110,16 +110,16 @@ def test_a4_absorbing_death():
         row = sum(transition_probability(i, j, params) for j in range(0, 104))
         ok_chain = ok_chain and abs(row - 1.0) < 1e-12
 
+    # Seeds 0..999, stepped together as one batch.
+    result = run_simulation(SimulationConfig(params=params, horizon=60, seed=0), runs=1000)
     ok_sim = True
-    for seed in range(1000):
-        cfg = SimulationConfig(params=params, horizon=60, seed=seed)
-        result = run_simulation(cfg)
+    for events in result.events.runs():
         death_tick = {}
-        for e in result.events:
-            if e.kind == EVENT_DEATH:
-                ok_sim = ok_sim and e.agent_id not in death_tick
-                death_tick[e.agent_id] = e.tick
-            elif e.agent_id in death_tick:
+        for tick, kind, agent_id, _ in events:
+            if kind == EVENT_DEATH:
+                ok_sim = ok_sim and agent_id not in death_tick
+                death_tick[agent_id] = tick
+            elif agent_id in death_tick:
                 ok_sim = False
     elapsed = time.perf_counter() - t0
     ok = ok_chain and ok_sim and elapsed < 5.0

@@ -99,6 +99,16 @@ class TestSimulate:
     }
 
     def test_output_bytes_pinned(self, tmp_path):
+        self.assert_output_bytes_pinned(tmp_path)
+
+    def test_chunk_boundaries_leave_output_bytes_unchanged(self, tmp_path, monkeypatch):
+        import netmon.cli as cli_mod
+
+        # 3 and 5 runs in chunks of 2: full chunks and a last partial one
+        monkeypatch.setattr(cli_mod, "CHUNK_RUNS", 2)
+        self.assert_output_bytes_pinned(tmp_path)
+
+    def assert_output_bytes_pinned(self, tmp_path):
         cfg = tmp_path / "linked.json"
         cfg.write_text(json.dumps(self.LINKED_CONFIG))
         for name, args in (
@@ -388,6 +398,23 @@ class TestPipeline:
         ]
         assert json.loads((out / "stats.json").read_text())["n_matched"] == 1
 
+    def test_line_not_utf8_is_a_reject(self, tmp_path):
+        queries = tmp_path / "queries.txt"
+        queries.write_text("market rates\n")
+        good = {"id": "m1", "author": "a", "timestamp": "2016-05-01T00:00:00Z",
+                "text": "market rates caf\u00e9"}
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(json.dumps(good, ensure_ascii=False).encode("utf-8") + b"\n"
+                           + json.dumps({**good, "id": "m2"}).encode().replace(b"caf", b"\xff")
+                           + b"\n")
+        out = tmp_path / "out"
+        assert main(["pipeline", "--queries", str(queries), "--corpus", str(corpus),
+                     "--out-dir", str(out)]) == 0
+        rejects = [json.loads(line) for line in (out / "rejects.jsonl").read_text().splitlines()]
+        assert [(r["line_no"], r["reason"]) for r in rejects] == [(2, "invalid UTF-8: byte 0xff")]
+        matched = [json.loads(line) for line in (out / "matched.jsonl").read_text().splitlines()]
+        assert [(m["id"], m["text"]) for m in matched] == [("m1", "market rates caf\u00e9")]
+
     def test_year_below_1000_written_with_four_digits(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
         corpus.write_text(json.dumps({
@@ -433,6 +460,8 @@ _FUZZ_MESSAGE = st.fixed_dictionaries(
     optional={"extra": st.text(max_size=3)},
 )
 _FUZZ_LINE = st.one_of(_FUZZ_MESSAGE.map(json.dumps), st.text(max_size=30))
+# Corpus lines as bytes: UTF-8 text, or any bytes at all.
+_FUZZ_RAW_LINE = st.one_of(_FUZZ_LINE.map(str.encode), st.binary(max_size=30))
 
 
 class TestPipelineFuzz:
@@ -455,19 +484,91 @@ class TestPipelineFuzz:
         tree.pop("run_config.json", None)  # holds the output path
         return code, stderr.getvalue(), tree
 
-    @given(st.lists(_FUZZ_LINE, max_size=8))
+    @given(st.lists(_FUZZ_RAW_LINE, max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_never_crashes_and_reruns_identically(self, lines):
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             (root / "queries.txt").write_text(_FUZZ_QUERIES, encoding="utf-8")
             (root / "redirects.json").write_text(json.dumps(_FUZZ_REDIRECTS))
-            (root / "corpus.jsonl").write_text("\n".join(lines), encoding="utf-8")
+            (root / "corpus.jsonl").write_bytes(b"\n".join(lines))
             first = self.run(root, "a")
             second = self.run(root, "b")
         code, err, tree = first
         assert code == 0 and "Traceback" not in err, err
         assert second == first
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# Numbers near and beyond the ends of the float range, and ordinary ones.
+_EXTREME = st.sampled_from([0, -1, 1, 2.5, 1e-320, 5e-324, 1e-300, 1e300, 1.7e308, 1000,
+                            10**400, "nan", "inf", "-Infinity", "1e400", "2"])
+_NUMBER = st.one_of(_EXTREME, st.floats(), st.integers(), st.floats(0.01, 100.0))
+_JSON_ANY = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.text(max_size=4), _NUMBER),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+_FIT_FIELDS = ("log_likelihood", "n_samples", "ks_statistic", "n_tail")
+_FIT_FILE = st.one_of(
+    *(
+        st.fixed_dictionaries(
+            {"distribution": st.just(name), **{key: _NUMBER for key in required}},
+            optional={key: st.one_of(_NUMBER, _JSON_ANY) for key in _FIT_FIELDS},
+        ).map(json.dumps)
+        for name, required in (("weibull", ("k", "lambda")), ("powerlaw", ("alpha", "xmin")))
+    ),
+    _JSON_ANY.map(json.dumps),
+    st.text(max_size=20),
+)
+_COUNT = st.one_of(st.integers(1, 10**6), _EXTREME, st.floats())
+_SAMPLE_FILE = st.one_of(
+    st.lists(_COUNT.map(str), min_size=8, max_size=40),
+    st.lists(st.tuples(st.text("abc", min_size=1, max_size=3), _COUNT.map(str))
+             .map(" ".join), min_size=8, max_size=40),
+    st.lists(st.one_of(_COUNT.map(str), st.text(max_size=6)), max_size=40),
+).map("\n".join)
+
+
+class TestInputFileFuzz:
+    """fit, compare and plot-points on arbitrary fit and sample files: exit 0 or 2
+    with no traceback, and only strict JSON (no NaN or Infinity) written."""
+
+    @staticmethod
+    def run(argv):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        return code, stderr.getvalue()
+
+    @given(fit_text=_FIT_FILE, samples=_SAMPLE_FILE)
+    @settings(max_examples=150, deadline=None)
+    def test_exit_zero_or_two_and_strict_json(self, fit_text, samples):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "fit.json").write_text(fit_text, encoding="utf-8")
+            (root / "samples.txt").write_text(samples, encoding="utf-8")
+            for argv, out in (
+                (["fit", "weibull", "--input", "samples.txt"], "weibull.json"),
+                (["fit", "powerlaw", "--input", "samples.txt"], "powerlaw.json"),
+                (["compare", "--empirical", "samples.txt", "--baseline-fit", "fit.json"],
+                 "report.json"),
+                (["plot-points", "--fit", "fit.json", "--x-max", "50"], "curve.csv"),
+            ):
+                argv = [a if not a.endswith((".json", ".txt")) else str(root / a) for a in argv]
+                code, err = self.run([*argv, "--out", str(root / out)])
+                assert code in (0, 2) and "Traceback" not in err, (argv, err)
+                assert err.count("\n") == (code == 2), err
+                if code == 0 and out.endswith(".json"):
+                    json.loads((root / out).read_text(), parse_constant=_no_constant)
+                if code == 0 and out.endswith(".csv"):
+                    rows = (root / out).read_text().splitlines()[1:]
+                    assert all(not math.isnan(float(y)) for y in
+                               (row.split(",")[1] for row in rows)), rows
 
 
 class TestCompare:
@@ -514,6 +615,41 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "fit file" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("k", "nan"), ("k", float("nan")), ("k", 0), ("lambda", "inf"), ("lambda", -1.0),
+        ("log_likelihood", float("-inf")), ("ks_statistic", "nan"),
+    ])
+    def test_fit_parameter_out_of_range_exits_two(self, tmp_path, capsys, field, value):
+        src = tmp_path / "counts.txt"
+        src.write_text("".join(f"{i}\n" for i in range(1, 30)))
+        fit = self._baseline(tmp_path)
+        fit.write_text(json.dumps({**json.loads(fit.read_text()), field: value}))
+        out = tmp_path / "r.json"
+        assert main(["compare", "--empirical", str(src), "--baseline-fit", str(fit),
+                     "--out", str(out)]) == 2
+        assert "out of range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields", [
+        {"alpha": "nan"}, {"alpha": 1.0}, {"alpha": "inf"}, {"xmin": 0}, {"xmin": "inf"},
+    ])
+    def test_powerlaw_parameter_out_of_range_exits_two(self, tmp_path, fields):
+        src = tmp_path / "counts.txt"
+        src.write_text("".join(f"{i}\n" for i in range(1, 30)))
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps({"distribution": "powerlaw", "alpha": 2.5, "xmin": 1,
+                                   **fields}))
+        assert main(["compare", "--empirical", str(src), "--baseline-fit", str(fit),
+                     "--out", str(tmp_path / "r.json")]) == 2
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_exits_two(self, tmp_path, threshold):
+        src = tmp_path / "counts.txt"
+        src.write_text("".join(f"{i}\n" for i in range(1, 30)))
+        assert main(["compare", "--empirical", str(src),
+                     "--baseline-fit", str(self._baseline(tmp_path)),
+                     "--threshold", threshold, "--out", str(tmp_path / "r.json")]) == 2
+
     def test_too_few_counts(self, tmp_path):
         src = tmp_path / "counts.txt"
         src.write_text("".join(f"{i}\n" for i in range(1, 9)))
@@ -549,6 +685,19 @@ class TestPlotPoints:
         fit.write_text("{not json")
         assert main(["plot-points", "--fit", str(fit), "--x-max", "10",
                      "--out", str(tmp_path / "c.csv")]) == 2
+
+    @pytest.mark.parametrize("k, lam", [(1.9, "inf"), ("nan", 180.0), (1.9, 0.0)])
+    def test_fit_parameter_out_of_range_exits_two(self, tmp_path, capsys, k, lam):
+        out = tmp_path / "curve.csv"
+        assert main(["plot-points", "--fit", str(self._fit_file(tmp_path, k=k, lam=lam)),
+                     "--x-max", "10", "--out", str(out)]) == 2
+        assert "out of range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("x_max", ["nan", "inf", "0"])
+    def test_x_max_not_positive_and_finite_exits_two(self, tmp_path, x_max):
+        assert main(["plot-points", "--fit", str(self._fit_file(tmp_path)),
+                     "--x-max", x_max, "--out", str(tmp_path / "c.csv")]) == 2
 
     def test_powerlaw_fit_rejected(self, tmp_path):
         fit = tmp_path / "fit.json"

@@ -5,12 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmon.diffusion import (
-    AgentState,
     BehaviorParams,
     DeltaDistribution,
     delta_distribution,
     effective_repost_prob,
-    potential,
     sample_delta,
     transition_probability,
 )
@@ -186,7 +184,7 @@ class TestMarkovProperty:
             assert energy == expected
 
 
-class TestParamsAndPotential:
+class TestParams:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             BehaviorParams.constant(p_s=1.5, e0=1, p_like=0.5, p_repost=0.5)
@@ -198,10 +196,3 @@ class TestParamsAndPotential:
             BehaviorParams.constant(
                 p_s=0.5, e0=1, p_like=0.5, p_repost=0.5, rich_get_richer_gamma=-1.0
             )
-
-    def test_potential_is_weighted_sum(self):
-        agent = AgentState(
-            id=0, birth_tick=10, energy=2, reposts_spawned=3, authority=3
-        )
-        assert potential(agent, tick=15) == 5 + 3 + 3
-        assert potential(agent, tick=15, weights=(2.0, 0.0, 1.0)) == 10 + 3

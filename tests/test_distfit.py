@@ -46,6 +46,22 @@ class TestWeibullPdf:
         oracle = float(decimal_weibull_pdf(2.0, 1.9, 3.8))
         assert v == pytest.approx(oracle, rel=1e-14)
 
+    @pytest.mark.parametrize("x, k, lam", [
+        (2.0, 1000.0, 1.0),         # z^(k-1) and z^k overflow: density 0
+        (1.0, 1.0, 1e-320),         # k/lam and z overflow: inf * 0
+        (50.0, 2.0, 5e-324),
+        (1e-300, 0.001, 1e300),     # z underflows to 0 under a negative power
+        (1e-320, 0.001, 1e300),     # the density itself is beyond the float range
+        (0.5, 1000.0, 0.6),         # z^k underflows: direct formula, kept as is
+    ])
+    def test_extreme_parameters_match_high_precision_oracle(self, x, k, lam):
+        oracle = float(decimal_weibull_pdf(x, k, lam, prec=60))
+        assert weibull_pdf(x, k, lam) == pytest.approx(oracle, rel=1e-9)
+
+    def test_cdf_beyond_float_range_is_one(self):
+        assert weibull_cdf(2.0, 1e300, 1.0) == 1.0
+        assert weibull_cdf(1.0, 2.0, 5e-324) == 1.0
+
     def test_origin_cases(self):
         assert weibull_pdf(0.0, 1.9, 3.8) == 0.0
         assert weibull_pdf(0.0, 1.0, 3.8) == pytest.approx(1.0 / 3.8)

@@ -180,9 +180,31 @@ class TestLoadCorpus:
         (m,), _ = load_corpus([line])
         assert (m.id, m.author, m.text) == ("7", "None", "['a', 1]")
 
+    def test_line_not_utf8_rejected(self):
+        # As a UTF-8 reader with errors="surrogateescape" hands it on.
+        raw = b"\n".join([
+            corpus_line("m1").replace("hello", "caf\u00e9").encode("utf-8"),
+            corpus_line("m2").encode().replace(b"hello", b"hel\xfflo"),
+            corpus_line("m3").encode(),
+        ])
+        src = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape")
+        messages, rejects = load_corpus(src)
+        assert [(m.id, m.text) for m in messages] == [("m1", "caf\u00e9"), ("m3", "hello")]
+        assert [(r.line_no, r.reason) for r in rejects] == [(2, "invalid UTF-8: byte 0xff")]
+        assert rejects[0].raw.encode("utf-8", "surrogateescape") == raw.splitlines()[1]
+
     @given(st.lists(CORPUS_LINE, max_size=8))
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_json_loads_reference(self, lines):
+        self.assert_agrees(lines)
+
+    @given(st.lists(st.one_of(CORPUS_LINE.map(str.encode), st.binary(max_size=40)), max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_agree_with_reference(self, raw_lines):
+        self.assert_agrees([raw.decode("utf-8", "surrogateescape") for raw in raw_lines])
+
+    @staticmethod
+    def assert_agrees(lines):
         messages, rejects = load_corpus(lines)
         ref_messages, ref_rejects = reference_load_corpus(lines)
         assert [(m.id, m.author, m.timestamp, m.text) for m in messages] == ref_messages

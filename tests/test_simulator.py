@@ -37,6 +37,8 @@ from _oracles import (
     reference_events_to_jsonl,
     reference_life_stats_from_jsonl,
     reference_life_stats_to_jsonl,
+    reference_run,
+    reference_runs,
 )
 
 
@@ -52,7 +54,7 @@ def config(p_like, p_repost, e0=1, p_s=0.0, horizon=50, seed=1, **kw):
 class TestSingleAgentWalks:
     def test_pure_decay_dies_at_tick_e0(self):
         res = run_simulation(config(0.0, 0.0, e0=3, horizon=10))
-        assert [(e.tick, e.kind, e.agent_id) for e in res.events] == [
+        assert [(e.tick, e.kind, e.agent_id) for e in list(res.events)] == [
             (0, EVENT_SELF_GENERATE, 0),
             (3, EVENT_DEATH, 0),
         ]
@@ -63,16 +65,16 @@ class TestSingleAgentWalks:
         assert stats.total_reposts == 0
 
     def test_certain_like_never_dies(self):
-        res = run_simulation(config(1.0, 0.0, e0=1, horizon=200))
-        (agent,) = res.agents
-        assert agent.alive
-        assert agent.energy == 1
-        assert agent.reposts_spawned == 0
+        cfg = config(1.0, 0.0, e0=1, horizon=200)
+        res = run_simulation(cfg)
+        events = list(res.events)
+        assert replay(events, cfg) == {0: 1}
         (stats,) = res.stats
         assert stats.censored
         assert stats.lifetime == 200
+        assert stats.total_reposts == 0
         # a like event on every tick after birth
-        likes = [e for e in res.events if e.kind == EVENT_LIKE]
+        likes = [e for e in events if e.kind == EVENT_LIKE]
         assert len(likes) == 199
 
 
@@ -80,11 +82,11 @@ class TestDeterminism:
     def test_identical_config_identical_log(self):
         cfg = config(0.3, 0.1, e0=2, p_s=0.2, horizon=80, seed=99,
                      link_carrier_fraction=0.5, link_boost=1.5)
-        a = run_simulation(cfg)
-        b = run_simulation(cfg)
+        a = run_simulation(cfg, runs=3)
+        b = run_simulation(cfg, runs=3)
         assert events_to_jsonl(a.events) == events_to_jsonl(b.events)
-        assert a.stats == b.stats
-        assert a.agents == b.agents
+        assert list(a.stats) == list(b.stats)
+        assert a.truncated_at == b.truncated_at
 
     def test_different_seeds_differ(self):
         a = run_simulation(config(0.3, 0.1, e0=2, p_s=0.2, horizon=80, seed=1))
@@ -93,71 +95,116 @@ class TestDeterminism:
 
     def test_event_recording_does_not_disturb_stream(self):
         cfg = config(0.3, 0.1, e0=2, p_s=0.2, horizon=80, seed=5)
-        with_events = run_simulation(cfg, record_events=True)
-        without = run_simulation(cfg, record_events=False)
-        assert without.events == []
-        assert with_events.stats == without.stats
+        with_events = run_simulation(cfg, record_events=True, runs=3)
+        without = run_simulation(cfg, record_events=False, runs=3)
+        assert len(without.events) == 0
+        assert list(without.events) == []
+        assert [list(run) for run in without.events.runs()] == [[], [], []]
+        assert list(with_events.stats) == list(without.stats)
+
+
+def births(events) -> dict[int, int]:
+    """Agent id -> birth tick, from a run's self_generate and repost events."""
+    born = {e.agent_id: e.tick for e in events if e.kind == EVENT_SELF_GENERATE}
+    born.update((e.related_agent_id, e.tick) for e in events if e.kind == EVENT_REPOST)
+    return born
+
+
+def replay(events, cfg) -> dict[int, int]:
+    """Agent id -> energy at the end of a run, replayed step by step from its events.
+
+    Each agent starts at e0 and steps on every tick after its birth until
+    it dies or the run's last tick: +2 for a like and a repost, +1 for a
+    repost, 0 for a like, -1 for neither.
+    """
+    kinds = defaultdict(set)
+    for e in events:
+        if e.kind in (EVENT_LIKE, EVENT_REPOST):
+            kinds[(e.agent_id, e.tick)].add(e.kind)
+    death = {e.agent_id: e.tick for e in events if e.kind == EVENT_DEATH}
+    halt = [e.tick for e in events if e.kind == EVENT_TRUNCATED]
+    last_tick = halt[0] if halt else cfg.horizon - 1
+    energy = {}
+    for aid, born in births(events).items():
+        e = cfg.params.e0
+        for tick in range(born + 1, death.get(aid, last_tick) + 1):
+            step = kinds.get((aid, tick), set())
+            e += 2 if len(step) == 2 else 1 if EVENT_REPOST in step else \
+                0 if EVENT_LIKE in step else -1
+        energy[aid] = e
+    return energy
 
 
 class TestEventLogInvariants:
-    def _run(self):
-        return run_simulation(
-            config(0.35, 0.12, e0=2, p_s=0.3, horizon=120, seed=31,
-                   link_carrier_fraction=0.4)
-        )
+    """Invariants of the event log and life stats, checked on every run of a batch."""
+
+    CFG = config(0.35, 0.12, e0=2, p_s=0.3, horizon=120, seed=31, link_carrier_fraction=0.4)
+
+    def _runs(self):
+        res = run_simulation(self.CFG, runs=4)
+        return [(list(map(EventRecord._make, events)), list(map(AgentLifeStats._make, stats)))
+                for events, stats in zip(res.events.runs(), res.stats.runs())]
 
     def test_repost_conservation(self):
-        res = self._run()
-        n_repost_events = sum(1 for e in res.events if e.kind == EVENT_REPOST)
-        assert n_repost_events > 0
-        assert n_repost_events == sum(a.reposts_spawned for a in res.agents)
-        assert n_repost_events == sum(a.authority for a in res.agents)
+        for events, stats in self._runs():
+            n_repost_events = sum(1 for e in events if e.kind == EVENT_REPOST)
+            assert n_repost_events > 0
+            assert n_repost_events == sum(s.total_reposts for s in stats)
+            # every agent but the self-generated ones is some repost's child
+            n_roots = sum(1 for e in events if e.kind == EVENT_SELF_GENERATE)
+            assert n_repost_events == len(stats) - n_roots
 
     def test_repost_children_created_same_tick(self):
-        res = self._run()
-        by_id = {a.id: a for a in res.agents}
-        for e in res.events:
-            if e.kind == EVENT_REPOST:
-                child = by_id[e.related_agent_id]
-                assert child.birth_tick == e.tick
-                assert child.parent_id == e.agent_id
-                assert by_id[e.agent_id].birth_tick < child.birth_tick
+        for events, stats in self._runs():
+            born = births(events)
+            assert sorted(born) == [s.agent_id for s in stats]
+            for e in events:
+                if e.kind == EVENT_REPOST:
+                    assert born[e.related_agent_id] == e.tick
+                    assert born[e.agent_id] < e.tick
 
     def test_no_events_after_death(self):
-        res = self._run()
-        death_tick = {}
-        for e in res.events:
-            if e.kind == EVENT_DEATH:
-                assert e.agent_id not in death_tick
-                death_tick[e.agent_id] = e.tick
-        for e in res.events:
-            if e.agent_id in death_tick and e.kind != EVENT_DEATH:
-                assert e.tick <= death_tick[e.agent_id]
+        for events, _ in self._runs():
+            death_tick = {}
+            for e in events:
+                if e.kind == EVENT_DEATH:
+                    assert e.agent_id not in death_tick
+                    death_tick[e.agent_id] = e.tick
+            for e in events:
+                if e.agent_id in death_tick and e.kind != EVENT_DEATH:
+                    assert e.tick <= death_tick[e.agent_id]
 
     def test_dead_iff_energy_zero(self):
-        res = self._run()
-        for a in res.agents:
-            assert (a.energy == 0) == (not a.alive)
+        for events, stats in self._runs():
+            energy = replay(events, self.CFG)
+            dead = {e.agent_id for e in events if e.kind == EVENT_DEATH}
+            assert dead
+            for s in stats:
+                assert (energy[s.agent_id] == 0) == (s.agent_id in dead) == (not s.censored)
 
     def test_parent_born_strictly_earlier(self):
-        res = self._run()
-        by_id = {a.id: a for a in res.agents}
-        for a in res.agents:
-            if a.parent_id is not None:
-                assert by_id[a.parent_id].birth_tick < a.birth_tick
+        for events, _ in self._runs():
+            born = births(events)
+            for e in events:
+                if e.kind == EVENT_REPOST:
+                    assert born[e.agent_id] < born[e.related_agent_id]
 
     def test_lifetime_bounded_by_horizon(self):
-        res = self._run()
-        by_id = {a.id: a for a in res.agents}
-        for s in res.stats:
-            assert 1 <= s.lifetime <= 120 - by_id[s.agent_id].birth_tick
+        for events, stats in self._runs():
+            born = births(events)
+            death = {e.agent_id: e.tick for e in events if e.kind == EVENT_DEATH}
+            for s in stats:
+                assert 1 <= s.lifetime <= 120 - born[s.agent_id]
+                end = death.get(s.agent_id, 120)
+                assert s.lifetime == end - born[s.agent_id]
 
     def test_children_inherit_link(self):
-        res = self._run()
-        by_id = {a.id: a for a in res.agents}
-        for a in res.agents:
-            if a.parent_id is not None:
-                assert a.link_ref == by_id[a.parent_id].link_ref
+        for events, stats in self._runs():
+            link = {s.agent_id: s.carried_link for s in stats}
+            assert any(link.values())
+            for e in events:
+                if e.kind == EVENT_REPOST:
+                    assert link[e.related_agent_id] == link[e.agent_id]
 
 
 class TestKernelFidelity:
@@ -168,18 +215,19 @@ class TestKernelFidelity:
         # bounded while p_s keeps fresh roots coming.
         cfg = config(0.3, 0.1, e0=3, p_s=0.6, horizon=1500, seed=8)
         res = run_simulation(cfg)
+        events = list(res.events)
         by_tick = defaultdict(lambda: defaultdict(set))
-        for e in res.events:
+        for e in events:
             if e.kind in (EVENT_LIKE, EVENT_REPOST):
                 by_tick[e.agent_id][e.tick].add(e.kind)
-        death = {e.agent_id: e.tick for e in res.events if e.kind == EVENT_DEATH}
+        death = {e.agent_id: e.tick for e in events if e.kind == EVENT_DEATH}
 
         steps = Counter()
-        for a in res.agents:
+        for aid, born in births(events).items():
             energy = 3
-            end = death.get(a.id, cfg.horizon - 1)
-            for tick in range(a.birth_tick + 1, end + 1):
-                kinds = by_tick[a.id].get(tick, set())
+            end = death.get(aid, cfg.horizon - 1)
+            for tick in range(born + 1, end + 1):
+                kinds = by_tick[aid].get(tick, set())
                 if EVENT_LIKE in kinds and EVENT_REPOST in kinds:
                     delta = 2
                 elif EVENT_REPOST in kinds:
@@ -190,7 +238,7 @@ class TestKernelFidelity:
                     delta = -1
                 steps[(energy, delta)] += 1
                 energy += delta
-            if a.id in death:
+            if aid in death:
                 assert energy == 0
 
         assert not res.truncated
@@ -216,20 +264,31 @@ class TestLifetimeOracle:
 
 
 def run_by_run(cfg, n_runs):
-    """Pooled stats of ``replicate`` computed one scalar run at a time."""
-    pooled = []
-    for k in range(n_runs):
-        single = SimulationConfig(params=cfg.params, horizon=cfg.horizon, seed=cfg.seed + k,
-                                  max_agents=cfg.max_agents,
-                                  initial_agents=cfg.initial_agents)
-        pooled.extend(run_simulation(single, record_events=False).stats)
-    return pooled
+    """Pooled stats of the runs seeded seed.., stepped one at a time by the oracle."""
+    return [s for run in reference_runs(cfg, n_runs, record_events=False) for s in run.stats]
+
+
+def assert_equals_oracle(cfg, n_runs):
+    """run_simulation of n_runs runs agrees with the oracle run by run: the
+    events.jsonl bytes, the life stats and the truncation ticks."""
+    res = run_simulation(cfg, runs=n_runs)
+    refs = reference_runs(cfg, n_runs)
+    events = [list(run) for run in res.events.runs()]
+    assert len(events) == n_runs
+    for k, (got, ref) in enumerate(zip(events, refs)):
+        assert events_to_jsonl(got, run=k) == events_to_jsonl(ref.events, run=k)
+        assert got == ref.events
+    assert [list(run) for run in res.stats.runs()] == [ref.stats for ref in refs]
+    assert res.truncated_at == [ref.truncated_at for ref in refs]
+    assert res.truncated == sum(ref.truncated_at is not None for ref in refs)
+    assert len(res.events) == sum(len(ref.events) for ref in refs)
 
 
 class TestReplicate:
     def test_single_run_equals_run_simulation(self):
         cfg = config(0.3, 0.1, e0=2, p_s=0.3, horizon=60, seed=12)
-        assert list(replicate(cfg, 1)) == run_simulation(cfg).stats
+        assert list(replicate(cfg, 1)) == list(run_simulation(cfg).stats) \
+            == reference_run(cfg).stats
 
     def test_repeatable(self):
         cfg = config(0.3, 0.1, e0=2, p_s=0.3, horizon=60, seed=12)
@@ -286,14 +345,30 @@ class TestBatchedReplicate:
         cfg = EXACTNESS_GRID[name]
         assert list(replicate(cfg, 25)) == run_by_run(cfg, 25)
 
+    @pytest.mark.parametrize("name", sorted(EXACTNESS_GRID))
+    def test_run_simulation_equals_oracle(self, name):
+        assert_equals_oracle(EXACTNESS_GRID[name], 25)
+
     def test_grid_reaches_truncation_and_clamps(self):
         truncating = EXACTNESS_GRID["rich-get-richer truncates"]
-        assert any(run_simulation(SimulationConfig(
-            params=truncating.params, horizon=truncating.horizon, seed=truncating.seed + k,
-            max_agents=truncating.max_agents), record_events=False).truncated
-            for k in range(25))
+        assert 0 < run_simulation(truncating, record_events=False, runs=25).truncated < 25
         params = EXACTNESS_GRID["energy-dependent, clamped"].params
         assert params.like_prob(1) > 1.0 and params.repost_prob(5) < 0.0
+
+    def test_batch_companions_do_not_matter(self):
+        # A run's events and rows are the same whatever it is stepped with.
+        cfg = EXACTNESS_GRID["rich-get-richer truncates"]
+        batch = run_simulation(cfg, runs=6)
+        alone = [run_simulation(SimulationConfig(params=cfg.params, horizon=cfg.horizon,
+                                                 seed=cfg.seed + k, max_agents=cfg.max_agents))
+                 for k in range(6)]
+        assert [list(run) for run in batch.events.runs()] == [list(r.events) for r in alone]
+        assert [list(run) for run in batch.stats.runs()] == [list(r.stats) for r in alone]
+        assert batch.truncated_at == [r.truncated_at[0] for r in alone]
+
+    def test_rejects_zero_runs(self):
+        with pytest.raises(ValueError):
+            run_simulation(config(0.5, 0.5), runs=0)
 
     def test_truncated_at_tick_zero(self):
         stats = list(replicate(EXACTNESS_GRID["truncated at tick 0"], 4))
@@ -303,7 +378,7 @@ class TestBatchedReplicate:
 
     def test_chunks_join_seamlessly(self, monkeypatch):
         cfg = EXACTNESS_GRID["p_s=0.3 carriers=0.5"]
-        monkeypatch.setattr(simulator, "_CHUNK_RUNS", 4)
+        monkeypatch.setattr(simulator, "CHUNK_RUNS", 4)
         assert list(replicate(cfg, 11)) == run_by_run(cfg, 11)
 
     def test_columns_match_rows(self):
@@ -316,10 +391,7 @@ class TestBatchedReplicate:
         assert table.column("total_likes").tolist() == [s.total_likes for s in rows]
         assert table.column("total_reposts").tolist() == [s.total_reposts for s in rows]
         assert table.column("run_lengths").tolist() == [
-            sum(1 for s in run_simulation(SimulationConfig(
-                params=cfg.params, horizon=cfg.horizon, seed=cfg.seed + k,
-                initial_agents=cfg.initial_agents), record_events=False).stats)
-            for k in range(7)
+            len(run.stats) for run in reference_runs(cfg, 7, record_events=False)
         ]
         linked = table.column("link_index") >= 0
         assert linked.tolist() == [s.carried_link is not None for s in rows]
@@ -349,6 +421,32 @@ class TestBatchedReplicate:
         cfg = SimulationConfig(params=params, horizon=horizon, seed=seed,
                                max_agents=max_agents, initial_agents=initial_agents)
         assert list(replicate(cfg, n_runs)) == run_by_run(cfg, n_runs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p_s=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        e0=st.integers(1, 4),
+        p_like=st.floats(0.0, 1.0),
+        p_repost=st.floats(0.0, 1.0),
+        carriers=st.sampled_from([0.0, 0.3, 1.0]),
+        boost=st.sampled_from([1.0, 1.7]),
+        gamma=st.sampled_from([0.0, 0.5]),
+        horizon=st.integers(1, 12),
+        seed=st.integers(-1000, 2**40),
+        max_agents=st.none() | st.integers(1, 200),
+        initial_agents=st.integers(1, 3),
+        n_runs=st.integers(1, 5),
+    )
+    def test_property_events_equal_oracle(self, p_s, e0, p_like, p_repost, carriers, boost,
+                                          gamma, horizon, seed, max_agents, initial_agents,
+                                          n_runs):
+        params = BehaviorParams.constant(
+            p_s=p_s, e0=e0, p_like=p_like, p_repost=p_repost,
+            link_carrier_fraction=carriers, link_boost=boost, rich_get_richer_gamma=gamma,
+        )
+        assert_equals_oracle(SimulationConfig(params=params, horizon=horizon, seed=seed,
+                                              max_agents=max_agents,
+                                              initial_agents=initial_agents), n_runs)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 20160501, -7, 2**40 + 3])
@@ -413,18 +511,21 @@ class TestTruncation:
     def test_max_agents_halts_run(self):
         cfg = config(0.9, 0.9, e0=3, p_s=0.5, horizon=400, seed=3, max_agents=50)
         res = run_simulation(cfg)
-        assert res.truncated
-        assert res.truncated_at is not None
-        assert res.events[-1].kind == EVENT_TRUNCATED
-        assert res.events[-1].agent_id == -1
+        events = list(res.events)
+        assert res.truncated == 1
+        (truncated_at,) = res.truncated_at
+        assert truncated_at is not None
+        assert events[-1].kind == EVENT_TRUNCATED
+        assert events[-1].agent_id == -1
         # halts shortly after exceeding the cap, not at the horizon
-        assert res.truncated_at < 399
-        last_tick = max(e.tick for e in res.events)
-        assert last_tick == res.truncated_at
+        assert truncated_at < 399
+        last_tick = max(e.tick for e in events)
+        assert last_tick == truncated_at
 
     def test_untruncated_run_has_no_marker(self):
         res = run_simulation(config(0.0, 0.0, e0=2, horizon=10))
         assert not res.truncated
+        assert res.truncated_at == [None]
         assert all(e.kind != EVENT_TRUNCATED for e in res.events)
 
 
@@ -432,7 +533,7 @@ class TestSerialization:
     def test_events_round_trip(self):
         res = run_simulation(config(0.3, 0.1, e0=2, p_s=0.3, horizon=40, seed=2))
         text = events_to_jsonl(res.events)
-        assert events_from_jsonl(text) == res.events
+        assert events_from_jsonl(text) == list(res.events)
         first = text.splitlines()[0]
         assert '"tick": 0' in first and '"kind": "self_generate"' in first
 
@@ -440,7 +541,7 @@ class TestSerialization:
         res = run_simulation(config(0.3, 0.1, e0=2, p_s=0.3, horizon=40, seed=2,
                                     link_carrier_fraction=0.5))
         text = life_stats_to_jsonl(res.stats)
-        assert life_stats_from_jsonl(text) == res.stats
+        assert life_stats_from_jsonl(text) == list(res.stats)
 
     def test_integers_unquoted(self):
         res = run_simulation(config(0.0, 0.0, e0=2, horizon=10))
@@ -543,8 +644,8 @@ class TestEarlyStop:
         long_run = run_simulation(config(0.0, 0.0, e0=1, horizon=10**6))
         assert draws < 10
         short_run = run_simulation(config(0.0, 0.0, e0=1, horizon=10))
-        assert long_run.stats == short_run.stats
-        assert long_run.events == short_run.events
+        assert list(long_run.stats) == list(short_run.stats)
+        assert list(long_run.events) == list(short_run.events)
         assert [s.lifetime for s in long_run.stats] == [1]
 
     def test_replicate_tables_grow_only_as_ticks_pass(self, monkeypatch):
@@ -559,7 +660,7 @@ class TestEarlyStop:
         monkeypatch.setattr(simulator, "effective_repost_prob", counting_kernel)
         cfg = config(0.0, 0.0, e0=1, horizon=10**6)
         # Eagerly the tables would cover energies 1..2 * 10**6 + 1.
-        assert list(replicate(cfg, 1)) == run_simulation(cfg, record_events=False).stats
+        assert list(replicate(cfg, 1)) == list(run_simulation(cfg, record_events=False).stats)
         assert calls < 100
 
 
