@@ -42,9 +42,11 @@ from .ingest import (
 )
 from .linknet import (
     DEFAULT_SHORTENER_BASES,
+    LinkParseError,
     LiveFetcher,
     OfflineFetcher,
     build_link_records,
+    canonicalize,
     extract_links,
     link_stats,
     links_jsonl,
@@ -80,14 +82,10 @@ def _write_sidecar(target: Path, config: dict) -> None:
 
 def _read_text(path: Path, what: str) -> str:
     """The text of an input file, which must be UTF-8."""
-    if not path.exists():
-        raise CliError(f"{what} not found: {path}")
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise CliError(f"{what} {path} is not UTF-8: {exc}") from exc
-    except OSError as exc:
-        raise CliError(f"cannot read {what} {path}: {exc.strerror}") from exc
 
 
 def _read_json(path: Path, what: str):
@@ -343,14 +341,11 @@ def cmd_pipeline(args) -> int:
         raise CliError(f"--top must be >= 1, got {args.top}")
     if args.max_depth < 0:
         raise CliError(f"--max-depth must be >= 0, got {args.max_depth}")
+    if args.max_in_flight < 1:
+        raise CliError(f"--max-in-flight must be >= 1, got {args.max_in_flight}")
 
     queries_path = Path(args.queries)
-    if not queries_path.exists():
-        raise CliError(f"queries file not found: {queries_path}")
     corpus_path = Path(args.corpus)
-    if not corpus_path.exists():
-        raise CliError(f"corpus file not found: {corpus_path}")
-
     with queries_path.open(encoding="utf-8") as fh:
         try:
             packet = load_query_packet(fh, name=queries_path.stem)
@@ -359,12 +354,18 @@ def cmd_pipeline(args) -> int:
 
     registry = DEFAULT_SHORTENER_BASES
     if args.shortener_registry:
-        reg_path = Path(args.shortener_registry)
-        registry = tuple(
-            line.strip()
-            for line in _read_text(reg_path, "shortener registry").splitlines()
-            if line.strip() and not line.strip().startswith("#")
-        )
+        text = _read_text(Path(args.shortener_registry), "shortener registry")
+        bases = []
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            base = line.strip()
+            if not base or base.startswith("#"):
+                continue
+            try:
+                canonicalize(base)
+            except LinkParseError as exc:
+                raise CliError(f"shortener registry line {line_no}: {exc}") from exc
+            bases.append(base)
+        registry = tuple(bases)
 
     if args.online and not offline_forced:
         fetcher = LiveFetcher()
@@ -381,9 +382,6 @@ def cmd_pipeline(args) -> int:
                 )
         fetcher = OfflineFetcher(mapping)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     # stages 1-2: scan and match; bytes that are not UTF-8 reach
     # load_corpus as lone surrogates, which it rejects line by line
     with corpus_path.open(encoding="utf-8", errors="surrogateescape") as fh:
@@ -391,6 +389,9 @@ def cmd_pipeline(args) -> int:
     messages = dedupe(messages)
     matched = match_queries(messages, packet)
 
+    # made only now, so that an unusable input leaves no output directory
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_lines(out_dir / "rejects.jsonl", rejects_jsonl(rejects))
     _write_lines(out_dir / "matched.jsonl", matched_jsonl(matched))
 
@@ -632,6 +633,10 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         return 1
+    except OSError as exc:  # an unusable path: missing, a directory, under a file, ...
+        where = f"{exc.filename}: {exc.strerror}" if exc.filename and exc.strerror else exc
+        print(f"error: {where}", file=sys.stderr)
+        return 2
     except Exception:
         traceback.print_exc()
         return 1

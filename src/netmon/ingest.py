@@ -196,23 +196,15 @@ def dedupe(messages: Iterable[Message]) -> list[Message]:
     return out
 
 
-# Line templates in the format of netmon.jsonl.
-_MATCHED_LINE = (
-    '{{"id": {}, "author": {}, "timestamp": "{}", "text": {}, "matched_queries": [{}]}}\n'
-).format
-_REJECT_LINE = '{{"line_no": {}, "reason": {}, "raw": {}}}\n'.format
-
-
 def matched_jsonl(messages: Iterable[Message]) -> Iterator[str]:
     """One ``matched.jsonl`` line per message, matched queries ascending."""
-    line = _MATCHED_LINE
     for m in messages:
-        yield line(quote(m.id), quote(m.author), format_timestamp(m.timestamp),
-                   quote(m.text), ", ".join(map(str, sorted(m.matched_queries))))
+        yield (f'{{"id": {quote(m.id)}, "author": {quote(m.author)}, '
+               f'"timestamp": "{format_timestamp(m.timestamp)}", "text": {quote(m.text)}, '
+               f'"matched_queries": [{", ".join(map(str, sorted(m.matched_queries)))}]}}\n')
 
 
 def rejects_jsonl(rejects: Iterable[RejectRecord]) -> Iterator[str]:
     """One ``rejects.jsonl`` line per rejected corpus line."""
-    line = _REJECT_LINE
     for r in rejects:
-        yield line(r.line_no, quote(r.reason), quote(r.raw))
+        yield f'{{"line_no": {r.line_no}, "reason": {quote(r.reason)}, "raw": {quote(r.raw)}}}\n'

@@ -1,9 +1,10 @@
 """Line-delimited JSON shared by the pipeline and simulation outputs.
 
-Writers fill fixed line templates (``str.format`` or f-strings) that keep
+Writers fill fixed line templates, written as f-strings, that keep
 ``json.dumps``'s key order and ``", "``/``": "`` separators: integers
 print as ``json.dumps`` prints them, strings go through :func:`quote`,
 json's ASCII-escaping encoder (quotes included), ``None`` is ``null``.
+An f-string costs about half what ``str.format`` does per line.
 Readers decode each line with :func:`decode_line`.
 """
 

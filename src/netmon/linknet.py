@@ -94,7 +94,7 @@ class FetchFailed(RuntimeError):
     """A fetcher could not retrieve redirect information for a URL."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExtractedLink:
     message_id: str
     raw_url: str
@@ -109,9 +109,10 @@ class ResolvedLink:
     was_shortened: bool
     status: str
     host: str  # lower-cased host of final_url; "" when raw_url does not parse
+    raw_canonical: str  # canonicalize(raw_url); raw_url itself when it does not parse
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LinkRecord:
     """One link occurrence joined with its message provenance."""
 
@@ -284,8 +285,9 @@ def resolve(
 ) -> ResolvedLink:
     """Follow redirects for one link; failures are statuses, not raises.
 
-    Parses the raw URL and each redirect target once; the final URL and
-    its host come from the last parse the chain accepted."""
+    Parses the raw URL and each redirect target once; ``raw_canonical``
+    comes from the raw URL's parse, the final URL and its host from the
+    last parse the chain accepted."""
     raw = link.raw_url
     try:
         parts = _split_checked(raw)
@@ -297,7 +299,9 @@ def resolve(
             was_shortened=False,
             status=STATUS_FAILED,
             host="",
+            raw_canonical=raw,
         )
+    raw_canonical = _canonical(parts)
     from_shortener = parts.hostname.lower() in _registry_hosts(registry)
     chain = [raw]
     status = None
@@ -329,11 +333,12 @@ def resolve(
 
     return ResolvedLink(
         raw_url=raw,
-        final_url=_canonical(parts),
+        final_url=_canonical(parts) if len(chain) > 1 else raw_canonical,
         redirect_chain=tuple(chain),
         was_shortened=from_shortener or len(chain) > 1,
         status=status,
         host=parts.hostname.lower(),
+        raw_canonical=raw_canonical,
     )
 
 
@@ -406,18 +411,14 @@ def link_stats(
     n_links = len(extracted)
 
     finals = set()
+    raw_canonicals = set()
     per_source: dict[str, int] = {}
     for link in extracted:
         res = resolved[link.raw_url]
+        raw_canonicals.add(res.raw_canonical)
         if res.status in _OK_STATUSES:
             finals.add(res.final_url)
             per_source[res.host] = per_source.get(res.host, 0) + 1
-    raw_canonicals = set()
-    for raw in {link.raw_url for link in extracted}:
-        try:
-            raw_canonicals.add(canonicalize(raw))
-        except LinkParseError:
-            raw_canonicals.add(raw)
 
     return LinkStats(
         messages_with_links_fraction=len(with_links) / len(messages),
@@ -431,25 +432,17 @@ def link_stats(
     )
 
 
-# Line templates in the format of netmon.jsonl.
-_LINK_LINE = '{{"message_id": {}, "raw_url": {}, "position": {}}}\n'.format
-_RESOLVED_LINE = (
-    '{{"raw_url": {}, "final_url": {}, "redirect_chain": [{}], '
-    '"was_shortened": {}, "status": {}}}\n'
-).format
-
-
 def links_jsonl(links: Iterable[ExtractedLink]) -> Iterator[str]:
     """One ``links.jsonl`` line per extracted link occurrence."""
-    line = _LINK_LINE
     for link in links:
-        yield line(quote(link.message_id), quote(link.raw_url), link.position)
+        yield (f'{{"message_id": {quote(link.message_id)}, "raw_url": {quote(link.raw_url)}, '
+               f'"position": {link.position}}}\n')
 
 
 def resolved_jsonl(resolved: Iterable[ResolvedLink]) -> Iterator[str]:
     """One ``resolved.jsonl`` line per distinct raw URL."""
-    line = _RESOLVED_LINE
     for r in resolved:
-        yield line(quote(r.raw_url), quote(r.final_url),
-                   ", ".join(map(quote, r.redirect_chain)),
-                   "true" if r.was_shortened else "false", quote(r.status))
+        yield (f'{{"raw_url": {quote(r.raw_url)}, "final_url": {quote(r.final_url)}, '
+               f'"redirect_chain": [{", ".join(map(quote, r.redirect_chain))}], '
+               f'"was_shortened": {"true" if r.was_shortened else "false"}, '
+               f'"status": {quote(r.status)}}}\n')

@@ -153,13 +153,6 @@ def build_export_records(
     ]
 
 
-# An export line, a template in the format of netmon.jsonl.
-_EXPORT_LINE = (
-    '{{"url": {}, "first_seen": "{}", "citations": {}, '
-    '"query_labels": [{}], "source_message_ids": [{}]}}\n'
-).format
-
-
 def export_stream(records: Sequence[ExportRecord]) -> bytes:
     """Serialize export records as ``EXPORT_FORMAT_VERSION`` line-delimited JSON.
 
@@ -172,11 +165,10 @@ def export_stream(records: Sequence[ExportRecord]) -> bytes:
             raise ValueError(f"duplicate export url: {r.url}")
         seen.add(r.url)
     ordered = sorted(records, key=lambda r: (-r.citations, r.url))
-    line = _EXPORT_LINE
     return "".join([
-        line(quote(r.url), format_timestamp(r.first_seen), r.citations,
-             ", ".join(map(quote, r.query_labels)),
-             ", ".join(map(quote, r.source_message_ids)))
+        f'{{"url": {quote(r.url)}, "first_seen": "{format_timestamp(r.first_seen)}", '
+        f'"citations": {r.citations}, "query_labels": [{", ".join(map(quote, r.query_labels))}], '
+        f'"source_message_ids": [{", ".join(map(quote, r.source_message_ids))}]}}\n'
         for r in ordered
     ]).encode("utf-8")
 

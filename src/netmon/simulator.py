@@ -22,16 +22,17 @@ per-energy tables, and outcomes, deaths and spawns are vector operations
 over the concatenated active set.  Each run still owns its
 ``random.Random(seed + k)`` and reads it in the order above, so every run
 is the same as if it had been stepped alone; numpy's own generators are
-never used.  ``replicate`` pools life statistics over any number of runs
-in chunks; ``run_simulation`` steps a given number of runs as one chunk
-and can also record the event log.  The engine does not store events:
-per agent it keeps the parent, birth and death ticks it needs anyway,
-and per agent-step only the like outcome, one bit.  ``EventLog`` rebuilds
-each run's events from them when the run is read.  There is no scalar
-path for a single run: callers with many runs pass them together, since
-a batch of one run pays the engine's fixed per-tick cost for little work
-(150 runs of the A6 shape took about 1.5 s as one-run batches against
-0.2 s in chunks of 15; 2-CPU Xeon, Python 3.11.7, numpy 2.4.6).
+never used.  ``run_simulation`` steps a given number of runs as one
+chunk and can also record the event log; ``replicate`` pools life
+statistics over any number of runs by calling it a chunk at a time.
+The engine does not store events: per agent it keeps the parent, birth
+and death ticks it needs anyway, and per agent-step only the like
+outcome, one bit.  ``EventLog`` rebuilds each run's events from them
+when the run is read.  There is no scalar path for a single run: callers
+with many runs pass them together, since a batch of one run pays the
+engine's fixed per-tick cost for little work (150 runs of the A6 shape
+took about 1.5 s as one-run batches against 0.2 s in chunks of 15;
+2-CPU Xeon, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import json
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -150,7 +151,7 @@ def run_simulation(config: SimulationConfig, record_events: bool = True,
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     tables = _StepTables(config.params, config.params.e0 + 2 * config.horizon)
-    chunk = _run_chunk(config, tables, config.seed, runs, record_events)
+    chunk = _run_chunk(config, tables, runs, record_events)
     columns = chunk.agents.by_run(chunk.censor)
     events = EventLog(columns, chunk.censor, chunk.truncated, chunk.likes)
     stats = LifeStatsTable(config.seed, [{name: columns[name] for name in _LIFE_STATS_COLUMNS}])
@@ -162,20 +163,18 @@ def run_simulation(config: SimulationConfig, record_events: bool = True,
 def replicate(config: SimulationConfig, n_runs: int) -> LifeStatsTable:
     """Pool life statistics over runs seeded seed, seed+1, ..., seed+n-1.
 
-    Row for row equal to the ``run_simulation(...).stats`` of those runs;
-    the runs step together ``CHUNK_RUNS`` at a time (see ``_run_chunk``).
+    Row for row equal to the ``run_simulation(...).stats`` of those runs:
+    it calls ``run_simulation`` on ``CHUNK_RUNS`` runs at a time and joins
+    the chunks' tables.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    tables = _StepTables(config.params, config.params.e0 + 2 * config.horizon)
-    parts = []
+    chunks = []
     for first in range(0, n_runs, CHUNK_RUNS):
-        # The chunk's work arrays are gone before its results are made,
-        # so the results can take their place in the heap.
-        chunk = _run_chunk(config, tables, config.seed + first,
-                           min(CHUNK_RUNS, n_runs - first))
-        parts.append(chunk.agents.by_run(chunk.censor))
-    return LifeStatsTable(config.seed, parts)
+        result = run_simulation(replace(config, seed=config.seed + first), record_events=False,
+                                runs=min(CHUNK_RUNS, n_runs - first))
+        chunks += result.stats._chunks
+    return LifeStatsTable(config.seed, chunks)
 
 
 # Builds an AgentLifeStats from a tuple of its fields at C speed, skipping
@@ -653,9 +652,9 @@ class _Chunk(NamedTuple):
     likes: Optional[_LikeLog]  # only when events are recorded
 
 
-def _run_chunk(config: SimulationConfig, tables: _StepTables, first_seed: int,
-               n_runs: int, record_events: bool = False) -> _Chunk:
-    """Runs seeded first_seed.. stepped together under the tick protocol.
+def _run_chunk(config: SimulationConfig, tables: _StepTables, n_runs: int,
+               record_events: bool) -> _Chunk:
+    """Runs seeded config.seed.. stepped together under the tick protocol.
 
     Each run reads its own ``random.Random(seed)`` in the protocol's
     order: per tick the self-generation draw, the carrier draw of a root
@@ -669,7 +668,7 @@ def _run_chunk(config: SimulationConfig, tables: _StepTables, first_seed: int,
     carrier_frac = params.link_carrier_fraction
     horizon = config.horizon
     max_agents = config.max_agents
-    rngs = [random.Random(first_seed + r) for r in range(n_runs)]
+    rngs = [random.Random(config.seed + r) for r in range(n_runs)]
     next_link = [0] * n_runs
     agents = _AgentColumns(max(64 * n_runs, 1024), params.e0, parents=record_events)
     likes = _LikeLog() if record_events else None
@@ -752,10 +751,6 @@ def repost_counts_by_link(stats: Iterable[AgentLifeStats]) -> dict[str, int]:
         counts[s.carried_link] = counts.get(s.carried_link, 0) + s.total_reposts
     return counts
 
-
-# The writers fill their line templates with f-strings in the format of
-# netmon.jsonl: each field goes through format(value, ""), as it would
-# through str.format, at about half the cost per line.
 
 def events_to_jsonl(events: Iterable[EventRecord], run: Optional[int] = None) -> str:
     """One JSON object per event, keys tick, kind, agent_id, related_agent_id.

@@ -363,6 +363,8 @@ class TestPipeline:
     @pytest.mark.parametrize("flags, named", [
         (["--top", "0"], "--top"),
         (["--max-depth", "-1"], "--max-depth"),
+        (["--max-in-flight", "0"], "--max-in-flight"),
+        (["--max-in-flight", "-1"], "--max-in-flight"),
     ])
     def test_bad_flag_values_exit_two(self, tmp_path, capsys, flags, named):
         assert self.run_pipeline(tmp_path / "out", extra=flags) == 2
@@ -380,6 +382,16 @@ class TestPipeline:
         assert self.run_pipeline(tmp_path / "out", redirect=redirect) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "redirect map" in err
+
+    def test_registry_line_not_a_url_exits_two(self, tmp_path, capsys):
+        registry = tmp_path / "registry.txt"
+        registry.write_text("# bases\nhttp://bit.ly/\nnotaurl\n")
+        out = tmp_path / "out"
+        assert self.run_pipeline(out, extra=["--shortener-registry", str(registry)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "line 3" in err and "notaurl" in err
+        assert not out.exists()
 
     def test_timestamp_out_of_range_in_utc_is_a_reject(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
@@ -737,6 +749,40 @@ class TestExitCodesAndDeterminism:
                          "--baseline-fit", str(fit), "--out", str(report)]) == 0
             outputs[tag] = (fit.read_bytes(), curve.read_bytes(), report.read_bytes())
         assert outputs["a"] == outputs["b"]
+
+
+class TestUnusablePaths:
+    """A path that cannot be used exits 2 with one error line naming it."""
+
+    def assert_one_error_line(self, capsys, path):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--queries", "--corpus"])
+    def test_pipeline_input_is_a_directory(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        args = {"--queries": FIXTURES / "queries.txt", "--corpus": FIXTURES / "corpus_1000.jsonl",
+                "--out-dir": out, flag: tmp_path}
+        assert main(["pipeline", *(str(x) for pair in args.items() for x in pair)]) == 2
+        self.assert_one_error_line(capsys, tmp_path)
+        assert not out.exists()
+
+    def test_pipeline_out_dir_under_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+        assert main(["pipeline", "--queries", str(FIXTURES / "queries.txt"),
+                     "--corpus", str(FIXTURES / "corpus_1000.jsonl"),
+                     "--out-dir", str(out)]) == 2
+        self.assert_one_error_line(capsys, out)
+
+    def test_simulate_out_names_a_file(self, tmp_path, capsys):
+        out = tmp_path / "file"
+        out.write_text("")
+        assert main(["simulate", "--runs", "1", "--steps", "5", "--out", str(out)]) == 2
+        self.assert_one_error_line(capsys, out)
+        assert out.read_text() == ""
 
 
 class TestEntryPoint:

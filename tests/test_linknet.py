@@ -413,9 +413,36 @@ class TestLinkRecordsAndStats:
         records = build_link_records(messages, extracted, resolved)
         assert parsed == []
         assert {r.host for r in records} == {"news.test", "www.youtube.com"}
+        # the raw URLs' canonical forms come from resolve's parses
         stats = link_stats(messages, extracted, resolved)
-        assert sorted(parsed) == sorted(urls)
+        assert parsed == []
         assert stats.per_source_counts == {"news.test": 667, "www.youtube.com": 333}
+        assert stats.unique_links_fraction_pre_resolution == 3 / 1000
+
+    @given(
+        raw=st.one_of(
+            st.builds(
+                lambda scheme, host, rest: f"{scheme}://{host}{rest}",
+                st.sampled_from(["http", "https", "HTTP", "ftp"]),
+                st.one_of(st.from_regex(r"[A-Za-z]{1,6}\.(test|EXAMPLE)(:[0-9]{0,6})?",
+                                        fullmatch=True),
+                          st.ip_addresses(v=6).map(lambda addr: f"[{addr}]"),
+                          st.just("[::1")),
+                st.from_regex(r"(/[A-Za-z0-9._~%-]{0,4}){0,2}(\?[a-z=&]{0,5})?(#[a-z]{0,3})?",
+                              fullmatch=True),
+            ),
+            st.text(max_size=20),
+        ),
+        redirected=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_raw_canonical_is_canonicalize_of_raw(self, raw, redirected):
+        fetcher = OfflineFetcher({raw: "https://target.test/x"} if redirected else {})
+        try:
+            expected = canonicalize(raw)
+        except LinkParseError:
+            expected = raw
+        assert resolve(link(raw), fetcher).raw_canonical == expected
 
     def test_failed_links_excluded_from_sources(self):
         messages = [msg("m1", "x http://bit.ly/dead y https://ok.test/a")]
@@ -442,6 +469,7 @@ class TestWriters:
         status=st.one_of(st.sampled_from([STATUS_RESOLVED, STATUS_LOOP, STATUS_DEPTH,
                                           STATUS_FAILED, STATUS_NOT_SHORTENED]), JSON_TEXT),
         host=JSON_TEXT,
+        raw_canonical=JSON_TEXT,
     ), max_size=6))
     @settings(max_examples=150, deadline=None)
     def test_resolved_agree_with_json_dumps_reference(self, resolved):
