@@ -39,6 +39,9 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 # sign change inside this interval pins the root.
 _K_LO = 1e-3
 _K_HI = 1e3
+# The shape solver stops once |residual| < _K_TOL, or fails after _K_MAX_ITER steps.
+_K_TOL = 1e-9
+_K_MAX_ITER = 200
 
 
 class ConvergenceError(RuntimeError):
@@ -143,11 +146,7 @@ def _weibull_residual_slope(k: float, log_x: np.ndarray) -> float:
     return var + 1.0 / (k * k)
 
 
-def fit_weibull_mle(
-    samples: Sequence[float] | np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = 200,
-) -> WeibullFit:
+def fit_weibull_mle(samples: Sequence[float] | np.ndarray) -> WeibullFit:
     """Fit shape and scale to positive samples by maximum likelihood.
 
     The shape k solves the profile stationarity equation
@@ -155,7 +154,7 @@ def fit_weibull_mle(
         sum(x^k ln x) / sum(x^k) - 1/k - mean(ln x) = 0
 
     by damped Newton iteration (initial guess 1.2 / std(ln x), bisection
-    fallback on [1e-3, 1e3]) until the residual is below ``tol``; the
+    fallback on [1e-3, 1e3]) until the residual is below 1e-9; the
     scale is then lam = (mean(x^k))^(1/k).
 
     Raises ``ValueError`` on fewer than 10 samples or any non-positive
@@ -181,8 +180,8 @@ def fit_weibull_mle(
     k = min(max(1.2 / sd_log, _K_LO), _K_HI)
     lo, hi = _K_LO, _K_HI
     resid = _weibull_residual(k, x, log_x, mean_log)
-    for _ in range(max_iter):
-        if abs(resid) < tol:
+    for _ in range(_K_MAX_ITER):
+        if abs(resid) < _K_TOL:
             break
         # Maintain the bracket around the root (residual increases in k).
         if resid < 0:
@@ -197,7 +196,7 @@ def fit_weibull_mle(
         resid = _weibull_residual(k, x, log_x, mean_log)
     else:
         raise ConvergenceError(
-            f"shape solver did not reach |residual| < {tol} in {max_iter} iterations",
+            f"shape solver did not reach |residual| < {_K_TOL} in {_K_MAX_ITER} iterations",
             last_k=k,
         )
 

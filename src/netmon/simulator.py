@@ -17,9 +17,11 @@ link carriage, one per agent step.
 One engine follows this protocol, ``_run_chunk``.  In the model each
 message's energy is a Markov chain and its reposts are independent
 copies, so runs never interact and a chunk of them steps together with
-numpy: agent state lives in int32 columns, step thresholds come from
-per-energy tables, and outcomes, deaths and spawns are vector operations
-over the concatenated active set.  Each run still owns its
+numpy: agent state lives in int32 columns (so ``SimulationConfig``
+caps e0 + 2 * horizon, the highest reachable energy, at 2**31 - 1), step
+thresholds come from per-energy tables spanning the energies the
+horizon can reach, and outcomes, deaths and spawns are plain numpy
+expressions over the concatenated active set.  Each run still owns its
 ``random.Random(seed + k)`` and reads it in the order above, so every run
 is the same as if it had been stepped alone; numpy's own generators are
 never used.  ``run_simulation`` steps a given number of runs as one
@@ -102,6 +104,10 @@ class SimulationConfig:
             raise ValueError(f"initial_agents must be >= 1, got {self.initial_agents}")
         if self.max_agents is not None and self.max_agents < 1:
             raise ValueError(f"max_agents must be >= 1, got {self.max_agents}")
+        # The engine's int32 columns hold energies up to e0 + 2 * horizon.
+        if self.params.e0 + 2 * self.horizon > 2**31 - 1:
+            raise ValueError(f"e0 + 2 * horizon must be <= 2**31 - 1, "
+                             f"got e0={self.params.e0}, horizon={self.horizon}")
 
 
 class EventRecord(NamedTuple):
@@ -150,7 +156,7 @@ def run_simulation(config: SimulationConfig, record_events: bool = True,
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    tables = _StepTables(config.params, config.params.e0 + 2 * config.horizon)
+    tables = _StepTables(config.params, config.horizon)
     chunk = _run_chunk(config, tables, runs, record_events)
     columns = chunk.agents.by_run(chunk.censor)
     events = EventLog(columns, chunk.censor, chunk.truncated, chunk.likes)
@@ -349,69 +355,39 @@ class EventLog:
         )
 
 
-def _cumulative_thresholds(p_like, p_repost, c2, c21, c210, tmp) -> None:
-    """Step thresholds into c2, c21, c210 in run_simulation's order.
+def _cumulative_thresholds(p_like, p_repost):
+    """The step thresholds (c2, c21, c210) of these probabilities.
 
     c2 = p_like * p_repost, c21 = c2 + (1 - p_like) * p_repost and
-    c210 = c21 + p_like * (1 - p_repost); ``tmp`` is scratch space.
+    c210 = c21 + p_like * (1 - p_repost): a draw below c2 is a like and
+    a repost, below c21 a repost, below c210 a like, otherwise neither.
     """
-    np.multiply(p_like, p_repost, out=c2)
-    np.subtract(1.0, p_like, out=tmp)
-    tmp *= p_repost
-    np.add(c2, tmp, out=c21)
-    np.subtract(1.0, p_repost, out=tmp)
-    tmp *= p_like
-    np.add(c21, tmp, out=c210)
-
-
-class _Scratch:
-    """Work arrays reused from tick to tick, grown by doubling.
-
-    numpy keeps freed blocks under 1 KiB in a cache per block size, so
-    fresh arrays of every small size a tick may need would pin megabytes
-    there over many calls; views of these buffers allocate nothing.
-    """
-
-    _MIN_SIZE = 1024
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def __call__(self, name: str, n: int, dtype=np.int64) -> np.ndarray:
-        """The first n entries of the buffer called ``name``."""
-        buf = self._buffers.get(name)
-        if buf is None or len(buf) < n:
-            buf = self._buffers[name] = np.empty(self._capacity(buf, n), dtype)
-        return buf[:n]
-
-    def arange(self, n: int) -> np.ndarray:
-        """0, 1, ..., n-1."""
-        buf = self._buffers.get("arange")
-        if buf is None or len(buf) < n:
-            buf = self._buffers["arange"] = np.arange(self._capacity(buf, n))
-        return buf[:n]
-
-    def _capacity(self, buf: Optional[np.ndarray], n: int) -> int:
-        return max(n, self._MIN_SIZE, 0 if buf is None else 2 * len(buf))
+    c2 = p_like * p_repost
+    c21 = c2 + (1 - p_like) * p_repost
+    c210 = c21 + p_like * (1 - p_repost)
+    return c2, c21, c210
 
 
 class _StepTables:
     """Per-energy step probabilities and thresholds of one config.
 
-    Index e holds energy e, for 1 <= e <= ``top``.  The tables start
-    empty and ``cover`` grows them, by doubling, as ticks pass: an agent
-    gains at most 2 per tick, so energies stay within e0 + 2 * (tick + 1)
-    and one check per tick keeps every lookup inside them.  Growth stops
-    at ``max_energy``, the bound over the whole horizon.  Under a link
-    boost or rich-get-richer term, thresholds are computed per agent from
-    the same clamped base probabilities.
+    Index e - ``low`` holds energy e, for ``low`` <= e <= ``top``.  An
+    agent loses at most 1 per tick, so no stepping agent falls below
+    ``low`` = max(1, e0 - horizon), and the tables grow with the horizon,
+    not with e0.  They start empty and ``cover`` grows them, by doubling,
+    as ticks pass: an agent gains at most 2 per tick, so energies stay
+    within e0 + 2 * (tick + 1) and one check per tick keeps every lookup
+    inside them.  Growth stops at ``max_energy``, the bound over the whole
+    horizon.  Under a link boost or rich-get-richer term, thresholds are
+    computed per agent from the same clamped base probabilities.
     """
 
-    def __init__(self, params: BehaviorParams, max_energy: int):
+    def __init__(self, params: BehaviorParams, horizon: int):
         self.params = params
-        self.max_energy = max_energy
-        self.top = 0
-        self.p_like = self.p_repost = self.c2 = self.c21 = self.c210 = np.zeros(1)
+        self.low = max(1, params.e0 - horizon)
+        self.max_energy = params.e0 + 2 * horizon
+        self.top = self.low - 1
+        self.p_like = self.p_repost = self.c2 = self.c21 = self.c210 = np.zeros(0)
         self.link_boost = params.link_boost
         self.gamma = params.rich_get_richer_gamma
         # With boost 1 and gamma 0 the linked formula reduces to the base one.
@@ -421,47 +397,29 @@ class _StepTables:
         """Grow the tables, if needed, to hold every energy up to ``energy``."""
         if energy <= self.top:
             return
-        params = self.params
-        top = min(max(energy, 2 * self.top), self.max_energy)
+        top = min(max(energy, 2 * self.top - self.low + 1), self.max_energy)
         energies = range(self.top + 1, top + 1)
-        p_like = np.array([_clamp01(params.like_prob(e)) for e in energies])
-        p_repost = np.array([effective_repost_prob(e, params) for e in energies])
-        c2, c21, c210, tmp = np.empty((4, len(energies)))
-        _cumulative_thresholds(p_like, p_repost, c2, c21, c210, tmp)
+        p_like = np.array([_clamp01(self.params.like_prob(e)) for e in energies])
+        p_repost = np.array([effective_repost_prob(e, self.params) for e in energies])
         for name, new in (("p_like", p_like), ("p_repost", p_repost),
-                          ("c2", c2), ("c21", c21), ("c210", c210)):
+                          *zip(("c2", "c21", "c210"), _cumulative_thresholds(p_like, p_repost))):
             setattr(self, name, np.concatenate((getattr(self, name), new)))
         self.top = top
 
-    def outcomes(self, u, energy, scratch: _Scratch, linked=None, reposts=None):
+    def outcomes(self, u, energy, linked=None, reposts=None):
         """Masks u < c2, u < c21 and u < c210 against each agent's thresholds.
 
         ``linked`` marks the link carriers and ``reposts`` holds the
         repost tallies; both are needed only when ``boosted``.
         """
-        n = len(energy)
-        names = ("both", "reposted", "kept")
+        index = energy - self.low
         if linked is None:
-            c = scratch("threshold", n, np.float64)
-            masks = []
-            for name, table in zip(names, (self.c2, self.c21, self.c210)):
-                table.take(energy, out=c, mode="clip")
-                masks.append(np.less(u, c, out=scratch(name, n, np.bool_)))
-            return masks
-        p_like = self.p_like.take(energy, out=scratch("p_like", n, np.float64), mode="clip")
-        p_repost = self.p_repost.take(energy, out=scratch("p_repost", n, np.float64),
-                                      mode="clip")
+            return u < self.c2[index], u < self.c21[index], u < self.c210[index]
+        p_repost = self.p_repost[index]
         # link_boost * p * (1 + gamma * n), clamped, as in effective_repost_prob
-        boosted = np.multiply(p_repost, self.link_boost, out=scratch("boosted", n, np.float64))
-        factor = np.multiply(reposts, self.gamma, out=scratch("factor", n, np.float64))
-        factor += 1.0
-        boosted *= factor
-        np.clip(boosted, 0.0, 1.0, out=boosted)
-        np.copyto(p_repost, boosted, where=linked)
-        thresholds = [scratch(f"c{i}", n, np.float64) for i in range(3)]
-        _cumulative_thresholds(p_like, p_repost, *thresholds, tmp=factor)
-        return [np.less(u, c, out=scratch(name, n, np.bool_))
-                for name, c in zip(names, thresholds)]
+        boosted = np.clip(p_repost * self.link_boost * (reposts * self.gamma + 1.0), 0.0, 1.0)
+        p_repost = np.where(linked, boosted, p_repost)
+        return tuple(u < c for c in _cumulative_thresholds(self.p_like[index], p_repost))
 
 
 def _draw_words(rng: random.Random, n: int) -> bytes:
@@ -474,20 +432,14 @@ def _draw_words(rng: random.Random, n: int) -> bytes:
     return rng.getrandbits(n << 6).to_bytes(n << 3, "little")
 
 
-def _uniforms(words: bytes, scratch: _Scratch) -> np.ndarray:
+def _uniforms(words: bytes) -> np.ndarray:
     """The floats ``random.Random.random`` makes from these outputs.
 
     ``random()`` turns two consecutive 32-bit outputs a, b into
     ((a >> 5) * 2**26 + (b >> 6)) / 2**53; each step is exact in float64.
     """
     w = np.frombuffer(words, dtype="<u4")
-    n = len(w) // 2
-    bits = np.right_shift(w[0::2], 5, out=scratch("bits", n, np.uint32))
-    u = np.multiply(bits, 67108864.0, out=scratch("u", n, np.float64))
-    np.right_shift(w[1::2], 6, out=bits)
-    u += bits
-    u *= 1.0 / 9007199254740992.0
-    return u
+    return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * (1.0 / 9007199254740992.0)
 
 
 class _AgentColumns:
@@ -525,52 +477,34 @@ class _AgentColumns:
             self.parent[lo:hi] = parent
         self.n = hi
 
-    def _gather(self, column: np.ndarray, rows: np.ndarray, scratch: _Scratch,
-                name: str = "gather") -> np.ndarray:
-        return column.take(rows, out=scratch(name, len(rows), np.int32), mode="clip")
-
-    def step(self, active, active_run, u, tables: _StepTables, tick: int, scratch: _Scratch):
+    def step(self, active, active_run, u, tables: _StepTables, tick: int):
         """One energy step of each active agent, children appended.
 
         Returns the survivors and their runs, in active-set order, and
         which active agents were liked.
         """
-        n = len(active)
-        energy = self._gather(self.energy, active, scratch, "energy")
+        energy = self.energy[active]
         if tables.boosted:
-            link = self._gather(self.link, active, scratch)
-            linked = np.greater_equal(link, 0, out=scratch("linked", n, np.bool_))
-            reposts = self._gather(self.reposts, active, scratch)
-            both, reposted, kept = tables.outcomes(u, energy, scratch, linked, reposts)
+            both, reposted, kept = tables.outcomes(u, energy, self.link[active] >= 0,
+                                                   self.reposts[active])
         else:
-            both, reposted, kept = tables.outcomes(u, energy, scratch)
+            both, reposted, kept = tables.outcomes(u, energy)
         # +2 like and repost, +1 repost, 0 like, -1 neither
         energy += both
         energy += reposted
         energy += kept
         energy -= 1
         self.energy[active] = energy
-        liked = np.bitwise_xor(kept, reposted, out=scratch("liked", n, np.bool_))
-        liked |= both
-        likes = self._gather(self.likes, active, scratch)
-        likes += liked
-        self.likes[active] = likes
+        liked = (kept ^ reposted) | both
+        self.likes[active] += liked
+        parents = active[reposted]
+        self.reposts[parents] += 1
+        alive = energy != 0
+        self.death[active[~alive]] = tick
+        self.append(self.run[parents], tick, self.link[parents], parents)
+        return active[alive], active_run[alive], liked
 
-        parents = active.compress(reposted, out=scratch("parents", np.count_nonzero(reposted)))
-        reposts = self._gather(self.reposts, parents, scratch)
-        reposts += 1
-        self.reposts[parents] = reposts
-        died = np.equal(energy, 0, out=scratch("died", n, np.bool_))
-        self.death[active.compress(died, out=scratch("dead", np.count_nonzero(died)))] = tick
-        alive = np.logical_not(died, out=died)
-        n_alive = np.count_nonzero(alive)
-        survivors = active.compress(alive, out=scratch("survivors", n_alive))
-        survivor_runs = active_run.compress(alive, out=scratch("survivor_runs", n_alive))
-        self.append(self._gather(self.run, parents, scratch, "child_run"), tick,
-                    self._gather(self.link, parents, scratch, "child_link"), parents)
-        return survivors, survivor_runs, liked
-
-    def next_active(self, survivors, survivor_runs, first_new: int, scratch: _Scratch):
+    def next_active(self, survivors, survivor_runs, first_new: int):
         """Survivors and the agents born since ``first_new``, grouped by run.
 
         Within a run ids ascend, as in run_simulation, because every id
@@ -578,18 +512,11 @@ class _AgentColumns:
         run << 32 | index does both; the keys are unique, and a stable
         sort (timsort) handles the two presorted stretches in linear time.
         """
-        n_old, n_new = len(survivors), self.n - first_new
-        key = scratch("key", n_old + n_new)
-        key[:n_old] = survivor_runs
-        key[n_old:] = self.run[first_new:self.n]
+        key = np.concatenate((survivor_runs, self.run[first_new:self.n]), dtype=np.int64)
         key <<= 32
-        np.bitwise_or(key[:n_old], survivors, out=key[:n_old])
-        newborns = np.add(scratch.arange(n_new), first_new, out=scratch("newborns", n_new))
-        np.bitwise_or(key[n_old:], newborns, out=key[n_old:])
+        key |= np.concatenate((survivors, np.arange(first_new, self.n)))
         key.sort(kind="stable")
-        active = np.bitwise_and(key, 0xFFFFFFFF, out=scratch("active", len(key)))
-        active_run = np.right_shift(key, 32, out=scratch("active_run", len(key)))
-        return active, active_run
+        return key & 0xFFFFFFFF, key >> 32
 
     def by_run(self, censor: np.ndarray) -> dict[str, np.ndarray]:
         """Columns of a LifeStatsTable, rows ordered by run, then id.
@@ -672,7 +599,6 @@ def _run_chunk(config: SimulationConfig, tables: _StepTables, n_runs: int,
     next_link = [0] * n_runs
     agents = _AgentColumns(max(64 * n_runs, 1024), params.e0, parents=record_events)
     likes = _LikeLog() if record_events else None
-    scratch = _Scratch()
 
     def carrier_draw(r: int) -> int:
         """Link index of a new root of run r, or -1."""
@@ -693,7 +619,7 @@ def _run_chunk(config: SimulationConfig, tables: _StepTables, n_runs: int,
         running[:] = False
         live = []
 
-    active = active_run = scratch("active", 0)
+    active = active_run = np.zeros(0, dtype=np.int64)
     n_active = [0] * n_runs
     first_new = 0    # agents from here on were born this tick (tick 0: the initial ones too)
     for tick in range(horizon):
@@ -712,12 +638,11 @@ def _run_chunk(config: SimulationConfig, tables: _StepTables, n_runs: int,
         agents.append(np.frombuffer(root_runs, dtype=np.intc), tick,
                       np.frombuffer(root_links, dtype=np.intc))
         if len(active):
-            u = _uniforms(b"".join(words), scratch)
-            active, active_run, liked = agents.step(active, active_run, u, tables, tick,
-                                                    scratch)
+            u = _uniforms(b"".join(words))
+            active, active_run, liked = agents.step(active, active_run, u, tables, tick)
             if likes is not None:
                 likes.add(tick, liked)
-        active, active_run = agents.next_active(active, active_run, first_new, scratch)
+        active, active_run = agents.next_active(active, active_run, first_new)
 
         if max_agents is not None:
             # Runs whose agent count passed the cap end with this tick.
@@ -726,11 +651,8 @@ def _run_chunk(config: SimulationConfig, tables: _StepTables, n_runs: int,
             if over.any():
                 censor[over] = tick + 1
                 running &= ~over
-                keep = running.take(active_run, out=scratch("keep", len(active), np.bool_),
-                                    mode="clip")
-                n_keep = np.count_nonzero(keep)
-                active = active.compress(keep, out=scratch("untruncated", n_keep))
-                active_run = active_run.compress(keep, out=scratch("untruncated_run", n_keep))
+                keep = running[active_run]
+                active, active_run = active[keep], active_run[keep]
                 stopped = over.tolist()
                 live = [r for r in live if not stopped[r]]
         first_new = agents.n
@@ -826,10 +748,7 @@ CALIBRATED_HORIZON = 65
 CALIBRATED_SEED = 20160501
 
 
-def calibrated_default_config(
-    seed: int = CALIBRATED_SEED,
-    horizon: int = CALIBRATED_HORIZON,
-) -> SimulationConfig:
+def calibrated_default_config(seed: int = CALIBRATED_SEED) -> SimulationConfig:
     """The shipped default simulation configuration."""
     return SimulationConfig(
         params=BehaviorParams.constant(
@@ -838,7 +757,7 @@ def calibrated_default_config(
             p_like=CALIBRATED_P_LIKE,
             p_repost=CALIBRATED_P_REPOST,
         ),
-        horizon=horizon,
+        horizon=CALIBRATED_HORIZON,
         seed=seed,
         max_agents=None,
         initial_agents=1,

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmon.cli import main
+from netmon.simulator import CHUNK_RUNS
 
 from _oracles import powerlaw_int_samples, weibull_samples
 
@@ -57,6 +58,21 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "p_s" in capsys.readouterr().err
+
+    # Energies live in int32 columns and can reach e0 + 2 * horizon.
+    @pytest.mark.parametrize("fields, flags", [
+        ({"horizon": 3_000_000_000}, []),
+        ({}, ["--steps", "3000000000"]),
+        ({"e0": 2**31 - 8, "horizon": 4}, []),
+    ])
+    def test_energy_past_int32_exits_two(self, tmp_path, capsys, fields, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "horizon" in err
+        assert not out.exists()
 
     def test_config_file_with_flag_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -143,7 +159,12 @@ class TestSimulate:
             "}\n"
         )
 
-    def test_memory_does_not_grow_with_runs(self, tmp_path):
+    # 2 and 20 runs in one chunk each, and in one and ten chunks of 2.
+    @pytest.mark.parametrize("chunk_runs", [CHUNK_RUNS, 2], ids=["one_chunk", "chunks_of_2"])
+    def test_memory_does_not_grow_with_runs(self, tmp_path, monkeypatch, chunk_runs):
+        import netmon.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "CHUNK_RUNS", chunk_runs)
         # Agents never die and one appears every tick, so every run has the
         # same 100 agents and about 5k events, whatever its seed.
         cfg = tmp_path / "steady.json"

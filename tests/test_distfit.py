@@ -119,7 +119,7 @@ class TestFitWeibullMle:
 
     def test_stationarity_residual_below_tol(self):
         x = weibull_samples(1.3, 7.0, 5_000, seed=42)
-        fit = fit_weibull_mle(x, tol=1e-9)
+        fit = fit_weibull_mle(x)
         # independent residual evaluation
         k = fit.k
         xk = x**k

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -376,6 +377,18 @@ class TestBatchedReplicate:
             (i, 1, True) for _ in range(4) for i in range(3)
         ]
 
+    def test_tables_start_at_the_lowest_reachable_energy(self):
+        # Tables indexed from energy 1 would hold about 10**9 entries.  Likes
+        # grow likelier as energy falls, so a lookup below the tables' start
+        # would read another energy's thresholds.
+        e0 = 10**9
+        params = BehaviorParams(p_s=0.5, e0=e0, like_prob=lambda e: 0.05 + 0.3 * (e0 - e),
+                                repost_prob=lambda e: 0.05)
+        cfg = SimulationConfig(params=params, horizon=5, seed=3, initial_agents=3)
+        start = time.perf_counter()
+        assert_equals_oracle(cfg, 5)
+        assert time.perf_counter() - start < 1.0
+
     def test_chunks_join_seamlessly(self, monkeypatch):
         cfg = EXACTNESS_GRID["p_s=0.3 carriers=0.5"]
         monkeypatch.setattr(simulator, "CHUNK_RUNS", 4)
@@ -455,7 +468,7 @@ def test_bulk_draws_equal_random_random(seed):
 
     bulk, single = random.Random(seed), random.Random(seed)
     for n in (1, 2, 7, 1000):
-        drawn = simulator._uniforms(simulator._draw_words(bulk, n), simulator._Scratch()).tolist()
+        drawn = simulator._uniforms(simulator._draw_words(bulk, n)).tolist()
         assert drawn == [single.random() for _ in range(n)]
     assert bulk.random() == single.random()
 
@@ -674,3 +687,9 @@ class TestConfigValidation:
         params = BehaviorParams.constant(p_s=0.0, e0=1, p_like=0.5, p_repost=0.5)
         with pytest.raises(ValueError):
             SimulationConfig(params=params, horizon=5, seed=1, initial_agents=0)
+
+    def test_energy_must_fit_int32(self):
+        params = BehaviorParams.constant(p_s=0.0, e0=2**31 - 9, p_like=0.5, p_repost=0.5)
+        SimulationConfig(params=params, horizon=4, seed=1)
+        with pytest.raises(ValueError, match="horizon"):
+            SimulationConfig(params=params, horizon=5, seed=1)
