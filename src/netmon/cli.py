@@ -150,9 +150,15 @@ def _load_sim_config(args) -> dict:
             if value is None and key == "max_agents":
                 resolved[key] = None
                 continue
+            # An int field takes a JSON integer and a float field any JSON
+            # number.  A boolean is neither, and no string is converted.
+            kind = _SIM_CONFIG_FIELDS[key]
+            accepted = (int, float) if kind is float else int
             try:
-                resolved[key] = _SIM_CONFIG_FIELDS[key](value)
-            except (TypeError, ValueError, OverflowError) as exc:
+                if isinstance(value, bool) or not isinstance(value, accepted):
+                    raise TypeError(key)
+                resolved[key] = kind(value)
+            except (TypeError, OverflowError) as exc:
                 raise CliError(f"bad value for config field {key}: {value!r}") from exc
     # flags override the config file
     if args.steps is not None:
@@ -346,11 +352,11 @@ def cmd_pipeline(args) -> int:
 
     queries_path = Path(args.queries)
     corpus_path = Path(args.corpus)
-    with queries_path.open(encoding="utf-8") as fh:
-        try:
-            packet = load_query_packet(fh, name=queries_path.stem)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+    query_lines = _read_text(queries_path, "query file").splitlines()
+    try:
+        packet = load_query_packet(query_lines, name=queries_path.stem)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
     registry = DEFAULT_SHORTENER_BASES
     if args.shortener_registry:

@@ -168,17 +168,22 @@ def match_queries(messages: Iterable[Message], packet: QueryPacket) -> list[Mess
     """Keep messages matching at least one query, with matches recorded.
 
     A message matches a query when every term of the query appears in
-    the message's token set (whole-word, case-folded).
+    the message's token set (whole-word, case-folded).  Each distinct
+    text is tokenized and tested once: reposts share their result.
     """
     # A query without words matches nothing.  A message is tested only
     # against the query words it contains.
     queries = [(idx, terms) for idx, q in enumerate(packet.queries)
                if (terms := frozenset(_words(q)))]
     vocabulary = frozenset().union(*(terms for _, terms in queries))
+    matches_of: dict[str, frozenset[int]] = {}
     out: list[Message] = []
     for msg in messages:
-        present = vocabulary.intersection(_words(msg.text))
-        matched = frozenset([idx for idx, terms in queries if terms <= present])
+        matched = matches_of.get(msg.text)
+        if matched is None:  # an empty result is cached too, and is falsy
+            present = vocabulary.intersection(_words(msg.text))
+            matched = frozenset([idx for idx, terms in queries if terms <= present])
+            matches_of[msg.text] = matched
         if matched:
             out.append(Message(msg.id, msg.author, msg.timestamp, msg.text, matched))
     return out

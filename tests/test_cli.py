@@ -59,6 +59,36 @@ class TestSimulate:
         assert code == 2
         assert "p_s" in capsys.readouterr().err
 
+    # An int field takes a JSON integer and a float field any JSON number;
+    # neither takes a boolean or a string, and nothing is rounded.
+    @pytest.mark.parametrize("field, value", [
+        ("e0", 1.5), ("e0", 3.0), ("e0", "3"), ("e0", True), ("e0", None),
+        ("horizon", 30.0), ("seed", "7"), ("runs", False), ("max_agents", 800.0),
+        ("max_agents", True), ("initial_agents", "1"),
+        ("p_s", True), ("p_like", "0.5"), ("p_repost", None), ("link_boost", False),
+        ("rich_get_richer_gamma", [0.4]), ("link_carrier_fraction", {}), ("p_s", 10**400),
+    ])
+    def test_config_value_of_the_wrong_type_exits_two(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: bad value for config field {field}: {value!r}\n"
+        assert not out.exists()
+
+    def test_config_values_of_their_json_type_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p_s": 0, "link_boost": 2, "p_like": 0.25, "e0": 3,
+                                   "horizon": 5, "max_agents": None}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        sidecar = json.loads((out / "run_config.json").read_text())
+        assert {k: sidecar[k] for k in ("p_s", "link_boost", "p_like", "e0", "horizon",
+                                        "max_agents")} == {
+            "p_s": 0.0, "link_boost": 2.0, "p_like": 0.25, "e0": 3, "horizon": 5,
+            "max_agents": None}
+        assert type(sidecar["p_s"]) is float and type(sidecar["e0"]) is int
+
     # Energies live in int32 columns and can reach e0 + 2 * horizon.
     @pytest.mark.parametrize("fields, flags", [
         ({"horizon": 3_000_000_000}, []),
@@ -787,6 +817,16 @@ class TestUnusablePaths:
                 "--out-dir": out, flag: tmp_path}
         assert main(["pipeline", *(str(x) for pair in args.items() for x in pair)]) == 2
         self.assert_one_error_line(capsys, tmp_path)
+        assert not out.exists()
+
+    def test_pipeline_query_file_not_utf8(self, tmp_path, capsys):
+        queries = tmp_path / "queries.txt"
+        queries.write_bytes(b"market rates\ncaf\xff\n")
+        out = tmp_path / "out"
+        assert main(["pipeline", "--queries", str(queries),
+                     "--corpus", str(FIXTURES / "corpus_1000.jsonl"),
+                     "--out-dir", str(out)]) == 2
+        self.assert_one_error_line(capsys, queries)
         assert not out.exists()
 
     def test_pipeline_out_dir_under_a_file(self, tmp_path, capsys):

@@ -3,11 +3,13 @@ import json
 import random
 import sys
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import netmon.ingest as ingest_mod
 from netmon.ingest import (
     Message,
     QueryPacket,
@@ -29,6 +31,8 @@ from _oracles import (
     reference_rejects_jsonl,
 )
 from _strategies import JSON_TEXT
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def msg(mid, text, author="user", ts="2016-05-04T10:00:00Z"):
@@ -355,6 +359,68 @@ class TestMatchQueries:
         assert bool(match_queries(m_orig, packet)) == bool(
             match_queries(m_swapped, packet_lower)
         )
+
+
+@pytest.fixture
+def tokenized(monkeypatch):
+    """Every text netmon.ingest hands to _words, in call order."""
+    calls = []
+    real = ingest_mod._words
+    monkeypatch.setattr(ingest_mod, "_words", lambda text: calls.append(text) or real(text))
+    return calls
+
+
+# Texts that repeat, and pairs that fold to the same string but split into
+# different words: "İ" folds to "i" and U+0307, which is no alphanumeric.
+_REPOSTED_TEXTS = [
+    "İstanbul stays open",
+    "i\u0307stanbul stays open",
+    "die Straße ist gesperrt",
+    "die STRASSE ist gesperrt",
+    "market rates surge",
+    "MARKET rates surge",
+    "nothing relevant here",
+    "",
+]
+_REPOST_QUERIES = ("İSTANBUL", "stanbul", "straße", "market rates", "open", "i")
+
+
+class TestMatchMemo:
+    """Each distinct text is tokenized and tested once per call."""
+
+    @given(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from(_REPOSTED_TEXTS)),
+                    min_size=1, max_size=30))
+    @example([("a", "İstanbul stays open"), ("b", "i\u0307stanbul stays open")])
+    @example([("a", "i\u0307stanbul stays open"), ("a", "İstanbul stays open")])
+    @settings(max_examples=200, deadline=None)
+    def test_reposts_agree_with_token_oracle(self, pairs):
+        messages = [msg(mid, text) for mid, text in pairs]
+        out = match_queries(messages, QueryPacket(queries=_REPOST_QUERIES))
+        expected = [
+            (m.id, m.text, frozenset(qi for qi, q in enumerate(_REPOST_QUERIES)
+                                     if naive_word_match(m.text, q)))
+            for m in messages
+        ]
+        assert [(m.id, m.text, m.matched_queries) for m in out] == [e for e in expected if e[2]]
+
+    def test_each_distinct_text_tokenized_once(self, tokenized):
+        texts = ["market rates surge", "no match", "market rates surge", "no match",
+                 "MARKET rates surge", "no match"]
+        queries = ("market rates", "central bank")
+        out = match_queries([msg(str(i), t) for i, t in enumerate(texts)],
+                            QueryPacket(queries=queries))
+        assert [m.id for m in out] == ["0", "2", "4"]
+        assert sorted(tokenized) == sorted(list(queries) + list(set(texts)))
+
+    def test_fixture_corpus_tokenized_once_per_distinct_text(self, tokenized):
+        with open(FIXTURES / "queries.txt", encoding="utf-8") as fh:
+            packet = load_query_packet(fh)
+        with open(FIXTURES / "corpus_1000.jsonl", encoding="utf-8") as fh:
+            messages, _ = load_corpus(fh)
+        match_queries(messages, packet)
+        distinct = {m.text for m in messages}
+        assert len(distinct) < len(messages)
+        assert len(tokenized) == len(distinct) + len(packet.queries)
 
 
 class TestDedupe:
