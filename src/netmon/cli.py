@@ -59,6 +59,7 @@ from .pipeline import (
     export_stream,
     fetch_manifest,
     rank_resources,
+    ranking_json,
 )
 from .simulator import (
     CHUNK_RUNS,
@@ -402,7 +403,7 @@ def cmd_pipeline(args) -> int:
     _write_lines(out_dir / "matched.jsonl", matched_jsonl(matched))
 
     # stage 3: extract hyperlinks
-    extracted = [link for msg in matched for link in extract_links(msg)]
+    extracted = extract_links(matched)
     _write_lines(out_dir / "links.jsonl", links_jsonl(extracted))
 
     # stage 4: open short addresses, canonicalize, rank
@@ -414,22 +415,7 @@ def cmd_pipeline(args) -> int:
 
     records = build_link_records(matched, extracted, resolved)
     ranked = rank_resources(records, granularity=args.granularity)
-    (out_dir / "ranking.json").write_text(
-        json.dumps(
-            [
-                {
-                    "key": r.key,
-                    "citations": r.citations,
-                    "distinct_authors": r.distinct_authors,
-                    "rank": r.rank,
-                    "social": r.social,
-                }
-                for r in ranked
-            ],
-            indent=2,
-        )
-        + "\n"
-    )
+    (out_dir / "ranking.json").write_text(ranking_json(ranked))
 
     # stage 5 boundary: manifest for the downstream crawler
     doc_ranked = ranked if args.granularity == "document" else rank_resources(records)

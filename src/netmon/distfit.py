@@ -269,12 +269,15 @@ def ks_statistic(
     samples: Sequence[float] | np.ndarray,
     cdf: Callable[[float], float],
 ) -> float:
-    """Supremum distance between the empirical CDF and ``cdf``."""
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = x.size
+    """Supremum distance between the empirical CDF and ``cdf``.
+
+    ``cdf`` is evaluated once per distinct sample value; tied samples
+    share the value's float."""
+    values, counts = np.unique(np.asarray(samples, dtype=float), return_counts=True)
+    n = int(counts.sum())
     if n == 0:
         raise ValueError("need at least 1 sample")
-    f = np.array([cdf(v) for v in x])
+    f = np.repeat([cdf(v) for v in values], counts)
     upper = np.arange(1, n + 1) / n - f
     lower = f - np.arange(0, n) / n
     return float(max(upper.max(), lower.max(), 0.0))

@@ -73,9 +73,10 @@ def parse_timestamp(value: str) -> datetime:
 
 def format_timestamp(dt: datetime) -> str:
     """RFC 3339 UTC with a Z suffix, whole seconds and a 4-digit year."""
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    dt = dt.astimezone(timezone.utc)
+    if dt.tzinfo is not timezone.utc:  # as parse_timestamp returns it
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        dt = dt.astimezone(timezone.utc)
     return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (
         dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second
     )
@@ -202,11 +203,20 @@ def dedupe(messages: Iterable[Message]) -> list[Message]:
 
 
 def matched_jsonl(messages: Iterable[Message]) -> Iterator[str]:
-    """One ``matched.jsonl`` line per message, matched queries ascending."""
+    """One ``matched.jsonl`` line per message, matched queries ascending.
+
+    The line's tail, from ``"text"`` on, is built once per distinct text
+    and query set."""
+    tails: dict[tuple[str, frozenset[int]], str] = {}
     for m in messages:
+        key = (m.text, m.matched_queries)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = (
+                f'"text": {quote(m.text)}, '
+                f'"matched_queries": [{", ".join(map(str, sorted(m.matched_queries)))}]}}\n')
         yield (f'{{"id": {quote(m.id)}, "author": {quote(m.author)}, '
-               f'"timestamp": "{format_timestamp(m.timestamp)}", "text": {quote(m.text)}, '
-               f'"matched_queries": [{", ".join(map(str, sorted(m.matched_queries)))}]}}\n')
+               f'"timestamp": "{format_timestamp(m.timestamp)}", {tail}')
 
 
 def rejects_jsonl(rejects: Iterable[RejectRecord]) -> Iterator[str]:

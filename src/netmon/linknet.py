@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 from urllib.parse import urljoin, urlsplit
 
 from .ingest import Message
@@ -157,31 +157,58 @@ def _trim_url(candidate: str) -> str:
     return candidate
 
 
-def extract_links(message: Message) -> list[ExtractedLink]:
-    """All URLs in the message text, in text order, offsets preserved."""
+def _url_spans(text: str) -> list[tuple[str, int]]:
+    """(url, offset) of every URL in ``text``, in text order."""
     out = []
-    for m in _URL_RUN.finditer(message.text):
+    for m in _URL_RUN.finditer(text):
         url = _trim_url(m.group(0))
-        if len(url) <= len("https://"):
-            continue
-        out.append(ExtractedLink(message_id=message.id, raw_url=url, position=m.start()))
+        if len(url) > len("https://"):
+            out.append((url, m.start()))
     return out
 
 
-def _split_checked(url: str):
+def extract_links(messages: Iterable[Message]) -> list[ExtractedLink]:
+    """All URLs in the messages' texts, in message order and then text
+    order, offsets preserved.  Each distinct text is scanned once:
+    reposts share their URLs and offsets."""
+    spans_of: dict[str, list[tuple[str, int]]] = {}
+    out = []
+    for msg in messages:
+        spans = spans_of.get(msg.text)
+        if spans is None:
+            spans = spans_of[msg.text] = _url_spans(msg.text)
+        for url, position in spans:
+            out.append(ExtractedLink(msg.id, url, position))
+    return out
+
+
+class _Split(NamedTuple):
+    """The parts of a checked URL; ``host`` is lower-cased."""
+
+    scheme: str
+    netloc: str
+    host: str
+    port: Optional[int]
+    path: str
+    query: str
+
+
+def _split_checked(url: str) -> _Split:
+    """One ``urlsplit`` of ``url``, its host and port read once."""
     try:
         parts = urlsplit(url)
     except ValueError as exc:  # e.g. an unclosed IPv6 bracket
         raise LinkParseError(f"unparsable URL {url!r}: {exc}") from exc
     if parts.scheme not in ("http", "https"):
         raise LinkParseError(f"unsupported scheme in {url!r}")
-    if not parts.hostname:
+    host = parts.hostname
+    if not host:
         raise LinkParseError(f"no host in {url!r}")
     try:
-        parts.port
+        port = parts.port
     except ValueError as exc:
         raise LinkParseError(f"bad port in {url!r}") from exc
-    return parts
+    return _Split(parts.scheme, parts.netloc, host.lower(), port, parts.path, parts.query)
 
 
 def canonicalize(url: str) -> str:
@@ -194,25 +221,24 @@ def canonicalize(url: str) -> str:
     return _canonical(_split_checked(url))
 
 
-def _canonical(parts) -> str:
-    scheme = parts.scheme.lower()
-    host = parts.hostname.lower()
+def _canonical(split: _Split) -> str:
+    host = split.host
     if ":" in host:  # an IPv6 literal keeps its brackets (RFC 3986 3.2.2)
         host = f"[{host}]"
-    port = parts.port
-    default_port = 80 if scheme == "http" else 443
+    port = split.port
+    default_port = 80 if split.scheme == "http" else 443
     netloc = host if port is None or port == default_port else f"{host}:{port}"
-    if "@" in parts.netloc:
-        netloc = parts.netloc.rsplit("@", 1)[0] + "@" + netloc
-    path = parts.path
+    if "@" in split.netloc:
+        netloc = split.netloc.rsplit("@", 1)[0] + "@" + netloc
+    path = split.path
     if path == "/":
         path = ""
-    query = f"?{parts.query}" if parts.query else ""
-    return f"{scheme}://{netloc}{path}{query}"
+    query = f"?{split.query}" if split.query else ""
+    return f"{split.scheme}://{netloc}{path}{query}"
 
 
 def _host_of(url: str) -> str:
-    return _split_checked(url).hostname.lower()
+    return _split_checked(url).host
 
 
 @lru_cache(maxsize=8)
@@ -302,7 +328,7 @@ def resolve(
             raw_canonical=raw,
         )
     raw_canonical = _canonical(parts)
-    from_shortener = parts.hostname.lower() in _registry_hosts(registry)
+    from_shortener = parts.host in _registry_hosts(registry)
     chain = [raw]
     status = None
     while status is None:
@@ -337,7 +363,7 @@ def resolve(
         redirect_chain=tuple(chain),
         was_shortened=from_shortener or len(chain) > 1,
         status=status,
-        host=parts.hostname.lower(),
+        host=parts.host,
         raw_canonical=raw_canonical,
     )
 
@@ -377,12 +403,17 @@ def build_link_records(
     extracted: Sequence[ExtractedLink],
     resolved: Mapping[str, ResolvedLink],
 ) -> list[LinkRecord]:
-    """Join link occurrences with message provenance, extraction order."""
+    """Join link occurrences with message provenance, extraction order.
+    Whether a host is social is decided once per host."""
     by_id = {m.id: m for m in messages}
+    social_of: dict[str, bool] = {}
     records = []
     for link in extracted:
         res = resolved[link.raw_url]
         msg = by_id[link.message_id]
+        social = social_of.get(res.host)
+        if social is None:
+            social = social_of[res.host] = _is_social(res.host)
         records.append(
             LinkRecord(
                 message_id=msg.id,
@@ -393,7 +424,7 @@ def build_link_records(
                 host=res.host,
                 status=res.status,
                 was_shortened=res.was_shortened,
-                social=_is_social(res.host),
+                social=social,
             )
         )
     return records

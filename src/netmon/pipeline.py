@@ -26,6 +26,7 @@ __all__ = [
     "EXPORT_FORMAT_VERSION",
     "KOLMOGOROV_5PCT",
     "rank_resources",
+    "ranking_json",
     "fetch_manifest",
     "build_export_records",
     "export_stream",
@@ -104,6 +105,20 @@ def rank_resources(
     ]
 
 
+def ranking_json(ranked: Sequence[RankedResource]) -> str:
+    """``ranking.json``: a JSON array of the ranked resources, one object
+    per resource, in ``json.dumps(indent=2)`` layout."""
+    if not ranked:
+        return "[]\n"
+    objects = ",\n".join(
+        f'  {{\n    "key": {quote(r.key)},\n    "citations": {r.citations},\n'
+        f'    "distinct_authors": {r.distinct_authors},\n    "rank": {r.rank},\n'
+        f'    "social": {"true" if r.social else "false"}\n  }}'
+        for r in ranked
+    )
+    return f"[\n{objects}\n]\n"
+
+
 def fetch_manifest(ranked: Sequence[RankedResource], top_n: int) -> list[str]:
     """Top non-social resource URLs in rank order, for the crawler.
 
@@ -124,29 +139,34 @@ def build_export_records(
     """Aggregate per-document export records for the corporate system.
 
     Social-platform links are excluded; the export carries external
-    informational resources only.
+    informational resources only.  Each group keeps its distinct query
+    sets and maps them to labels once.
     """
     by_id = {m.id: m for m in messages}
     groups: dict[str, dict] = {}
     for r in records:
         if r.status not in _OK_STATUSES or r.social:
             continue
-        g = groups.setdefault(
-            r.final_url,
-            {"first_seen": r.timestamp, "citations": 0, "queries": set(), "ids": set()},
-        )
+        g = groups.get(r.final_url)
+        if g is None:
+            g = groups[r.final_url] = {
+                "first_seen": r.timestamp, "citations": 0, "query_sets": set(), "ids": set(),
+            }
         g["citations"] += 1
-        g["first_seen"] = min(g["first_seen"], r.timestamp)
+        if r.timestamp < g["first_seen"]:
+            g["first_seen"] = r.timestamp
         g["ids"].add(r.message_id)
         msg = by_id.get(r.message_id)
         if msg is not None:
-            g["queries"].update(packet.queries[i] for i in msg.matched_queries)
+            g["query_sets"].add(msg.matched_queries)
     return [
         ExportRecord(
             url=url,
             first_seen=g["first_seen"],
             citations=g["citations"],
-            query_labels=tuple(sorted(g["queries"])),
+            query_labels=tuple(sorted(
+                {packet.queries[i] for matched in g["query_sets"] for i in matched}
+            )),
             source_message_ids=tuple(sorted(g["ids"])),
         )
         for url, g in groups.items()

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from first principles (linear
 algebra, inverse CDFs, character scanning) so the tests never reuse the
-code paths they verify.
+code paths they verify, or is a package function as first written, one
+occurrence at a time, that its faster form must agree with exactly.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import numpy as np
 
 from netmon.diffusion import effective_repost_prob
 from netmon.ingest import parse_timestamp
+from netmon.linknet import _OK_STATUSES, _URL_RUN, ExtractedLink, _trim_url
+from netmon.pipeline import ExportRecord
 from netmon.simulator import (
     EVENT_DEATH,
     EVENT_LIKE,
@@ -52,6 +55,17 @@ def delta_probs(p_like: float, p_repost: float) -> dict[int, float]:
         0: p_like * (1 - p_repost),
         -1: (1 - p_like) * (1 - p_repost),
     }
+
+
+def reference_ks_statistic(samples, cdf) -> float:
+    """``distfit.ks_statistic`` as first written: ``cdf`` evaluated at
+    every sorted sample, ties included."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    f = np.array([cdf(v) for v in x])
+    upper = np.arange(1, n + 1) / n - f
+    lower = f - np.arange(0, n) / n
+    return float(max(upper.max(), lower.max(), 0.0))
 
 
 def expected_absorption_time(
@@ -145,6 +159,19 @@ def reference_url_scan(text: str) -> list[tuple[int, str]]:
             i = start + len(candidate)
         else:
             i = j if j > i else i + 1
+    return out
+
+
+def reference_extract_links(messages) -> list:
+    """``linknet.extract_links`` as first written: every message's text
+    scanned on its own, reposts included."""
+    out = []
+    for message in messages:
+        for m in _URL_RUN.finditer(message.text):
+            url = _trim_url(m.group(0))
+            if len(url) <= len("https://"):
+                continue
+            out.append(ExtractedLink(message_id=message.id, raw_url=url, position=m.start()))
     return out
 
 
@@ -406,6 +433,22 @@ def reference_matched_jsonl(messages) -> str:
     )
 
 
+def reference_ranking_json(ranked) -> str:
+    return json.dumps(
+        [
+            {
+                "key": r.key,
+                "citations": r.citations,
+                "distinct_authors": r.distinct_authors,
+                "rank": r.rank,
+                "social": r.social,
+            }
+            for r in ranked
+        ],
+        indent=2,
+    ) + "\n"
+
+
 def reference_links_jsonl(links) -> str:
     return "".join(
         json.dumps({"message_id": l.message_id, "raw_url": l.raw_url, "position": l.position})
@@ -452,6 +495,36 @@ def reference_export_stream(records) -> bytes:
         + "\n"
         for r in ordered
     ).encode("utf-8")
+
+
+def reference_export_records(messages, records, packet) -> list:
+    """``pipeline.build_export_records`` as first written: query labels
+    gathered and ``first_seen`` taken by ``min`` at every link occurrence."""
+    by_id = {m.id: m for m in messages}
+    groups: dict[str, dict] = {}
+    for r in records:
+        if r.status not in _OK_STATUSES or r.social:
+            continue
+        g = groups.setdefault(
+            r.final_url,
+            {"first_seen": r.timestamp, "citations": 0, "queries": set(), "ids": set()},
+        )
+        g["citations"] += 1
+        g["first_seen"] = min(g["first_seen"], r.timestamp)
+        g["ids"].add(r.message_id)
+        msg = by_id.get(r.message_id)
+        if msg is not None:
+            g["queries"].update(packet.queries[i] for i in msg.matched_queries)
+    return [
+        ExportRecord(
+            url=url,
+            first_seen=g["first_seen"],
+            citations=g["citations"],
+            query_labels=tuple(sorted(g["queries"])),
+            source_message_ids=tuple(sorted(g["ids"])),
+        )
+        for url, g in groups.items()
+    ]
 
 
 _CORPUS_FIELDS = ("id", "author", "timestamp", "text")

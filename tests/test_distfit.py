@@ -22,6 +22,7 @@ from _oracles import (
     decimal_weibull_pdf,
     exponential_samples,
     powerlaw_int_samples,
+    reference_ks_statistic,
     weibull_samples,
 )
 
@@ -258,6 +259,22 @@ class TestKsStatistic:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ks_statistic([], lambda v: 0.5)
+
+    # Lifetime-like samples: a few small integers, each repeated many times.
+    @given(st.lists(st.one_of(st.integers(0, 12), st.sampled_from([0.5, 2.25, 1e9])),
+                    min_size=1, max_size=300),
+           st.sampled_from([(1.9, 3.8), (0.7, 1800.0), (5.0, 1.0)]))
+    @settings(max_examples=200, deadline=None)
+    def test_ties_agree_exactly_with_per_sample_reference(self, samples, params):
+        calls = []
+
+        def cdf(v):
+            calls.append(v)
+            return weibull_cdf(v, *params)
+
+        d = ks_statistic(samples, cdf)
+        assert sorted(calls) == sorted(set(map(float, samples)))
+        assert d == reference_ks_statistic(samples, lambda v: weibull_cdf(v, *params))
 
 
 class TestPowerlawCdf:

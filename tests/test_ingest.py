@@ -2,7 +2,7 @@ import io
 import json
 import random
 import sys
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -29,6 +29,7 @@ from _oracles import (
     reference_load_corpus,
     reference_matched_jsonl,
     reference_rejects_jsonl,
+    reference_timestamp,
 )
 from _strategies import JSON_TEXT
 
@@ -241,6 +242,17 @@ class TestTimestamps:
     def test_agrees_with_isoformat(self, dt):
         expected = dt.replace(microsecond=0, tzinfo=None).isoformat() + "Z"
         assert format_timestamp(dt) == expected
+
+    # timezone.utc skips the conversion; an equal zone that is another
+    # object, or an offset, takes it
+    @given(st.datetimes(min_value=datetime(2, 1, 1), max_value=datetime(9998, 12, 31),
+                        timezones=st.sampled_from([None, timezone.utc,
+                                                   timezone(timedelta(0), "UTC"),
+                                                   timezone(timedelta(hours=-9, minutes=-30)),
+                                                   timezone(timedelta(hours=14))])))
+    @settings(max_examples=300)
+    def test_agrees_with_reference_in_any_zone(self, dt):
+        assert format_timestamp(dt) == reference_timestamp(dt)
 
 
 class TestMatchQueries:

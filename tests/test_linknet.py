@@ -1,11 +1,12 @@
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netmon.linknet as linknet_mod
-from netmon.ingest import Message, parse_timestamp
+from netmon.ingest import Message, load_corpus, parse_timestamp
 from netmon.linknet import (
     DEFAULT_SHORTENER_BASES,
     STATUS_DEPTH,
@@ -29,7 +30,12 @@ from netmon.linknet import (
     resolved_jsonl,
 )
 
-from _oracles import reference_links_jsonl, reference_resolved_jsonl, reference_url_scan
+from _oracles import (
+    reference_extract_links,
+    reference_links_jsonl,
+    reference_resolved_jsonl,
+    reference_url_scan,
+)
 from _strategies import JSON_TEXT
 
 
@@ -54,27 +60,27 @@ def parsed(monkeypatch):
 
 class TestExtractLinks:
     def test_no_url(self):
-        assert extract_links(msg("1", "just words, no links at all")) == []
+        assert extract_links([msg("1", "just words, no links at all")]) == []
 
     def test_single_shortlink(self):
-        out = extract_links(msg("1", "see http://bit.ly/abc now"))
+        out = extract_links([msg("1", "see http://bit.ly/abc now")])
         assert len(out) == 1
         assert out[0].raw_url == "http://bit.ly/abc"
         assert out[0].position == 4
 
     def test_two_links_trailing_period_trimmed(self):
-        out = extract_links(msg("1", "a https://x.test/p?q=1. b http://y.test"))
+        out = extract_links([msg("1", "a https://x.test/p?q=1. b http://y.test")])
         assert [l.raw_url for l in out] == ["https://x.test/p?q=1", "http://y.test"]
 
     def test_offsets_slice_back_to_url(self):
         text = "pre http://a.test/x (also https://b.test/y), end."
-        for l in extract_links(msg("1", text)):
+        for l in extract_links([msg("1", text)]):
             assert text[l.position : l.position + len(l.raw_url)] == l.raw_url
 
     def test_balanced_parens_kept_unbalanced_trimmed(self):
-        out = extract_links(msg("1", "see https://x.test/a_(b) ok"))
+        out = extract_links([msg("1", "see https://x.test/a_(b) ok")])
         assert out[0].raw_url == "https://x.test/a_(b)"
-        out = extract_links(msg("1", "(see https://x.test/ab)"))
+        out = extract_links([msg("1", "(see https://x.test/ab)")])
         assert out[0].raw_url == "https://x.test/ab"
 
     FIXTURE_TEXTS = [
@@ -130,10 +136,25 @@ class TestExtractLinks:
         "params http://ww.test/x?a=1&b=2&c=3 ok",
     ]
 
+    def test_each_distinct_text_scanned_once(self, monkeypatch):
+        scanned = []
+        real = linknet_mod._url_spans
+        monkeypatch.setattr(linknet_mod, "_url_spans",
+                            lambda text: scanned.append(text) or real(text))
+        fixture = Path(__file__).parent / "fixtures" / "corpus_1000.jsonl"
+        with open(fixture, encoding="utf-8") as fh:
+            messages, _ = load_corpus(fh)
+        extracted = extract_links(messages)
+        distinct = {m.text for m in messages}
+        assert len(distinct) == 540
+        assert sorted(scanned) == sorted(distinct)
+        assert extracted == reference_extract_links(messages)
+        assert len(extracted) == 750
+
     def test_agrees_with_reference_scanner_on_fixture_table(self):
         assert len(self.FIXTURE_TEXTS) >= 50
         for text in self.FIXTURE_TEXTS:
-            got = [(l.position, l.raw_url) for l in extract_links(msg("1", text))]
+            got = [(l.position, l.raw_url) for l in extract_links([msg("1", text)])]
             assert got == reference_url_scan(text), f"mismatch on: {text!r}"
 
 
@@ -353,7 +374,7 @@ class TestLinkRecordsAndStats:
             msg("m3", "watch https://youtu.be/clip", author="ann"),
             msg("m4", "no links here"),
         ]
-        extracted = [l for m in messages for l in extract_links(m)]
+        extracted = extract_links(messages)
         fetcher = OfflineFetcher({"http://bit.ly/a": "https://news.test/one"})
         resolved = resolve_all(extracted, fetcher)
         return messages, extracted, resolved
@@ -370,7 +391,7 @@ class TestLinkRecordsAndStats:
 
     def test_social_www_variant(self):
         messages = [msg("m1", "https://www.youtube.com/watch?v=1")]
-        extracted = extract_links(messages[0])
+        extracted = extract_links(messages)
         resolved = resolve_all(extracted, OfflineFetcher({}))
         records = build_link_records(messages, extracted, resolved)
         assert records[0].social
@@ -392,7 +413,7 @@ class TestLinkRecordsAndStats:
 
     def test_ipv6_link_host_agrees(self):
         messages = [msg("m1", "local http://[::1]/x and http://[::1]:80/x")]
-        extracted = extract_links(messages[0])
+        extracted = extract_links(messages)
         resolved = resolve_all(extracted, OfflineFetcher({}))
         records = build_link_records(messages, extracted, resolved)
         assert [(r.final_url, r.host) for r in records] == [("http://[::1]/x", "::1")] * 2
@@ -403,7 +424,7 @@ class TestLinkRecordsAndStats:
     def test_each_distinct_url_parsed_once(self, parsed):
         urls = ["http://bit.ly/a", "https://news.test/one", "https://www.youtube.com/v"]
         messages = [msg(f"m{i}", urls[i % 3]) for i in range(1000)]
-        extracted = [l for m in messages for l in extract_links(m)]
+        extracted = extract_links(messages)
         assert len(extracted) == 1000
         fetcher = OfflineFetcher({"http://bit.ly/a": "https://news.test/one"})
         resolved = resolve_all(extracted, fetcher)
@@ -446,7 +467,7 @@ class TestLinkRecordsAndStats:
 
     def test_failed_links_excluded_from_sources(self):
         messages = [msg("m1", "x http://bit.ly/dead y https://ok.test/a")]
-        extracted = extract_links(messages[0])
+        extracted = extract_links(messages)
         resolved = resolve_all(extracted, OfflineFetcher({"http://bit.ly/dead": None}))
         stats = link_stats(messages, extracted, resolved)
         assert stats.per_source_counts == {"ok.test": 1}

@@ -1,7 +1,7 @@
 import math
 import random
 from collections import Counter
-from datetime import timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -9,24 +9,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmon.distfit import PowerLawFit, WeibullFit
-from netmon.ingest import Message, QueryPacket, parse_timestamp
+from netmon.ingest import Message, QueryPacket, matched_jsonl, parse_timestamp
 from netmon.linknet import (
     STATUS_FAILED,
     STATUS_NOT_SHORTENED,
     STATUS_RESOLVED,
+    SOCIAL_HOSTS,
     LinkRecord,
+    OfflineFetcher,
+    build_link_records,
+    extract_links,
+    resolve_all,
 )
 from netmon.pipeline import (
     AnomalyReport,
     ExportRecord,
+    RankedResource,
     build_export_records,
     compare_to_model,
     export_stream,
     fetch_manifest,
     rank_resources,
+    ranking_json,
 )
 
-from _oracles import reference_export_stream, weibull_samples
+from _oracles import (
+    reference_export_records,
+    reference_export_stream,
+    reference_extract_links,
+    reference_matched_jsonl,
+    reference_ranking_json,
+    weibull_samples,
+)
 from _strategies import JSON_TEXT
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -118,6 +132,19 @@ class TestRankResources:
             rank_resources([], granularity="author")
 
 
+class TestRankingJson:
+    def test_empty(self):
+        assert ranking_json([]) == "[]\n"
+
+    @given(st.lists(st.builds(RankedResource, key=JSON_TEXT, citations=st.integers(0, 10**9),
+                              distinct_authors=st.integers(0, 10**9),
+                              rank=st.integers(1, 10**9), social=st.booleans()),
+                    max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_json_dumps_indent_reference(self, ranked):
+        assert ranking_json(ranked) == reference_ranking_json(ranked)
+
+
 class TestFetchManifest:
     def _ranked(self):
         records = ([record("https://a.test/x")] * 3
@@ -166,6 +193,70 @@ class TestBuildExportRecords:
         assert rec.first_seen == parse_timestamp("2016-05-01T09:00:00Z")
         assert rec.query_labels == ("central bank", "market rates")
         assert rec.source_message_ids == ("m1", "m2")
+
+
+# A repost-heavy corpus drawn from a few texts: with and without URLs,
+# non-ASCII, social and shortened links, a URL cited twice in one text.
+_POOL_TEXTS = (
+    "market rates http://bit.ly/a and https://news.test/one",
+    "market rates, no link here",
+    "Straße central bank https://news.test/one, again https://www.youtube.com/v",
+    "İstanbul bond yields http://bit.ly/dead (https://wire.test/a_(b))",
+    "central bank — ünïcode http://hh.test/ür cut",
+    "twice https://news.test/one https://news.test/one.",
+    "",
+)
+_POOL_PACKET = QueryPacket(queries=("market rates", "central bank", "bond yields",
+                                    "market rates"))
+_POOL_REDIRECTS = {"http://bit.ly/a": "https://news.test/one", "http://bit.ly/dead": None}
+_POOL_MESSAGE = st.builds(
+    Message,
+    # few ids, so an id also recurs with another text
+    id=st.sampled_from(["m1", "m2", "m3", "m4", "m5", "m6"]),
+    author=st.sampled_from(["ann", "bob", "çelik"]),
+    timestamp=st.datetimes(
+        min_value=datetime(2016, 1, 1), max_value=datetime(2016, 1, 3),
+        timezones=st.sampled_from([timezone.utc, timezone(timedelta(0), "UTC"),
+                                   timezone(timedelta(hours=5, minutes=30))]),
+    ),
+    text=st.sampled_from(_POOL_TEXTS),
+    # the same text with other query sets, as two query packets would give
+    matched_queries=st.sampled_from([frozenset(), frozenset({0}), frozenset({1}),
+                                     frozenset({3}), frozenset({0, 2}),
+                                     frozenset({0, 1, 2, 3})]),
+)
+
+
+class TestPerTextWork:
+    """Work done once per distinct text, query set or host gives the bytes
+    of the per-occurrence code it replaced."""
+
+    @given(st.lists(_POOL_MESSAGE, max_size=14))
+    @settings(max_examples=300, deadline=None)
+    def test_pipeline_files_agree_with_per_occurrence_oracles(self, messages):
+        assert "".join(matched_jsonl(messages)) == reference_matched_jsonl(messages)
+        extracted = extract_links(messages)
+        assert extracted == reference_extract_links(messages)
+        resolved = resolve_all(extracted, OfflineFetcher(_POOL_REDIRECTS), max_in_flight=1)
+        records = build_link_records(messages, extracted, resolved)
+        assert [r.social for r in records] == [
+            r.host.removeprefix("www.") in SOCIAL_HOSTS for r in records
+        ]
+        for granularity in ("document", "host"):
+            ranked = rank_resources(records, granularity)
+            assert ranking_json(ranked) == reference_ranking_json(ranked)
+        export = build_export_records(messages, records, _POOL_PACKET)
+        expected = reference_export_records(messages, records, _POOL_PACKET)
+        assert export == expected
+        assert export_stream(export) == reference_export_stream(expected)
+
+    def test_first_seen_is_the_earliest_citation(self):
+        packet = QueryPacket(queries=("q",))
+        stamps = ["2016-05-02T09:00:00Z", "2016-05-01T09:00:00Z", "2016-05-03T09:00:00Z"]
+        records = [record("https://a.test/x", mid=f"m{i}", ts=ts) for i, ts in enumerate(stamps)]
+        out = build_export_records([], records, packet)
+        assert out[0].first_seen == parse_timestamp("2016-05-01T09:00:00Z")
+        assert out[0].query_labels == ()
 
 
 class TestExportStream:
