@@ -193,8 +193,31 @@ class _Split(NamedTuple):
     query: str
 
 
+# A plain URL: http or https in any case, an ASCII host without userinfo,
+# brackets or escapes, an optional port of up to five digits, and a path
+# (empty or from "/"), query and fragment of printable ASCII.  RFC 3986
+# splits these exactly as urlsplit does.  The classes are written
+# positively (path stops at "?" and "#", query at "#"): the negated form
+# spans all of Unicode and took 15 ms to compile, against under 1 ms.
+_PLAIN_URL = re.compile(
+    r"([Hh][Tt][Tt][Pp][Ss]?)://(([A-Za-z0-9.-]+)(?::([0-9]{0,5}))?)"
+    r'((?:/[!"$->@-~]*)?)(?:\?([!"$-~]*))?(?:#[!-~]*)?'
+)
+
+
 def _split_checked(url: str) -> _Split:
-    """One ``urlsplit`` of ``url``, its host and port read once."""
+    """The parts of ``url``, its host and port read once.
+
+    A plain URL (see ``_PLAIN_URL``) with a port of at most 65535 is
+    split by one anchored match.  Any other URL goes through one
+    ``urlsplit``, so the parts and every ``LinkParseError`` message are
+    those that ``urlsplit`` alone gives."""
+    m = _PLAIN_URL.fullmatch(url)
+    if m is not None:
+        scheme, netloc, host, port, path, query = m.groups("")
+        port_num = int(port) if port else None
+        if port_num is None or port_num <= 65535:
+            return _Split(scheme.lower(), netloc, host.lower(), port_num, path, query)
     try:
         parts = urlsplit(url)
     except ValueError as exc:  # e.g. an unclosed IPv6 bracket

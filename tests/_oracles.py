@@ -14,12 +14,20 @@ import string
 from datetime import timezone
 from decimal import Decimal, getcontext
 from typing import NamedTuple, Optional
+from urllib.parse import urlsplit
 
 import numpy as np
 
 from netmon.diffusion import effective_repost_prob
 from netmon.ingest import parse_timestamp
-from netmon.linknet import _OK_STATUSES, _URL_RUN, ExtractedLink, _trim_url
+from netmon.linknet import (
+    _OK_STATUSES,
+    _URL_RUN,
+    ExtractedLink,
+    LinkParseError,
+    _Split,
+    _trim_url,
+)
 from netmon.pipeline import ExportRecord
 from netmon.simulator import (
     EVENT_DEATH,
@@ -173,6 +181,25 @@ def reference_extract_links(messages) -> list:
                 continue
             out.append(ExtractedLink(message_id=message.id, raw_url=url, position=m.start()))
     return out
+
+
+def reference_split_checked(url: str) -> _Split:
+    """``linknet._split_checked`` as first written: one ``urlsplit`` of
+    every URL, its host and port read once."""
+    try:
+        parts = urlsplit(url)
+    except ValueError as exc:  # e.g. an unclosed IPv6 bracket
+        raise LinkParseError(f"unparsable URL {url!r}: {exc}") from exc
+    if parts.scheme not in ("http", "https"):
+        raise LinkParseError(f"unsupported scheme in {url!r}")
+    host = parts.hostname
+    if not host:
+        raise LinkParseError(f"no host in {url!r}")
+    try:
+        port = parts.port
+    except ValueError as exc:
+        raise LinkParseError(f"bad port in {url!r}") from exc
+    return _Split(parts.scheme, parts.netloc, host.lower(), port, parts.path, parts.query)
 
 
 def naive_word_match(text: str, query: str) -> bool:

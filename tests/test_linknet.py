@@ -1,3 +1,5 @@
+import json
+import string
 import time
 from pathlib import Path
 
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netmon.linknet as linknet_mod
+from netmon.cli import main
 from netmon.ingest import Message, load_corpus, parse_timestamp
 from netmon.linknet import (
     DEFAULT_SHORTENER_BASES,
@@ -34,6 +37,7 @@ from _oracles import (
     reference_extract_links,
     reference_links_jsonl,
     reference_resolved_jsonl,
+    reference_split_checked,
     reference_url_scan,
 )
 from _strategies import JSON_TEXT
@@ -51,10 +55,10 @@ def link(url, mid="m1", pos=0):
 
 @pytest.fixture
 def parsed(monkeypatch):
-    """Every URL netmon.linknet hands to urlsplit, in call order."""
+    """Every URL netmon.linknet parses, in call order."""
     calls = []
-    real = linknet_mod.urlsplit
-    monkeypatch.setattr(linknet_mod, "urlsplit", lambda url: calls.append(url) or real(url))
+    real = linknet_mod._split_checked
+    monkeypatch.setattr(linknet_mod, "_split_checked", lambda url: calls.append(url) or real(url))
     return calls
 
 
@@ -156,6 +160,120 @@ class TestExtractLinks:
         for text in self.FIXTURE_TEXTS:
             got = [(l.position, l.raw_url) for l in extract_links([msg("1", text)])]
             assert got == reference_url_scan(text), f"mismatch on: {text!r}"
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# Characters that take a URL off the plain-URL fast path or change how
+# urlsplit splits it: delimiters, escapes, whitespace, C0 and DEL, and
+# non-ASCII (a long s and a Kelvin sign fold to ASCII under IGNORECASE,
+# U+2100 expands to "a/c" under NFKC).
+_TRAPS = "\t\n\r \x00\x1f\x7f%@[]:/?#\u00e9\u017f\u212a\u2100\ud800"
+_PART = st.text(st.sampled_from(string.ascii_letters + string.digits + "-._~" + _TRAPS),
+                max_size=6)
+_PRINTABLE = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E), max_size=8)
+_PLAIN_PARTS = st.tuples(
+    st.sampled_from(["http", "https", "HTTP", "hTtPs"]),
+    st.just("://"),
+    st.just(""),
+    st.from_regex(r"[A-Za-z0-9.-]{1,8}", fullmatch=True),
+    st.one_of(st.just(""), st.sampled_from([":", ":0", ":080", ":443", ":65535"]),
+              st.from_regex(r":[0-9]{1,5}", fullmatch=True)),
+    st.one_of(st.just(""), _PRINTABLE.map(lambda p: "/" + p)),
+    st.one_of(st.just(""), _PRINTABLE.map(lambda q: "?" + q)),
+    st.one_of(st.just(""), _PRINTABLE.map(lambda f: "#" + f)),
+)
+# One trap strategy per part of _PLAIN_PARTS.
+_TRAP_PARTS = [
+    st.one_of(st.sampled_from(["ftp", "http\u017f", "htt", "", "http "]), _PART),
+    st.sampled_from([":/", ":", "//", ":///", ":/\t/"]),
+    st.one_of(st.sampled_from(["u@", "u:p@", "@"]), _PART.map(lambda s: s + "@")),
+    st.one_of(st.sampled_from(["", "[::1]", "[::1", "::1]", "host%41", "Ex\tample",
+                               "b\u00fc.test"]), _PART),
+    st.one_of(st.sampled_from([":65536", ":99999", ":8a", ":80:90", ":+80", ": 80",
+                               ":\u0663"]), _PART.map(lambda p: ":" + p)),
+    st.one_of(_PRINTABLE, _PART, _PART.map(lambda p: "/" + p)),
+    _PART.map(lambda q: "?" + q),
+    _PART.map(lambda f: "#" + f),
+]
+
+
+@st.composite
+def _near_plain_urls(draw):
+    """A plain URL with up to two of its parts swapped for traps."""
+    parts = list(draw(_PLAIN_PARTS))
+    for i in sorted(draw(st.sets(st.integers(0, len(parts) - 1), max_size=2))):
+        parts[i] = draw(_TRAP_PARTS[i])
+    return "".join(parts)
+
+
+_URLS = st.one_of(_near_plain_urls(), _PART.map(lambda rest: "http://" + rest),
+                  st.text(max_size=20))
+
+
+def _split_outcome(split, url):
+    """The split of ``url``, or its LinkParseError's message."""
+    try:
+        parts = split(url)
+    except LinkParseError as exc:
+        return "LinkParseError", str(exc)
+    return parts, type(parts.port)
+
+
+class TestSplitChecked:
+    TRAPS = [
+        "HTTP://Example.COM:80/A?b=1#frag",
+        "http://h:/x", "http://h:0/", "http://h:080", "http://h:65535/", "http://h:65536/",
+        "http://h:99999/", "http://h:8a/", "http://h:80:90/",
+        "http://u:p@h/", "http://@h/", "http://[::1]:8080/x", "http://[::1/", "http://::1]/",
+        "http://host%41/", "http://host%41", "http://h?q=1", "http://hx", "http:///p",
+        "http://h/p?a?b#c", "http://h/p#a?b", "http://h/#", "http://h/p?",
+        "http://h/a\tb", " http://h/", "http://h/ ", "http://h/\x00", "http://h\x1f/",
+        "http://b\u00fc.test/", "http://h/\u00e9", "http\u017f://h/", "http://\u212a.test/",
+        "ftp://h/", "mailto:x@h", "",
+    ]
+
+    @given(_URLS)
+    @settings(max_examples=1500, deadline=None)
+    def test_agrees_with_urlsplit(self, url):
+        assert _split_outcome(linknet_mod._split_checked, url) == \
+            _split_outcome(reference_split_checked, url)
+
+    def test_agrees_with_urlsplit_on_traps_and_fixture_urls(self):
+        with open(FIXTURES / "corpus_1000.jsonl", encoding="utf-8") as fh:
+            messages, _ = load_corpus(fh)
+        mapping = json.loads((FIXTURES / "redirect_map.json").read_text(encoding="utf-8"))
+        urls = {l.raw_url for l in extract_links(messages)} | set(mapping)
+        urls |= {target for target in mapping.values() if target is not None}
+        for url in self.TRAPS + sorted(urls):
+            assert _split_outcome(linknet_mod._split_checked, url) == \
+                _split_outcome(reference_split_checked, url), url
+
+    def test_pipeline_reaches_urlsplit_only_off_the_fast_path(self, tmp_path, monkeypatch):
+        calls = []
+        real = linknet_mod.urlsplit
+        monkeypatch.setattr(linknet_mod, "urlsplit", lambda url: calls.append(url) or real(url))
+
+        def run(corpus, out_dir):
+            return main(["pipeline", "--queries", str(FIXTURES / "queries.txt"),
+                         "--corpus", str(corpus),
+                         "--redirect-map", str(FIXTURES / "redirect_map.json"),
+                         "--out-dir", str(out_dir)])
+
+        assert run(FIXTURES / "corpus_1000.jsonl", tmp_path / "plain") == 0
+        assert calls == []
+        odd = ["http://user@news.test/a", "http://[::1]/b"]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            (FIXTURES / "corpus_1000.jsonl").read_text(encoding="utf-8")
+            + "".join(json.dumps({"id": f"odd-{i}", "author": "user1",
+                                  "timestamp": "2016-05-09T00:00:00Z",
+                                  "text": f"Market rates update {url} and again {url}"}) + "\n"
+                      for i, url in enumerate(odd)),
+            encoding="utf-8",
+        )
+        assert run(corpus, tmp_path / "odd") == 0
+        assert sorted(calls) == sorted(odd)
 
 
 class TestIsShortener:
