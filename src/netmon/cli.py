@@ -469,6 +469,7 @@ def cmd_pipeline(args) -> int:
 def _read_counts(path_str: str):
     path = Path(path_str)
     keyed: dict[str, int] = {}
+    key_lines: dict[str, int] = {}
     plain: list[int] = []
     for line_no, line in enumerate(_read_text(path, "empirical file").splitlines(), start=1):
         stripped = line.strip()
@@ -489,7 +490,12 @@ def _read_counts(path_str: str):
         if len(parts) == 1:
             plain.append(count)
         else:
-            keyed[parts[0]] = count
+            key = parts[0]
+            if key in keyed:
+                raise CliError(f"duplicate key {key!r} on line {line_no} "
+                               f"(first on line {key_lines[key]})")
+            keyed[key] = count
+            key_lines[key] = line_no
     if keyed and plain:
         raise CliError("mix of keyed and plain count lines")
     return keyed or plain

@@ -27,6 +27,7 @@ __all__ = [
     "dedupe",
     "parse_timestamp",
     "format_timestamp",
+    "canonical_timestamp",
     "matched_jsonl",
     "rejects_jsonl",
 ]
@@ -49,9 +50,12 @@ class QueryPacket:
 
 @dataclass(slots=True)
 class Message:
+    """One corpus message.  ``timestamp`` is its instant as canonical UTC
+    text (``canonical_timestamp``), carried as is to every output."""
+
     id: str
     author: str
-    timestamp: datetime
+    timestamp: str
     text: str
     matched_queries: frozenset[int] = frozenset()
 
@@ -80,6 +84,28 @@ def format_timestamp(dt: datetime) -> str:
     return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (
         dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second
     )
+
+
+# netmon's own output form, and the millisecond form of Twitter API v2's
+# created_at.  Hours stop at 23, so that no reading of T24:00 as the next
+# day's midnight can reach the fast path.
+_CANONICAL_SHAPE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}(?:\.[0-9]{1,6})?Z")
+
+
+def canonical_timestamp(value: str) -> str:
+    """``format_timestamp(parse_timestamp(value))``, with the same exceptions.
+
+    A UTC value of the form ``YYYY-MM-DDTHH:MM:SS[.ffffff]Z`` is only
+    checked by ``fromisoformat`` (which rejects impossible fields such as
+    Feb 30 or second 60) and cut to whole seconds; every other value is
+    parsed and formatted.  The text has a fixed width, so it orders as
+    the instants do.
+    """
+    if _CANONICAL_SHAPE.fullmatch(value):
+        datetime.fromisoformat(value[:-1])
+        return value[:19] + "Z"
+    return format_timestamp(parse_timestamp(value))
 
 
 def load_query_packet(source: Union[IO[str], Iterable[str]], name: str = "packet") -> QueryPacket:
@@ -145,7 +171,7 @@ def load_corpus(
             rejects.append(RejectRecord(line_no, f"missing fields: {missing}", stripped))
             continue
         try:
-            ts = parse_timestamp(str(stamp))
+            ts = canonical_timestamp(str(stamp))
         except (ValueError, OverflowError):
             rejects.append(RejectRecord(line_no, f"bad timestamp: {stamp!r}", stripped))
             continue
@@ -216,7 +242,7 @@ def matched_jsonl(messages: Iterable[Message]) -> Iterator[str]:
                 f'"text": {quote(m.text)}, '
                 f'"matched_queries": [{", ".join(map(str, sorted(m.matched_queries)))}]}}\n')
         yield (f'{{"id": {quote(m.id)}, "author": {quote(m.author)}, '
-               f'"timestamp": "{format_timestamp(m.timestamp)}", {tail}')
+               f'"timestamp": "{m.timestamp}", {tail}')
 
 
 def rejects_jsonl(rejects: Iterable[RejectRecord]) -> Iterator[str]:

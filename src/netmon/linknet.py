@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from datetime import datetime
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 from urllib.parse import urljoin, urlsplit
@@ -114,11 +113,12 @@ class ResolvedLink:
 
 @dataclass(slots=True)
 class LinkRecord:
-    """One link occurrence joined with its message provenance."""
+    """One link occurrence joined with its message provenance;
+    ``timestamp`` is the message's canonical UTC text."""
 
     message_id: str
     author: str
-    timestamp: datetime
+    timestamp: str
     raw_url: str
     final_url: str
     host: str

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime
 from typing import Mapping, Sequence, Union
 
 from .distfit import PowerLawFit, WeibullFit, ks_statistic, powerlaw_cdf, weibull_cdf
-from .ingest import Message, QueryPacket, format_timestamp
+from .ingest import Message, QueryPacket
 from .jsonl import quote
 from .linknet import _OK_STATUSES, LinkRecord
 
@@ -52,8 +51,11 @@ class RankedResource:
 
 @dataclass(frozen=True)
 class ExportRecord:
+    """One exported resource.  ``first_seen`` is the earliest citing
+    message's canonical UTC timestamp text, as ``Message.timestamp``."""
+
     url: str
-    first_seen: datetime
+    first_seen: str
     citations: int
     query_labels: tuple[str, ...]
     source_message_ids: tuple[str, ...]
@@ -153,6 +155,7 @@ def build_export_records(
                 "first_seen": r.timestamp, "citations": 0, "query_sets": set(), "ids": set(),
             }
         g["citations"] += 1
+        # fixed-width canonical texts: the least text is the earliest instant
         if r.timestamp < g["first_seen"]:
             g["first_seen"] = r.timestamp
         g["ids"].add(r.message_id)
@@ -186,7 +189,7 @@ def export_stream(records: Sequence[ExportRecord]) -> bytes:
         seen.add(r.url)
     ordered = sorted(records, key=lambda r: (-r.citations, r.url))
     return "".join([
-        f'{{"url": {quote(r.url)}, "first_seen": "{format_timestamp(r.first_seen)}", '
+        f'{{"url": {quote(r.url)}, "first_seen": "{r.first_seen}", '
         f'"citations": {r.citations}, "query_labels": [{", ".join(map(quote, r.query_labels))}], '
         f'"source_message_ids": [{", ".join(map(quote, r.source_message_ids))}]}}\n'
         for r in ordered

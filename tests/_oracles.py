@@ -19,7 +19,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from netmon.diffusion import effective_repost_prob
-from netmon.ingest import parse_timestamp
+from netmon.ingest import format_timestamp, parse_timestamp
 from netmon.linknet import (
     _OK_STATUSES,
     _URL_RUN,
@@ -450,7 +450,7 @@ def reference_matched_jsonl(messages) -> str:
             {
                 "id": m.id,
                 "author": m.author,
-                "timestamp": reference_timestamp(m.timestamp),
+                "timestamp": m.timestamp,
                 "text": m.text,
                 "matched_queries": sorted(m.matched_queries),
             }
@@ -513,7 +513,7 @@ def reference_export_stream(records) -> bytes:
         json.dumps(
             {
                 "url": r.url,
-                "first_seen": reference_timestamp(r.first_seen),
+                "first_seen": r.first_seen,
                 "citations": r.citations,
                 "query_labels": list(r.query_labels),
                 "source_message_ids": list(r.source_message_ids),
@@ -526,7 +526,8 @@ def reference_export_stream(records) -> bytes:
 
 def reference_export_records(messages, records, packet) -> list:
     """``pipeline.build_export_records`` as first written: query labels
-    gathered and ``first_seen`` taken by ``min`` at every link occurrence."""
+    gathered and ``first_seen`` taken by ``min`` at every link occurrence,
+    comparing the instants the timestamp texts stand for."""
     by_id = {m.id: m for m in messages}
     groups: dict[str, dict] = {}
     for r in records:
@@ -537,7 +538,7 @@ def reference_export_records(messages, records, packet) -> list:
             {"first_seen": r.timestamp, "citations": 0, "queries": set(), "ids": set()},
         )
         g["citations"] += 1
-        g["first_seen"] = min(g["first_seen"], r.timestamp)
+        g["first_seen"] = min(g["first_seen"], r.timestamp, key=parse_timestamp)
         g["ids"].add(r.message_id)
         msg = by_id.get(r.message_id)
         if msg is not None:
@@ -562,8 +563,8 @@ def reference_load_corpus(lines):
     (line_no, reason, raw) tuples, one json.loads per stripped line; a
     line holding bytes that are not UTF-8 is rejected first.
 
-    Timestamps go through netmon's own parse_timestamp: this reference
-    checks decoding and reject reasons, not timestamp parsing."""
+    Timestamps go through netmon's own parse_timestamp and format_timestamp,
+    the path that canonical_timestamp shortens."""
     messages, rejects = [], []
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -599,7 +600,7 @@ def reference_load_corpus(lines):
             rejects.append((line_no, f"missing fields: {', '.join(missing)}", stripped))
             continue
         try:
-            ts = parse_timestamp(str(obj["timestamp"]))
+            ts = format_timestamp(parse_timestamp(str(obj["timestamp"])))
         except (ValueError, OverflowError):
             rejects.append((line_no, f"bad timestamp: {obj['timestamp']!r}", stripped))
             continue

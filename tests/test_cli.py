@@ -355,6 +355,56 @@ class TestPipeline:
             }
             assert digests == self.PINNED_DIGESTS[name], name
 
+    # Timestamps off the canonical "YYYY-MM-DDTHH:MM:SSZ" form that every
+    # fixture corpus uses: offsets, fractions, naive stamps and rejects.
+    # Forms that Python 3.10 and 3.11 parse differently (week dates, ","
+    # fractions, fractions of 1, 2, 4 or 5 digits) are left out.
+    FALLBACK_STAMPS = (
+        ("m01", "2016-05-01T12:00:00+02:00", "Market rates https://news.test/a"),
+        ("m02", "2016-04-30T23:00:00-09:30", "market rates again https://news.test/a"),
+        ("m03", "2016-05-01T10:00:00+14:00", "Central bank https://news.test/b"),
+        ("m04", "2016-05-01T00:00:00.123Z", "central bank https://news.test/b"),
+        ("m05", "2016-05-01T00:00:00.123456Z", "market rates http://bit.ly/hop0060"),
+        ("m06", "2016-05-01T01:00:00.500+02:00", "market rates http://bit.ly/hop0060"),
+        ("m07", "2016-05-01T01:00:00.999999-09:30", "central bank https://news.test/c"),
+        ("m08", "2016-05-01T00:00:00", "market rates https://news.test/c"),
+        ("m09", "2016-05-01T05:00:00.250", "central bank https://news.test/a"),
+        ("m10", "2016-02-30T00:00:00Z", "market rates https://news.test/d"),
+        ("m11", "0001-01-01T00:00:00+01:00", "market rates https://news.test/d"),
+        ("m12", "9999-12-31T23:59:59-01:00", "market rates https://news.test/d"),
+    )
+    # taken from the pipeline that parsed and formatted every timestamp
+    FALLBACK_SHA = {
+        "export.jsonl": "8dddd720f602c9f4a60edc5e3872b6379c9ade612d35246dd1a990ce1509fd56",
+        "links.jsonl": "70985cb69c58b292ac424ea1e3f5f6e843adcac375f1eafeeadcc0ddb178a49e",
+        "manifest.txt": "0b71366ea55558ae2c28f5b08fee62c274d6d8a53840b4cd4559666602128905",
+        "matched.jsonl": "6965a047d901fc14093942dc02e45b17a95d2f336cce08dc820b6e6d20d513bc",
+        "ranking.json": "642ac731eb1cf0d8eaa2e1d436cc9dce99cfef226a5a05378d32a178a9ef1aca",
+        "rejects.jsonl": "05e361cb5b39c6e8929cf440995b69247c20974da0065cc7fbf056b0c6f941ec",
+        "resolved.jsonl": "bdbe2eb0fb643aa8ffdc7b71971918beec43cd10d6cc215bef32e316bcc66fd8",
+        "stats.json": "2233165fb538feb0cb0a215365240bd8fa8c16635b9b816d6efd4afd3f9b46b4",
+    }
+
+    def test_fallback_timestamps_output_bytes_pinned(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": mid, "author": f"user{n % 3}", "timestamp": ts, "text": text})
+            + "\n"
+            for n, (mid, ts, text) in enumerate(self.FALLBACK_STAMPS)
+        ))
+        out = tmp_path / "out"
+        assert self.run_pipeline(out, corpus=corpus) == 0
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()
+            if p.name != "run_config.json"
+        }
+        assert digests == self.FALLBACK_SHA
+        exported = [json.loads(l) for l in (out / "export.jsonl").read_text().splitlines()]
+        # the earliest instant, not the least text as written
+        assert {e["url"]: e["first_seen"] for e in exported}["https://news.test/b"] == (
+            "2016-04-30T20:00:00Z")
+
     def test_online_and_map_mutually_exclusive(self, tmp_path):
         code = self.run_pipeline(tmp_path / "out", extra=["--online"])
         assert code == 2
@@ -712,6 +762,16 @@ class TestCompare:
         assert main(["compare", "--empirical", str(src),
                      "--baseline-fit", str(self._baseline(tmp_path)),
                      "--threshold", threshold, "--out", str(tmp_path / "r.json")]) == 2
+
+    def test_repeated_key_exits_two(self, tmp_path, capsys):
+        src = tmp_path / "counts.txt"
+        src.write_text("a 5\nb 7\na 9\n" + "".join(f"k{i} {i}\n" for i in range(1, 9)))
+        out = tmp_path / "r.json"
+        assert main(["compare", "--empirical", str(src),
+                     "--baseline-fit", str(self._baseline(tmp_path)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: duplicate key 'a' on line 3 (first on line 1)\n")
+        assert not out.exists()
 
     def test_too_few_counts(self, tmp_path):
         src = tmp_path / "counts.txt"

@@ -14,6 +14,7 @@ from netmon.ingest import (
     Message,
     QueryPacket,
     RejectRecord,
+    canonical_timestamp,
     dedupe,
     format_timestamp,
     load_corpus,
@@ -37,7 +38,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def msg(mid, text, author="user", ts="2016-05-04T10:00:00Z"):
-    return Message(id=mid, author=author, timestamp=parse_timestamp(ts), text=text)
+    return Message(id=mid, author=author, timestamp=ts, text=text)
 
 
 def corpus_line(mid, text="hello", author="a", ts="2016-05-04T10:00:00Z"):
@@ -130,7 +131,13 @@ class TestLoadCorpus:
         messages, rejects = load_corpus(src)
         assert [m.id for m in messages] == ["m0", "m1", "m2"]
         assert rejects == []
-        assert messages[0].timestamp == datetime(2016, 5, 4, 10, tzinfo=timezone.utc)
+        assert messages[0].timestamp == "2016-05-04T10:00:00Z"
+
+    def test_timestamps_stored_as_canonical_utc_text(self):
+        stamps = ["2016-05-04T10:00:00Z", "2016-05-04T10:00:00.123Z",
+                  "2016-05-04T12:00:00.999999+02:00", "2016-05-04T10:00:00"]
+        messages, _ = load_corpus([corpus_line(f"m{i}", ts=ts) for i, ts in enumerate(stamps)])
+        assert [m.timestamp for m in messages] == ["2016-05-04T10:00:00Z"] * 4
 
     def test_malformed_line_rejected_with_line_number(self):
         src = io.StringIO(corpus_line("m1") + "\n" + corpus_line("m2") + "\n{oops\n")
@@ -253,6 +260,118 @@ class TestTimestamps:
     @settings(max_examples=300)
     def test_agrees_with_reference_in_any_zone(self, dt):
         assert format_timestamp(dt) == reference_timestamp(dt)
+
+
+def _outcome(convert, value):
+    """What ``convert(value)`` returns, or the type of what it raises."""
+    try:
+        return convert(value)
+    except Exception as exc:
+        return type(exc)
+
+
+def _fields(dt, sep="T"):
+    return (f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}{sep}"
+            f"{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}")
+
+
+_DIGITS = "0123456789"
+_FRACTION = st.sampled_from([0, 3, 6, 7]).flatmap(
+    lambda n: st.text(_DIGITS, min_size=n, max_size=n).map(lambda d: "." + d if d else "")
+)
+# netmon's own output form, with a fraction of 0, 3, 6 or 7 digits
+_UTC_STAMP = st.builds(lambda dt, fraction: _fields(dt) + fraction + "Z",
+                       st.datetimes(), _FRACTION)
+
+
+@st.composite
+def _iso_stamp(draw):
+    """An ISO-8601 stamp in any of the forms parse_timestamp may meet."""
+    sep = draw(st.sampled_from(["T", "t", " "]))
+    point = draw(st.sampled_from([".", ","]))
+    fraction = draw(_FRACTION).replace(".", point)
+    suffix = draw(st.sampled_from(["Z", "z", "+00:00", "-09:30", "+14:00", ""]))
+    return _fields(draw(st.datetimes()), sep) + fraction + suffix
+
+
+@st.composite
+def _other_form(draw):
+    """Week dates, basic forms, a short offset after hours and minutes."""
+    dt = draw(st.datetimes())
+    form = draw(st.sampled_from(["week", "basic", "short"]))
+    if form == "week":
+        year, week, day = dt.isocalendar()
+        return f"{year:04d}-W{week:02d}-{day}T{_fields(dt)[11:]}Z"
+    if form == "basic":
+        return _fields(dt).replace("-", "").replace(":", "") + "Z"
+    return _fields(dt)[:16] + "+00Z"
+
+
+@st.composite
+def _impossible_field(draw):
+    """A UTC stamp with one field replaced by any digits: Feb 30, hour 24,
+    second 60, year 0000 and the like."""
+    stamp = draw(_UTC_STAMP)
+    start, width = draw(st.sampled_from([(0, 4), (5, 2), (8, 2), (11, 2), (14, 2), (17, 2)]))
+    digits = draw(st.text(_DIGITS, min_size=width, max_size=width))
+    return stamp[:start] + digits + stamp[start + width:]
+
+
+_FULL_WIDTH = str.maketrans(_DIGITS, "０１２３４５６７８９")
+
+TIMESTAMP_TEXT = st.one_of(
+    _UTC_STAMP,
+    _iso_stamp(),
+    _other_form(),
+    _impossible_field(),
+    _UTC_STAMP.map(lambda s: s.translate(_FULL_WIDTH)),
+    st.text(max_size=30),
+)
+
+
+class TestCanonicalTimestamp:
+    """canonical_timestamp is format_timestamp(parse_timestamp(...)), exceptions
+    included, and its text orders as the instants do."""
+
+    @given(TIMESTAMP_TEXT)
+    @example("2016-05-01T00:00:00Z")
+    @example("2016-05-01T00:00:00.123Z")
+    @example("2016-05-01T00:00:00.123456Z")
+    @example("2016-W18-7T00:00:00Z")
+    @example("20160501T000000Z")
+    @example("2016-05-01T00:00+00Z")
+    @example("2016-02-30T00:00:00Z")
+    @example("2016-05-01T24:00:00Z")
+    @example("2016-05-01T23:59:60Z")
+    @example("0000-01-01T00:00:00Z")
+    @example("0001-01-01T00:00:00+01:00")
+    @example("9999-12-31T23:59:59-01:00")
+    @settings(max_examples=1000, deadline=None)
+    def test_agrees_with_parse_and_format(self, value):
+        expected = _outcome(lambda v: format_timestamp(parse_timestamp(v)), value)
+        assert _outcome(canonical_timestamp, value) == expected
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_text_orders_as_the_instants(self, data):
+        # a naive datetime stands for UTC; the range keeps every zone's
+        # instant inside years 1..9999
+        stamps = st.datetimes(min_value=datetime(2, 1, 1), max_value=datetime(9998, 12, 31),
+                              timezones=st.one_of(st.none(), st.timedeltas(
+                                  min_value=timedelta(hours=-23, minutes=-59),
+                                  max_value=timedelta(hours=23, minutes=59)).map(timezone)))
+        a = data.draw(stamps)
+        b = data.draw(st.one_of(
+            stamps,
+            st.timedeltas(min_value=timedelta(days=-2), max_value=timedelta(days=2)).map(
+                lambda d: a + d),
+        ))
+
+        def utc(dt):
+            return dt if dt.tzinfo else dt.replace(tzinfo=timezone.utc)
+
+        assert min(format_timestamp(a), format_timestamp(b)) == format_timestamp(
+            min(a, b, key=utc))
 
 
 class TestMatchQueries:
@@ -465,7 +584,7 @@ class TestWriters:
         Message,
         id=JSON_TEXT,
         author=JSON_TEXT,
-        timestamp=st.datetimes(timezones=st.just(timezone.utc)),
+        timestamp=st.datetimes().map(format_timestamp),
         text=JSON_TEXT,
         matched_queries=st.frozensets(st.integers(0, 40)),
     ), max_size=6))
@@ -480,7 +599,8 @@ class TestWriters:
         assert "".join(rejects_jsonl(rejects)) == reference_rejects_jsonl(rejects)
 
     def test_escapes_and_four_digit_year(self):
-        m = Message(id='q"\\', author="\u00e9", timestamp=parse_timestamp("0999-01-01T00:00:00Z"),
+        m = Message(id='q"\\', author="\u00e9",
+                    timestamp=canonical_timestamp("0999-01-01T00:00:00.500Z"),
                     text="\U0001f600\n", matched_queries=frozenset({2, 0}))
         assert "".join(matched_jsonl([m])) == (
             '{"id": "q\\"\\\\", "author": "\\u00e9", "timestamp": "0999-01-01T00:00:00Z", '

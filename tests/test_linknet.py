@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import netmon.linknet as linknet_mod
 from netmon.cli import main
-from netmon.ingest import Message, load_corpus, parse_timestamp
+from netmon.ingest import Message, load_corpus
 from netmon.linknet import (
     DEFAULT_SHORTENER_BASES,
     STATUS_DEPTH,
@@ -44,9 +44,7 @@ from _strategies import JSON_TEXT
 
 
 def msg(mid, text, author="user"):
-    return Message(
-        id=mid, author=author, timestamp=parse_timestamp("2016-05-04T10:00:00Z"), text=text
-    )
+    return Message(id=mid, author=author, timestamp="2016-05-04T10:00:00Z", text=text)
 
 
 def link(url, mid="m1", pos=0):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmon.distfit import PowerLawFit, WeibullFit
-from netmon.ingest import Message, QueryPacket, matched_jsonl, parse_timestamp
+from netmon.ingest import Message, QueryPacket, canonical_timestamp, format_timestamp, matched_jsonl
 from netmon.linknet import (
     STATUS_FAILED,
     STATUS_NOT_SHORTENED,
@@ -54,7 +54,7 @@ def record(url, author="ann", mid="m1", host=None, status=STATUS_RESOLVED,
     return LinkRecord(
         message_id=mid,
         author=author,
-        timestamp=parse_timestamp(ts),
+        timestamp=ts,
         raw_url=url,
         final_url=url,
         host=host or url.split("/")[2],
@@ -175,9 +175,9 @@ class TestBuildExportRecords:
     def test_aggregates_by_final_url(self):
         packet = QueryPacket(queries=("market rates", "central bank"))
         messages = [
-            Message(id="m1", author="ann", timestamp=parse_timestamp("2016-05-02T09:00:00Z"),
+            Message(id="m1", author="ann", timestamp="2016-05-02T09:00:00Z",
                     text="t", matched_queries=frozenset({0})),
-            Message(id="m2", author="bob", timestamp=parse_timestamp("2016-05-01T09:00:00Z"),
+            Message(id="m2", author="bob", timestamp="2016-05-01T09:00:00Z",
                     text="t", matched_queries=frozenset({1})),
         ]
         records = [
@@ -190,7 +190,7 @@ class TestBuildExportRecords:
         rec = out[0]
         assert rec.url == "https://a.test/x"
         assert rec.citations == 2
-        assert rec.first_seen == parse_timestamp("2016-05-01T09:00:00Z")
+        assert rec.first_seen == "2016-05-01T09:00:00Z"
         assert rec.query_labels == ("central bank", "market rates")
         assert rec.source_message_ids == ("m1", "m2")
 
@@ -214,11 +214,12 @@ _POOL_MESSAGE = st.builds(
     # few ids, so an id also recurs with another text
     id=st.sampled_from(["m1", "m2", "m3", "m4", "m5", "m6"]),
     author=st.sampled_from(["ann", "bob", "çelik"]),
+    # canonical texts of instants taken in three zones
     timestamp=st.datetimes(
         min_value=datetime(2016, 1, 1), max_value=datetime(2016, 1, 3),
         timezones=st.sampled_from([timezone.utc, timezone(timedelta(0), "UTC"),
                                    timezone(timedelta(hours=5, minutes=30))]),
-    ),
+    ).map(format_timestamp),
     text=st.sampled_from(_POOL_TEXTS),
     # the same text with other query sets, as two query packets would give
     matched_queries=st.sampled_from([frozenset(), frozenset({0}), frozenset({1}),
@@ -255,7 +256,7 @@ class TestPerTextWork:
         stamps = ["2016-05-02T09:00:00Z", "2016-05-01T09:00:00Z", "2016-05-03T09:00:00Z"]
         records = [record("https://a.test/x", mid=f"m{i}", ts=ts) for i, ts in enumerate(stamps)]
         out = build_export_records([], records, packet)
-        assert out[0].first_seen == parse_timestamp("2016-05-01T09:00:00Z")
+        assert out[0].first_seen == "2016-05-01T09:00:00Z"
         assert out[0].query_labels == ()
 
 
@@ -264,21 +265,21 @@ class TestExportStream:
         return [
             ExportRecord(
                 url="https://news.test/alpha",
-                first_seen=parse_timestamp("2016-05-02T08:00:00Z"),
+                first_seen="2016-05-02T08:00:00Z",
                 citations=3,
                 query_labels=("central bank",),
                 source_message_ids=("msg-0001", "msg-0002"),
             ),
             ExportRecord(
                 url="https://wire.test/gamma",
-                first_seen=parse_timestamp("2016-05-02T10:15:00Z"),
+                first_seen="2016-05-02T10:15:00Z",
                 citations=3,
                 query_labels=(),
                 source_message_ids=("msg-0004",),
             ),
             ExportRecord(
                 url="https://blog.test/beta",
-                first_seen=parse_timestamp("2016-05-01T09:30:00Z"),
+                first_seen="2016-05-01T09:30:00Z",
                 citations=5,
                 query_labels=("bond yields", "market rates"),
                 source_message_ids=("msg-0003",),
@@ -311,17 +312,17 @@ class TestExportStream:
     def test_year_below_1000_zero_padded(self):
         record = ExportRecord(
             url="https://old.test/",
-            first_seen=parse_timestamp("0999-01-01T00:00:00Z"),
+            first_seen=canonical_timestamp("1000-01-01T00:30:00+01:00"),
             citations=1,
             query_labels=("q",),
             source_message_ids=("m",),
         )
-        assert b'"first_seen": "0999-01-01T00:00:00Z"' in export_stream([record])
+        assert b'"first_seen": "0999-12-31T23:30:00Z"' in export_stream([record])
 
     @given(st.lists(st.builds(
         ExportRecord,
         url=JSON_TEXT,
-        first_seen=st.datetimes(timezones=st.just(timezone.utc)),
+        first_seen=st.datetimes().map(format_timestamp),
         citations=st.integers(1, 10**6),
         query_labels=st.lists(JSON_TEXT, max_size=3).map(tuple),
         source_message_ids=st.lists(JSON_TEXT, max_size=3).map(tuple),
