@@ -267,10 +267,25 @@ def _fit_to_dict(fit) -> dict:
     }
 
 
+def _fit_number(obj: dict, key: str, default=None, whole: bool = False):
+    """Field ``key`` of a fit file (``default`` if it is left out) as a
+    float, or as an int where ``whole``.  A boolean, null, or a fraction
+    where ``whole`` (which ``int`` would cut) raises TypeError/ValueError."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if isinstance(value, bool):
+        raise TypeError(f"{key} must be a number, not {json.dumps(value)}")
+    if not whole:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return int(value)
+
+
 def _load_fit(path_str: str):
     """The fit in a fit file: a Weibull with finite k > 0 and lambda > 0, or
     a power law with finite alpha > 1 and xmin >= 1; every other number in
-    it finite too."""
+    it finite too.  No number field may hold a boolean or null, nor an
+    integer field (xmin, n_samples, n_tail) a number with a fraction."""
     path = Path(path_str)
     obj = _read_json(path, "fit file")
     if not isinstance(obj, dict):
@@ -278,20 +293,20 @@ def _load_fit(path_str: str):
     try:
         if obj.get("distribution") == "weibull" or "k" in obj:
             fit = WeibullFit(
-                k=float(obj["k"]),
-                lam=float(obj["lambda"]),
-                log_likelihood=float(obj.get("log_likelihood", 0.0)),
-                n_samples=int(obj.get("n_samples", 0) or 0),
-                ks_statistic=float(obj.get("ks_statistic", 0.0)),
+                k=_fit_number(obj, "k"),
+                lam=_fit_number(obj, "lambda"),
+                log_likelihood=_fit_number(obj, "log_likelihood", 0.0),
+                n_samples=_fit_number(obj, "n_samples", 0, whole=True),
+                ks_statistic=_fit_number(obj, "ks_statistic", 0.0),
             )
             in_range = fit.k > 0 and fit.lam > 0
             floats = (fit.k, fit.lam, fit.log_likelihood, fit.ks_statistic)
         elif obj.get("distribution") == "powerlaw" or "alpha" in obj:
             fit = PowerLawFit(
-                alpha=float(obj["alpha"]),
-                xmin=int(obj.get("xmin", 1)),
-                log_likelihood=float(obj.get("log_likelihood", 0.0)),
-                n_tail=int(obj.get("n_tail", 0) or 0),
+                alpha=_fit_number(obj, "alpha"),
+                xmin=_fit_number(obj, "xmin", 1, whole=True),
+                log_likelihood=_fit_number(obj, "log_likelihood", 0.0),
+                n_tail=_fit_number(obj, "n_tail", 0, whole=True),
             )
             in_range = fit.alpha > 1 and fit.xmin >= 1
             floats = (fit.alpha, fit.log_likelihood)
@@ -395,11 +410,17 @@ def cmd_pipeline(args) -> int:
         messages, rejects = load_corpus(fh)
     messages = dedupe(messages)
     matched = match_queries(messages, packet)
+    # From here on only the matched messages are needed: match_queries
+    # made its own copies of them.
+    n_messages = len(messages)
+    del messages
 
     # made only now, so that an unusable input leaves no output directory
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_lines(out_dir / "rejects.jsonl", rejects_jsonl(rejects))
+    n_rejected = len(rejects)
+    del rejects
     _write_lines(out_dir / "matched.jsonl", matched_jsonl(matched))
 
     # stage 3: extract hyperlinks
@@ -414,6 +435,11 @@ def cmd_pipeline(args) -> int:
     _write_lines(out_dir / "resolved.jsonl", resolved_jsonl(resolved.values()))
 
     records = build_link_records(matched, extracted, resolved)
+    # summary statistics, taken now so that the link occurrences can be
+    # freed before ranking; the link ratios are undefined when nothing matched
+    stats = link_stats(matched, extracted, resolved) if matched else None
+    n_links = len(extracted)
+    del extracted
     ranked = rank_resources(records, granularity=args.granularity)
     (out_dir / "ranking.json").write_text(ranking_json(ranked))
 
@@ -426,13 +452,11 @@ def cmd_pipeline(args) -> int:
     export_records = build_export_records(matched, records, packet)
     (out_dir / "export.jsonl").write_bytes(export_stream(export_records))
 
-    # summary statistics; the link ratios are undefined when nothing matched
-    stats = link_stats(matched, extracted, resolved) if matched else None
     stats_obj = {
-        "n_messages": len(messages),
+        "n_messages": n_messages,
         "n_matched": len(matched),
-        "n_rejected": len(rejects),
-        "n_links": len(extracted),
+        "n_rejected": n_rejected,
+        "n_links": n_links,
         "messages_with_links_fraction": stats and stats.messages_with_links_fraction,
         "unique_links_fraction": stats and stats.unique_links_fraction,
         "unique_links_fraction_pre_resolution": (
@@ -458,8 +482,8 @@ def cmd_pipeline(args) -> int:
         },
     )
     print(
-        f"pipeline: {len(messages)} messages, {len(matched)} matched, "
-        f"{len(extracted)} links, {len(ranked)} resources -> {out_dir}"
+        f"pipeline: {n_messages} messages, {len(matched)} matched, "
+        f"{n_links} links, {len(ranked)} resources -> {out_dir}"
     )
     return 0
 

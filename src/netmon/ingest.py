@@ -136,9 +136,13 @@ def load_corpus(
     line read from bytes that are not UTF-8: open the corpus as UTF-8 with
     ``errors="surrogateescape"``, and each such byte arrives as a lone
     surrogate U+DC80..U+DCFF, which no UTF-8 text can hold.
+
+    A repost repeats the text it reposts, so equal ``text`` values come
+    back as one string object.
     """
     messages: list[Message] = []
     rejects: list[RejectRecord] = []
+    texts: dict[str, str] = {}  # lives only as long as this call
     for line_no, line in enumerate(source, start=1):
         stripped = line.strip()
         if not stripped:
@@ -175,7 +179,8 @@ def load_corpus(
         except (ValueError, OverflowError):
             rejects.append(RejectRecord(line_no, f"bad timestamp: {stamp!r}", stripped))
             continue
-        messages.append(Message(str(mid), str(author), ts, str(text)))
+        text = str(text)
+        messages.append(Message(str(mid), str(author), ts, texts.setdefault(text, text)))
     return messages, rejects
 
 

@@ -300,6 +300,28 @@ class TestPipeline:
         assert self.run_pipeline(tmp_path / "b") == 0
         assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
 
+    def test_memory_per_reposted_message_bounded(self, tmp_path):
+        # Copies of the fixture corpus under fresh ids: every text recurs
+        # in each copy, as reposts make it recur.
+        lines = (FIXTURES / "corpus_1000.jsonl").read_text().splitlines(keepends=True)
+
+        def peak(copies: int) -> int:
+            corpus = tmp_path / f"copies{copies}.jsonl"
+            corpus.write_text("".join(line.replace('"id": "', f'"id": "c{c}-', 1)
+                                      for c in range(copies) for line in lines))
+            tracemalloc.start()
+            try:
+                assert self.run_pipeline(tmp_path / f"out{copies}", corpus=corpus,
+                                         extra=["--max-in-flight", "1"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call allocations (caches, lazy imports)
+        few, many = peak(5), peak(25)
+        per_message = (many - few) / (20 * len(lines))
+        assert per_message <= 470, (few, many, per_message)
+
     def test_empty_corpus(self, tmp_path):
         corpus = tmp_path / "empty.jsonl"
         corpus.write_text("")
@@ -754,6 +776,42 @@ class TestCompare:
                                    **fields}))
         assert main(["compare", "--empirical", str(src), "--baseline-fit", str(fit),
                      "--out", str(tmp_path / "r.json")]) == 2
+
+    @pytest.mark.parametrize("fields", [
+        {"distribution": "powerlaw", "alpha": 2.5, "xmin": 2.7},
+        {"distribution": "powerlaw", "alpha": 2.5, "xmin": 1, "n_tail": 10.5},
+        {"distribution": "weibull", "k": 1.9, "lambda": 180.0, "n_samples": 99.5},
+        {"distribution": "powerlaw", "alpha": 2.5, "xmin": True},
+        {"distribution": "powerlaw", "alpha": 2.5, "xmin": 1, "n_tail": False},
+        {"distribution": "weibull", "k": True, "lambda": 180.0},
+        {"distribution": "weibull", "k": 1.9, "lambda": True},
+        {"distribution": "weibull", "k": 1.9, "lambda": 180.0, "n_samples": False},
+        {"distribution": "weibull", "k": 1.9, "lambda": 180.0, "ks_statistic": False},
+        {"distribution": "weibull", "k": 1.9, "lambda": 180.0, "n_samples": None},
+        {"distribution": "powerlaw", "alpha": 2.5, "xmin": 1, "n_tail": None},
+    ])
+    def test_fraction_in_integer_field_boolean_or_null_exits_two(self, tmp_path, capsys, fields):
+        # int() would cut 2.7 to 2, float(True) is 1.0, and a null count read as 0.
+        src = tmp_path / "counts.txt"
+        src.write_text("".join(f"{i}\n" for i in range(1, 30)))
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps(fields))
+        out = tmp_path / "r.json"
+        assert main(["compare", "--empirical", str(src), "--baseline-fit", str(fit),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bad fit file" in err, err
+        assert not out.exists()
+
+    def test_integral_float_in_integer_field_accepted(self, tmp_path):
+        src = tmp_path / "counts.txt"
+        src.write_text("".join(f"{i}\n" for i in range(1, 30)))
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps({"distribution": "powerlaw", "alpha": 2.5, "xmin": 2.0}))
+        out = tmp_path / "r.json"
+        assert main(["compare", "--empirical", str(src), "--baseline-fit", str(fit),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["baseline"]["xmin"] == 2
 
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_non_finite_threshold_exits_two(self, tmp_path, threshold):

@@ -222,6 +222,7 @@ class TestLoadCorpus:
         assert [(m.id, m.author, m.timestamp, m.text) for m in messages] == ref_messages
         assert all(m.matched_queries == frozenset() for m in messages)
         assert [(r.line_no, r.reason, r.raw) for r in rejects] == ref_rejects
+        return messages, rejects
 
 
 class TestTimestamps:
@@ -327,6 +328,31 @@ TIMESTAMP_TEXT = st.one_of(
     _UTC_STAMP.map(lambda s: s.translate(_FULL_WIDTH)),
     st.text(max_size=30),
 )
+
+
+@st.composite
+def _repost_corpus(draw):
+    """Corpus lines under distinct ids that draw their text from a small
+    pool, so that texts recur from line to line as reposts make them."""
+    texts = draw(st.lists(st.one_of(JSON_TEXT, st.integers(0, 2)), min_size=1, max_size=3))
+    n_lines = draw(st.integers(1, 12))
+    return [json.dumps({"id": i, "author": draw(st.text(max_size=3)),
+                        "timestamp": draw(st.one_of(_UTC_STAMP, st.just("yesterday"))),
+                        "text": draw(st.sampled_from(texts))})
+            for i in range(n_lines)]
+
+
+class TestLoadCorpusSharing:
+    """Equal texts come back as one object."""
+
+    @given(_repost_corpus())
+    @example([corpus_line(str(i), text="one reposted text") for i in range(3)])
+    @settings(max_examples=150, deadline=None)
+    def test_repeated_texts_shared(self, lines):
+        messages, _ = TestLoadCorpus.assert_agrees(lines)
+        first = {}
+        for m in messages:
+            assert first.setdefault(m.text, m.text) is m.text
 
 
 class TestCanonicalTimestamp:
