@@ -411,7 +411,8 @@ def cmd_pipeline(args) -> int:
     messages = dedupe(messages)
     matched = match_queries(messages, packet)
     # From here on only the matched messages are needed: match_queries
-    # made its own copies of them.
+    # returned them (the same objects), so dropping the loaded list frees
+    # the rest.
     n_messages = len(messages)
     del messages
 
@@ -449,7 +450,7 @@ def cmd_pipeline(args) -> int:
     (out_dir / "manifest.txt").write_text("".join(u + "\n" for u in manifest))
 
     # stage 6: export stream for the corporate system
-    export_records = build_export_records(matched, records, packet)
+    export_records = build_export_records(records, packet)
     (out_dir / "export.jsonl").write_bytes(export_stream(export_records))
 
     stats_obj = {

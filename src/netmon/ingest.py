@@ -51,7 +51,8 @@ class QueryPacket:
 @dataclass(slots=True)
 class Message:
     """One corpus message.  ``timestamp`` is its instant as canonical UTC
-    text (``canonical_timestamp``), carried as is to every output."""
+    text (``canonical_timestamp``), carried as is to every output.
+    ``matched_queries`` is set in place by ``match_queries``."""
 
     id: str
     author: str
@@ -137,6 +138,11 @@ def load_corpus(
     ``errors="surrogateescape"``, and each such byte arrives as a lone
     surrogate U+DC80..U+DCFF, which no UTF-8 text can hold.
 
+    ``text`` and ``timestamp`` must be JSON strings; ``id`` and
+    ``author`` a JSON string or integer (kept as its decimal text), never
+    a boolean.  A line that breaks this is rejected with a reason naming
+    the field.
+
     A repost repeats the text it reposts, so equal ``text`` values come
     back as one string object.
     """
@@ -174,14 +180,36 @@ def load_corpus(
             missing = ", ".join(f for f in _REQUIRED_FIELDS if f not in obj)
             rejects.append(RejectRecord(line_no, f"missing fields: {missing}", stripped))
             continue
+        if (type(mid) is not str or type(author) is not str
+                or type(stamp) is not str or type(text) is not str):
+            reason = _bad_field(obj)
+            if reason:
+                rejects.append(RejectRecord(line_no, reason, stripped))
+                continue
+            mid, author = str(mid), str(author)  # integers, in decimal
         try:
-            ts = canonical_timestamp(str(stamp))
+            ts = canonical_timestamp(stamp)
         except (ValueError, OverflowError):
             rejects.append(RejectRecord(line_no, f"bad timestamp: {stamp!r}", stripped))
             continue
-        text = str(text)
-        messages.append(Message(str(mid), str(author), ts, texts.setdefault(text, text)))
+        messages.append(Message(mid, author, ts, texts.setdefault(text, text)))
     return messages, rejects
+
+
+_JSON_KINDS = {type(None): "null", bool: "boolean", int: "integer", float: "number",
+               list: "array", dict: "object"}
+
+
+def _bad_field(obj: dict) -> str:
+    """The reject reason for the first required field of ``obj`` whose
+    type breaks the corpus rule, or "" when every field keeps it."""
+    for field in _REQUIRED_FIELDS:
+        kind = type(obj[field])
+        if kind is str or (kind is int and field in ("id", "author")):  # a bool is no int here
+            continue
+        expected = "string or integer" if field in ("id", "author") else "string"
+        return f"bad {field}: a JSON {expected} expected, got {_JSON_KINDS[kind]}"
+    return ""
 
 
 # Words are maximal runs of str.isalnum characters, which is what
@@ -197,7 +225,12 @@ def _words(text: str) -> list[str]:
 
 
 def match_queries(messages: Iterable[Message], packet: QueryPacket) -> list[Message]:
-    """Keep messages matching at least one query, with matches recorded.
+    """The messages matching at least one query, in order.
+
+    Matches are recorded in place: each kept message's
+    ``matched_queries`` is set to the indices of the queries it matches,
+    and the same objects are returned, not copies.  A message that
+    matches nothing is left as it was.
 
     A message matches a query when every term of the query appears in
     the message's token set (whole-word, case-folded).  Each distinct
@@ -217,7 +250,8 @@ def match_queries(messages: Iterable[Message], packet: QueryPacket) -> list[Mess
             matched = frozenset([idx for idx, terms in queries if terms <= present])
             matches_of[msg.text] = matched
         if matched:
-            out.append(Message(msg.id, msg.author, msg.timestamp, msg.text, matched))
+            msg.matched_queries = matched
+            out.append(msg)
     return out
 
 

@@ -114,7 +114,8 @@ class ResolvedLink:
 @dataclass(slots=True)
 class LinkRecord:
     """One link occurrence joined with its message provenance;
-    ``timestamp`` is the message's canonical UTC text."""
+    ``timestamp`` is the message's canonical UTC text and
+    ``matched_queries`` the indices of the queries the message matched."""
 
     message_id: str
     author: str
@@ -125,6 +126,7 @@ class LinkRecord:
     status: str
     was_shortened: bool
     social: bool
+    matched_queries: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -341,15 +343,7 @@ def resolve(
     try:
         parts = _split_checked(raw)
     except LinkParseError:
-        return ResolvedLink(
-            raw_url=raw,
-            final_url=raw,
-            redirect_chain=(raw,),
-            was_shortened=False,
-            status=STATUS_FAILED,
-            host="",
-            raw_canonical=raw,
-        )
+        return ResolvedLink(raw, raw, (raw,), False, STATUS_FAILED, "", raw)
     raw_canonical = _canonical(parts)
     from_shortener = parts.host in _registry_hosts(registry)
     chain = [raw]
@@ -380,15 +374,9 @@ def resolve(
         chain.append(target)
         parts = target_parts
 
-    return ResolvedLink(
-        raw_url=raw,
-        final_url=_canonical(parts) if len(chain) > 1 else raw_canonical,
-        redirect_chain=tuple(chain),
-        was_shortened=from_shortener or len(chain) > 1,
-        status=status,
-        host=parts.host,
-        raw_canonical=raw_canonical,
-    )
+    final_url = _canonical(parts) if len(chain) > 1 else raw_canonical
+    return ResolvedLink(raw, final_url, tuple(chain), from_shortener or len(chain) > 1, status,
+                        parts.host, raw_canonical)
 
 
 def resolve_all(
@@ -426,7 +414,8 @@ def build_link_records(
     extracted: Sequence[ExtractedLink],
     resolved: Mapping[str, ResolvedLink],
 ) -> list[LinkRecord]:
-    """Join link occurrences with message provenance, extraction order.
+    """Join link occurrences with message provenance and query matches,
+    extraction order; a message id that recurs takes its last message.
     Whether a host is social is decided once per host."""
     by_id = {m.id: m for m in messages}
     social_of: dict[str, bool] = {}
@@ -437,19 +426,9 @@ def build_link_records(
         social = social_of.get(res.host)
         if social is None:
             social = social_of[res.host] = _is_social(res.host)
-        records.append(
-            LinkRecord(
-                message_id=msg.id,
-                author=msg.author,
-                timestamp=msg.timestamp,
-                raw_url=link.raw_url,
-                final_url=res.final_url,
-                host=res.host,
-                status=res.status,
-                was_shortened=res.was_shortened,
-                social=social,
-            )
-        )
+        records.append(LinkRecord(msg.id, msg.author, msg.timestamp, link.raw_url,
+                                  res.final_url, res.host, res.status, res.was_shortened,
+                                  social, msg.matched_queries))
     return records
 
 

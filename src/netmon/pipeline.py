@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 from .distfit import PowerLawFit, WeibullFit, ks_statistic, powerlaw_cdf, weibull_cdf
-from .ingest import Message, QueryPacket
+from .ingest import QueryPacket
 from .jsonl import quote
 from .linknet import _OK_STATUSES, LinkRecord
 
@@ -83,12 +83,15 @@ def rank_resources(
     """
     if granularity not in ("document", "host"):
         raise ValueError(f"granularity must be 'document' or 'host', got {granularity!r}")
+    by_document = granularity == "document"
     groups: dict[str, dict] = {}
     for r in records:
         if r.status not in _OK_STATUSES:
             continue
-        key = r.final_url if granularity == "document" else r.host
-        g = groups.setdefault(key, {"citations": 0, "authors": set(), "social": r.social})
+        key = r.final_url if by_document else r.host
+        g = groups.get(key)
+        if g is None:
+            g = groups[key] = {"citations": 0, "authors": set(), "social": r.social}
         g["citations"] += 1
         g["authors"].add(r.author)
     ordered = sorted(
@@ -96,13 +99,7 @@ def rank_resources(
         key=lambda item: (-item[1]["citations"], -len(item[1]["authors"]), item[0]),
     )
     return [
-        RankedResource(
-            key=key,
-            citations=g["citations"],
-            distinct_authors=len(g["authors"]),
-            rank=i + 1,
-            social=g["social"],
-        )
+        RankedResource(key, g["citations"], len(g["authors"]), i + 1, g["social"])
         for i, (key, g) in enumerate(ordered)
     ]
 
@@ -134,17 +131,16 @@ def fetch_manifest(ranked: Sequence[RankedResource], top_n: int) -> list[str]:
 
 
 def build_export_records(
-    messages: Sequence[Message],
     records: Sequence[LinkRecord],
     packet: QueryPacket,
 ) -> list[ExportRecord]:
     """Aggregate per-document export records for the corporate system.
 
     Social-platform links are excluded; the export carries external
-    informational resources only.  Each group keeps its distinct query
-    sets and maps them to labels once.
+    informational resources only.  Query labels come from the query sets
+    the records carry; each group keeps its distinct sets and maps them
+    to labels once.
     """
-    by_id = {m.id: m for m in messages}
     groups: dict[str, dict] = {}
     for r in records:
         if r.status not in _OK_STATUSES or r.social:
@@ -159,18 +155,14 @@ def build_export_records(
         if r.timestamp < g["first_seen"]:
             g["first_seen"] = r.timestamp
         g["ids"].add(r.message_id)
-        msg = by_id.get(r.message_id)
-        if msg is not None:
-            g["query_sets"].add(msg.matched_queries)
+        g["query_sets"].add(r.matched_queries)
     return [
         ExportRecord(
-            url=url,
-            first_seen=g["first_seen"],
-            citations=g["citations"],
-            query_labels=tuple(sorted(
-                {packet.queries[i] for matched in g["query_sets"] for i in matched}
-            )),
-            source_message_ids=tuple(sorted(g["ids"])),
+            url,
+            g["first_seen"],
+            g["citations"],
+            tuple(sorted({packet.queries[i] for matched in g["query_sets"] for i in matched})),
+            tuple(sorted(g["ids"])),
         )
         for url, g in groups.items()
     ]

@@ -19,7 +19,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from netmon.diffusion import effective_repost_prob
-from netmon.ingest import format_timestamp, parse_timestamp
+from netmon.ingest import Message, format_timestamp, parse_timestamp
 from netmon.linknet import (
     _OK_STATUSES,
     _URL_RUN,
@@ -221,6 +221,19 @@ def naive_word_match(text: str, query: str) -> bool:
     t = tokens(text)
     q = tokens(query)
     return bool(q) and q.issubset(t)
+
+
+def reference_match_queries(messages, packet) -> list:
+    """``ingest.match_queries`` as a copying filter: a new ``Message`` for
+    each matched message, by ``naive_word_match``; the inputs are left as
+    they were."""
+    out = []
+    for m in messages:
+        matched = frozenset(i for i, q in enumerate(packet.queries)
+                            if naive_word_match(m.text, q))
+        if matched:
+            out.append(Message(m.id, m.author, m.timestamp, m.text, matched))
+    return out
 
 
 class ReferenceRun(NamedTuple):
@@ -556,6 +569,24 @@ def reference_export_records(messages, records, packet) -> list:
 
 
 _CORPUS_FIELDS = ("id", "author", "timestamp", "text")
+# The JSON kinds each corpus field may hold.
+_CORPUS_FIELD_KINDS = {"id": ("string", "integer"), "author": ("string", "integer"),
+                       "timestamp": ("string",), "text": ("string",)}
+
+
+def _json_kind(value) -> str:
+    """The JSON kind of a decoded value, integers told apart from other numbers."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, int):
+        return "integer"
+    if isinstance(value, float):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    return "array" if isinstance(value, list) else "object"
 
 
 def reference_load_corpus(lines):
@@ -564,7 +595,9 @@ def reference_load_corpus(lines):
     line holding bytes that are not UTF-8 is rejected first.
 
     Timestamps go through netmon's own parse_timestamp and format_timestamp,
-    the path that canonical_timestamp shortens."""
+    the path that canonical_timestamp shortens.  ``text`` and ``timestamp``
+    must be strings, ``id`` and ``author`` strings or integers (not
+    booleans), or the line is rejected naming the first field that is not."""
     messages, rejects = [], []
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -599,10 +632,18 @@ def reference_load_corpus(lines):
         if missing:
             rejects.append((line_no, f"missing fields: {', '.join(missing)}", stripped))
             continue
+        kinds = {f: _json_kind(obj[f]) for f in _CORPUS_FIELDS}
+        bad = [f for f in _CORPUS_FIELDS if kinds[f] not in _CORPUS_FIELD_KINDS[f]]
+        if bad:
+            expected = " or ".join(_CORPUS_FIELD_KINDS[bad[0]])
+            rejects.append((line_no, f"bad {bad[0]}: a JSON {expected} expected, "
+                                     f"got {kinds[bad[0]]}", stripped))
+            continue
         try:
-            ts = format_timestamp(parse_timestamp(str(obj["timestamp"])))
+            ts = format_timestamp(parse_timestamp(obj["timestamp"]))
         except (ValueError, OverflowError):
             rejects.append((line_no, f"bad timestamp: {obj['timestamp']!r}", stripped))
             continue
-        messages.append((str(obj["id"]), str(obj["author"]), ts, str(obj["text"])))
+        # an integer id or author is kept as its decimal text
+        messages.append((str(obj["id"]), str(obj["author"]), ts, obj["text"]))
     return messages, rejects

@@ -80,16 +80,29 @@ _TIMESTAMP = st.one_of(
     st.text(max_size=8),
     _JSON_VALUE,
 )
+_ID = st.one_of(st.text(max_size=4), st.integers(), _JSON_VALUE)
+_TEXT = st.one_of(JSON_TEXT, _JSON_VALUE)
 _CORPUS_OBJECT = st.fixed_dictionaries(
     {},
-    optional={
-        "id": st.one_of(st.text(max_size=4), _JSON_VALUE),
-        "author": st.one_of(st.text(max_size=4), _JSON_VALUE),
-        "timestamp": _TIMESTAMP,
-        "text": st.one_of(JSON_TEXT, _JSON_VALUE),
-        "extra": _JSON_VALUE,
-    },
+    optional={"id": _ID, "author": _ID, "timestamp": _TIMESTAMP, "text": _TEXT,
+              "extra": _JSON_VALUE},
 )
+
+
+@st.composite
+def _one_field_of_any_kind(draw):
+    """A good corpus object with one field holding any JSON value, so that
+    the field's type decides the line's fate."""
+    good_id = st.one_of(st.text(max_size=4), st.integers())
+    obj = {"id": draw(good_id), "author": draw(good_id),
+           "timestamp": "2016-05-04T10:00:00Z", "text": draw(JSON_TEXT)}
+    field = draw(st.sampled_from(sorted(obj)))
+    obj[field] = draw(st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                                _JSON_VALUE))
+    return obj
+
+
+ONE_FIELD_OF_ANY_KIND = _one_field_of_any_kind()
 _WHITESPACE = st.text(st.sampled_from(" \t\r\n\x0b\x0c\x1c\x85\xa0\u2028\u3000"), max_size=3)
 CORPUS_LINE = st.one_of(
     _CORPUS_OBJECT.map(json.dumps),
@@ -186,11 +199,38 @@ class TestLoadCorpus:
         assert [m.id for m in messages] == ["m1"]
         assert [(r.line_no, r.reason) for r in rejects] == [(1, "invalid JSON: nested too deeply")]
 
-    def test_non_string_fields_kept_as_their_str(self):
-        line = json.dumps({"id": 7, "author": None, "timestamp": "2016-05-04T10:00:00Z",
-                           "text": ["a", 1]})
+    def test_integer_id_and_author_kept_in_decimal(self):
+        line = json.dumps({"id": 7, "author": -12, "timestamp": "2016-05-04T10:00:00Z",
+                           "text": "t"})
         (m,), _ = load_corpus([line])
-        assert (m.id, m.author, m.text) == ("7", "None", "['a', 1]")
+        assert (m.id, m.author) == ("7", "-12")
+
+    # The first four were once kept as their str(): a null text as "None",
+    # which the query "none" matched; a list text as its repr; a boolean id
+    # as "True"; a number stamp as whatever fromisoformat made of its digits
+    # (2016-05-01 on Python 3.11, a reject on 3.10).
+    @pytest.mark.parametrize("field, value, reason", [
+        ("text", None, "bad text: a JSON string expected, got null"),
+        ("text", ["market", "rates"], "bad text: a JSON string expected, got array"),
+        ("id", True, "bad id: a JSON string or integer expected, got boolean"),
+        ("timestamp", 20160501, "bad timestamp: a JSON string expected, got integer"),
+        ("id", 1.5, "bad id: a JSON string or integer expected, got number"),
+        ("author", {"name": "a"}, "bad author: a JSON string or integer expected, got object"),
+        ("timestamp", None, "bad timestamp: a JSON string expected, got null"),
+        ("text", 3, "bad text: a JSON string expected, got integer"),
+    ])
+    def test_field_of_wrong_type_rejected(self, field, value, reason):
+        obj = json.loads(corpus_line("m1", text="market rates none"))
+        obj[field] = value
+        line = json.dumps(obj)
+        messages, rejects = load_corpus([line, corpus_line("m2")])
+        assert [m.id for m in messages] == ["m2"]
+        assert [(r.line_no, r.reason, r.raw) for r in rejects] == [(1, reason, line)]
+
+    def test_first_field_of_wrong_type_named(self):
+        line = json.dumps({"text": None, "timestamp": 1, "author": True, "id": "m1"})
+        _, (reject,) = load_corpus([line])
+        assert reject.reason == "bad author: a JSON string or integer expected, got boolean"
 
     def test_line_not_utf8_rejected(self):
         # As a UTF-8 reader with errors="surrogateescape" hands it on.
@@ -210,6 +250,11 @@ class TestLoadCorpus:
     def test_agrees_with_json_loads_reference(self, lines):
         self.assert_agrees(lines)
 
+    @given(st.lists(ONE_FIELD_OF_ANY_KIND.map(json.dumps), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_field_types_agree_with_reference(self, lines):
+        self.assert_agrees(lines)
+
     @given(st.lists(st.one_of(CORPUS_LINE.map(str.encode), st.binary(max_size=40)), max_size=8))
     @settings(max_examples=150, deadline=None)
     def test_bytes_agree_with_reference(self, raw_lines):
@@ -220,6 +265,8 @@ class TestLoadCorpus:
         messages, rejects = load_corpus(lines)
         ref_messages, ref_rejects = reference_load_corpus(lines)
         assert [(m.id, m.author, m.timestamp, m.text) for m in messages] == ref_messages
+        assert all(type(field) is str for m in messages
+                   for field in (m.id, m.author, m.timestamp, m.text))
         assert all(m.matched_queries == frozenset() for m in messages)
         assert [(r.line_no, r.reason, r.raw) for r in rejects] == ref_rejects
         return messages, rejects

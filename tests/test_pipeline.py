@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmon.distfit import PowerLawFit, WeibullFit
-from netmon.ingest import Message, QueryPacket, canonical_timestamp, format_timestamp, matched_jsonl
+from netmon.ingest import (
+    Message,
+    QueryPacket,
+    canonical_timestamp,
+    format_timestamp,
+    match_queries,
+    matched_jsonl,
+)
 from netmon.linknet import (
     STATUS_FAILED,
     STATUS_NOT_SHORTENED,
@@ -37,6 +44,7 @@ from _oracles import (
     reference_export_records,
     reference_export_stream,
     reference_extract_links,
+    reference_match_queries,
     reference_matched_jsonl,
     reference_ranking_json,
     weibull_samples,
@@ -50,7 +58,7 @@ WEIBULL_BASELINE = WeibullFit(k=1.9, lam=180.0, log_likelihood=0.0, n_samples=10
 
 
 def record(url, author="ann", mid="m1", host=None, status=STATUS_RESOLVED,
-           social=False, ts="2016-05-04T10:00:00Z"):
+           social=False, ts="2016-05-04T10:00:00Z", queries=frozenset()):
     return LinkRecord(
         message_id=mid,
         author=author,
@@ -61,6 +69,7 @@ def record(url, author="ann", mid="m1", host=None, status=STATUS_RESOLVED,
         status=status,
         was_shortened=False,
         social=social,
+        matched_queries=queries,
     )
 
 
@@ -173,19 +182,16 @@ class TestFetchManifest:
 
 class TestBuildExportRecords:
     def test_aggregates_by_final_url(self):
-        packet = QueryPacket(queries=("market rates", "central bank"))
-        messages = [
-            Message(id="m1", author="ann", timestamp="2016-05-02T09:00:00Z",
-                    text="t", matched_queries=frozenset({0})),
-            Message(id="m2", author="bob", timestamp="2016-05-01T09:00:00Z",
-                    text="t", matched_queries=frozenset({1})),
-        ]
+        packet = QueryPacket(queries=("market rates", "central bank", "bond yields"))
         records = [
-            record("https://a.test/x", mid="m1", ts="2016-05-02T09:00:00Z"),
-            record("https://a.test/x", mid="m2", ts="2016-05-01T09:00:00Z"),
-            record("https://soc.test/x", mid="m1", social=True),
+            record("https://a.test/x", mid="m1", ts="2016-05-02T09:00:00Z",
+                   queries=frozenset({0})),
+            record("https://a.test/x", mid="m2", ts="2016-05-01T09:00:00Z",
+                   queries=frozenset({1})),
+            # a social link's query set gives no label
+            record("https://soc.test/x", mid="m1", social=True, queries=frozenset({2})),
         ]
-        out = build_export_records(messages, records, packet)
+        out = build_export_records(records, packet)
         assert len(out) == 1
         rec = out[0]
         assert rec.url == "https://a.test/x"
@@ -246,16 +252,40 @@ class TestPerTextWork:
         for granularity in ("document", "host"):
             ranked = rank_resources(records, granularity)
             assert ranking_json(ranked) == reference_ranking_json(ranked)
-        export = build_export_records(messages, records, _POOL_PACKET)
+        export = build_export_records(records, _POOL_PACKET)
         expected = reference_export_records(messages, records, _POOL_PACKET)
         assert export == expected
         assert export_stream(export) == reference_export_stream(expected)
+
+    @given(st.lists(_POOL_MESSAGE, max_size=14))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_recorded_in_place_and_carried_by_records(self, messages):
+        drawn = [m.matched_queries for m in messages]
+        expected = reference_match_queries(messages, _POOL_PACKET)
+        matched = match_queries(messages, _POOL_PACKET)
+        # the kept inputs themselves, in order, each with its query set
+        kept_ids = {id(m) for m in matched}
+        kept = [m for m in messages if id(m) in kept_ids]
+        assert len(kept) == len(matched) and all(a is b for a, b in zip(kept, matched))
+        assert [(m.id, m.text, m.matched_queries) for m in matched] == [
+            (m.id, m.text, m.matched_queries) for m in expected]
+        # a dropped message keeps the query set it came with
+        assert all(m.matched_queries == q for m, q in zip(messages, drawn)
+                   if id(m) not in kept_ids)
+        extracted = extract_links(matched)
+        resolved = resolve_all(extracted, OfflineFetcher(_POOL_REDIRECTS), max_in_flight=1)
+        records = build_link_records(matched, extracted, resolved)
+        by_id = {m.id: m for m in matched}  # the last message for an id wins
+        assert [r.matched_queries for r in records] == [
+            by_id[r.message_id].matched_queries for r in records]
+        assert build_export_records(records, _POOL_PACKET) == reference_export_records(
+            matched, records, _POOL_PACKET)
 
     def test_first_seen_is_the_earliest_citation(self):
         packet = QueryPacket(queries=("q",))
         stamps = ["2016-05-02T09:00:00Z", "2016-05-01T09:00:00Z", "2016-05-03T09:00:00Z"]
         records = [record("https://a.test/x", mid=f"m{i}", ts=ts) for i, ts in enumerate(stamps)]
-        out = build_export_records([], records, packet)
+        out = build_export_records(records, packet)
         assert out[0].first_seen == "2016-05-01T09:00:00Z"
         assert out[0].query_labels == ()
 
