@@ -1,12 +1,6 @@
 """Microblog message-diffusion model and link-monitoring pipeline."""
 
-from .diffusion import (
-    BehaviorParams,
-    DeltaDistribution,
-    delta_distribution,
-    sample_delta,
-    transition_probability,
-)
+from .diffusion import BehaviorParams
 from .distfit import (
     ConvergenceError,
     PowerLawFit,

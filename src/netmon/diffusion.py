@@ -1,4 +1,4 @@
-"""Message-agent domain types and the energy random-walk kernel.
+"""Message-agent behavior parameters and the energy step law.
 
 A message in the network is modeled as an agent with an integer energy.
 Per time unit an agent may receive a like, be reposted, both, or neither;
@@ -7,24 +7,27 @@ the energy reaches 0.  The step distribution depends only on the current
 energy (and static message attributes such as carrying an external link),
 so per-agent energy trajectories form a Markov chain over the nonnegative
 integers with 0 absorbing.
+
+The law is written once, in array form: ``step_thresholds`` turns like
+and repost probabilities into the cumulative thresholds one uniform draw
+is compared against, and ``repost_probs`` applies the link carriers'
+boost.  The engine in ``netmon.simulator`` steps agents with them.
 """
 
 from __future__ import annotations
 
-import random
+import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 __all__ = [
     "BehaviorParams",
-    "DeltaDistribution",
-    "delta_distribution",
-    "transition_probability",
-    "sample_delta",
     "effective_repost_prob",
+    "repost_probs",
+    "step_thresholds",
 ]
-
-_PROB_SUM_TOL = 1e-12
 
 
 @dataclass
@@ -57,11 +60,11 @@ class BehaviorParams:
             raise ValueError(
                 f"link_carrier_fraction must be in [0, 1], got {self.link_carrier_fraction}"
             )
-        if self.link_boost < 1.0:
-            raise ValueError(f"link_boost must be >= 1, got {self.link_boost}")
-        if self.rich_get_richer_gamma < 0.0:
+        if not (math.isfinite(self.link_boost) and self.link_boost >= 1.0):
+            raise ValueError(f"link_boost must be finite and >= 1, got {self.link_boost}")
+        if not (math.isfinite(self.rich_get_richer_gamma) and self.rich_get_richer_gamma >= 0.0):
             raise ValueError(
-                f"rich_get_richer_gamma must be >= 0, got {self.rich_get_richer_gamma}"
+                f"rich_get_richer_gamma must be finite and >= 0, got {self.rich_get_richer_gamma}"
             )
 
     @classmethod
@@ -91,108 +94,36 @@ class BehaviorParams:
         )
 
 
-@dataclass(frozen=True)
-class DeltaDistribution:
-    """Distribution of the per-tick energy change over {2, 1, 0, -1}."""
-
-    p_plus2: float
-    p_plus1: float
-    p_zero: float
-    p_minus1: float
-
-    def __post_init__(self) -> None:
-        for name, p in (
-            ("p_plus2", self.p_plus2),
-            ("p_plus1", self.p_plus1),
-            ("p_zero", self.p_zero),
-            ("p_minus1", self.p_minus1),
-        ):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
-        total = self.p_plus2 + self.p_plus1 + self.p_zero + self.p_minus1
-        if abs(total - 1.0) > _PROB_SUM_TOL:
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
-
-
 def _clamp01(p: float) -> float:
     return 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
 
 
-def effective_repost_prob(
-    energy: int,
-    params: BehaviorParams,
-    has_link: bool = False,
-    reposts_spawned: int = 0,
-) -> float:
-    """Repost probability after the link boost and preferential term.
+def effective_repost_prob(energy: int, params: BehaviorParams) -> float:
+    """The base repost probability at ``energy``, clamped to [0, 1]."""
+    return _clamp01(params.repost_prob(energy))
 
-    Only link-carrying agents are boosted: their base probability is
-    multiplied by ``link_boost * (1 + gamma * reposts_spawned)`` and
-    clamped to 1.
+
+def repost_probs(p_repost, params: BehaviorParams, linked, reposts):
+    """Repost probabilities after the link boost and preferential term.
+
+    Only link carriers (``linked``) are boosted: their base probability
+    ``p_repost`` is multiplied by ``link_boost * (1 + gamma * reposts)``,
+    where ``reposts`` is the agent's repost tally, and clamped to 1.
     """
-    p = _clamp01(params.repost_prob(energy))
-    if has_link:
-        p = params.link_boost * p * (1.0 + params.rich_get_richer_gamma * reposts_spawned)
-    return _clamp01(p)
+    boosted = np.clip(p_repost * params.link_boost
+                      * (reposts * params.rich_get_richer_gamma + 1.0), 0.0, 1.0)
+    return np.where(linked, boosted, p_repost)
 
 
-def delta_distribution(
-    energy: int,
-    params: BehaviorParams,
-    has_link: bool = False,
-    reposts_spawned: int = 0,
-) -> DeltaDistribution:
-    """Conditional distribution of the energy step for a live agent.
+def step_thresholds(p_like, p_repost):
+    """The step thresholds (c2, c21, c210) of these probabilities.
 
-    +2 means the agent was liked and reposted this tick, +1 reposted
-    only, 0 liked only, -1 neither.  Requires ``energy > 0``; dead
-    agents take no steps.
+    c2 = p_like * p_repost, c21 = c2 + (1 - p_like) * p_repost and
+    c210 = c21 + p_like * (1 - p_repost): a draw below c2 is a like and
+    a repost (+2), below c21 a repost (+1), below c210 a like (0),
+    otherwise neither (-1).
     """
-    if energy <= 0:
-        raise ValueError(f"delta distribution requires energy > 0, got {energy}")
-    p_like = _clamp01(params.like_prob(energy))
-    p_repost = effective_repost_prob(energy, params, has_link, reposts_spawned)
-    return DeltaDistribution(
-        p_plus2=p_like * p_repost,
-        p_plus1=(1.0 - p_like) * p_repost,
-        p_zero=p_like * (1.0 - p_repost),
-        p_minus1=(1.0 - p_like) * (1.0 - p_repost),
-    )
-
-
-def transition_probability(i: int, j: int, params: BehaviorParams) -> float:
-    """One-step probability of the energy chain moving from i to j.
-
-    State 0 is absorbing.  Total function: any (i, j) pair outside the
-    reachable moves returns 0.
-    """
-    if i < 0 or j < 0:
-        return 0.0
-    if i == 0:
-        return 1.0 if j == 0 else 0.0
-    step = j - i
-    if step < -1 or step > 2:
-        return 0.0
-    dist = delta_distribution(i, params)
-    if step == 2:
-        return dist.p_plus2
-    if step == 1:
-        return dist.p_plus1
-    if step == 0:
-        return dist.p_zero
-    return dist.p_minus1
-
-
-def sample_delta(dist: DeltaDistribution, rng: random.Random) -> int:
-    """Draw one energy step from ``dist``, consuming exactly one uniform."""
-    u = rng.random()
-    c = dist.p_plus2
-    if u < c:
-        return 2
-    c += dist.p_plus1
-    if u < c:
-        return 1
-    c += dist.p_zero
-    if u < c:
-        return 0
-    return -1
+    c2 = p_like * p_repost
+    c21 = c2 + (1 - p_like) * p_repost
+    c210 = c21 + p_like * (1 - p_repost)
+    return c2, c21, c210

@@ -49,7 +49,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .diffusion import BehaviorParams, _clamp01, effective_repost_prob
+from .diffusion import (BehaviorParams, _clamp01, effective_repost_prob, repost_probs,
+                        step_thresholds)
 from .jsonl import decode_line, quote
 
 __all__ = [
@@ -355,19 +356,6 @@ class EventLog:
         )
 
 
-def _cumulative_thresholds(p_like, p_repost):
-    """The step thresholds (c2, c21, c210) of these probabilities.
-
-    c2 = p_like * p_repost, c21 = c2 + (1 - p_like) * p_repost and
-    c210 = c21 + p_like * (1 - p_repost): a draw below c2 is a like and
-    a repost, below c21 a repost, below c210 a like, otherwise neither.
-    """
-    c2 = p_like * p_repost
-    c21 = c2 + (1 - p_like) * p_repost
-    c210 = c21 + p_like * (1 - p_repost)
-    return c2, c21, c210
-
-
 class _StepTables:
     """Per-energy step probabilities and thresholds of one config.
 
@@ -388,10 +376,8 @@ class _StepTables:
         self.max_energy = params.e0 + 2 * horizon
         self.top = self.low - 1
         self.p_like = self.p_repost = self.c2 = self.c21 = self.c210 = np.zeros(0)
-        self.link_boost = params.link_boost
-        self.gamma = params.rich_get_richer_gamma
         # With boost 1 and gamma 0 the linked formula reduces to the base one.
-        self.boosted = self.link_boost != 1.0 or self.gamma != 0.0
+        self.boosted = params.link_boost != 1.0 or params.rich_get_richer_gamma != 0.0
 
     def cover(self, energy: int) -> None:
         """Grow the tables, if needed, to hold every energy up to ``energy``."""
@@ -402,7 +388,7 @@ class _StepTables:
         p_like = np.array([_clamp01(self.params.like_prob(e)) for e in energies])
         p_repost = np.array([effective_repost_prob(e, self.params) for e in energies])
         for name, new in (("p_like", p_like), ("p_repost", p_repost),
-                          *zip(("c2", "c21", "c210"), _cumulative_thresholds(p_like, p_repost))):
+                          *zip(("c2", "c21", "c210"), step_thresholds(p_like, p_repost))):
             setattr(self, name, np.concatenate((getattr(self, name), new)))
         self.top = top
 
@@ -415,11 +401,8 @@ class _StepTables:
         index = energy - self.low
         if linked is None:
             return u < self.c2[index], u < self.c21[index], u < self.c210[index]
-        p_repost = self.p_repost[index]
-        # link_boost * p * (1 + gamma * n), clamped, as in effective_repost_prob
-        boosted = np.clip(p_repost * self.link_boost * (reposts * self.gamma + 1.0), 0.0, 1.0)
-        p_repost = np.where(linked, boosted, p_repost)
-        return tuple(u < c for c in _cumulative_thresholds(self.p_like[index], p_repost))
+        p_repost = repost_probs(self.p_repost[index], self.params, linked, reposts)
+        return tuple(u < c for c in step_thresholds(self.p_like[index], p_repost))
 
 
 def _draw_words(rng: random.Random, n: int) -> bytes:

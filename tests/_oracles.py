@@ -18,7 +18,6 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from netmon.diffusion import effective_repost_prob
 from netmon.ingest import Message, format_timestamp, parse_timestamp
 from netmon.linknet import (
     _OK_STATUSES,
@@ -318,7 +317,13 @@ def reference_run(config, record_events: bool = True) -> ReferenceRun:
             e = energy[aid]
             p_like = params.like_prob(e)
             p_like = 0.0 if p_like < 0.0 else 1.0 if p_like > 1.0 else p_like
-            p_repost = effective_repost_prob(e, params, link[aid] is not None, reposts[aid])
+            p_repost = params.repost_prob(e)
+            p_repost = 0.0 if p_repost < 0.0 else 1.0 if p_repost > 1.0 else p_repost
+            if link[aid] is not None:
+                # link carriers: boost * p * (1 + gamma * reposts so far), clamped
+                p_repost = (params.link_boost * p_repost
+                            * (1.0 + params.rich_get_richer_gamma * reposts[aid]))
+                p_repost = 1.0 if p_repost > 1.0 else p_repost
             u = rand()
             liked = reposted = False
             if u < p_like * p_repost:

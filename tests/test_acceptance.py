@@ -10,8 +10,10 @@ import random
 import time
 from pathlib import Path
 
+import numpy as np
+
 from netmon.cli import main
-from netmon.diffusion import BehaviorParams, delta_distribution, sample_delta, transition_probability
+from netmon.diffusion import BehaviorParams
 from netmon.distfit import WeibullFit, fit_exponential_tail, fit_powerlaw_mle, fit_weibull_mle
 from netmon.linknet import (
     DEFAULT_SHORTENER_BASES,
@@ -29,13 +31,16 @@ from netmon.pipeline import compare_to_model
 from netmon.simulator import (
     EVENT_DEATH,
     SimulationConfig,
+    _draw_words,
+    _StepTables,
+    _uniforms,
     calibrated_default_config,
     replicate,
     repost_counts_by_link,
     run_simulation,
 )
 
-from _oracles import expected_absorption_time, weibull_samples
+from _oracles import delta_probs, expected_absorption_time, weibull_samples
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -72,24 +77,32 @@ def test_a2_weibull_mle_recovery_sweep():
 
 
 def test_a3_kernel_fidelity():
-    """Sampled step frequencies match the conditional formulas, 3 settings."""
+    """Step frequencies drawn through the engine's thresholds match the
+    conditional formulas, 3 settings."""
     t0 = time.perf_counter()
-    settings = [
-        (1, dict(p_like=0.5, p_repost=0.5), {}),
-        (3, dict(p_like=0.2, p_repost=0.4, link_boost=2.0), dict(has_link=True)),
-        (5, dict(p_like=0.9, p_repost=0.05), {}),
-    ]
     n = 10**6
+    # (energy, params, link carrier, repost probability the formulas use)
+    settings = [
+        (1, dict(p_like=0.5, p_repost=0.5), False, 0.5),
+        (3, dict(p_like=0.2, p_repost=0.4, link_boost=2.0), True, min(1.0, 2.0 * 0.4)),
+        (5, dict(p_like=0.9, p_repost=0.05), False, 0.05),
+    ]
     worst_z = 0.0
-    for energy, pkw, ctx in settings:
-        params = BehaviorParams.constant(p_s=0.0, e0=1, **pkw)
-        dist = delta_distribution(energy, params, **ctx)
-        expected = {2: dist.p_plus2, 1: dist.p_plus1, 0: dist.p_zero, -1: dist.p_minus1}
-        rng = random.Random(97 + energy)
-        freq = {2: 0, 1: 0, 0: 0, -1: 0}
-        for _ in range(n):
-            freq[sample_delta(dist, rng)] += 1
-        for delta, p in expected.items():
+    for energy, pkw, linked, p_repost in settings:
+        params = BehaviorParams.constant(p_s=0.0, e0=energy, **pkw)
+        tables = _StepTables(params, horizon=1)
+        tables.cover(energy)
+        # the engine's uniforms: one random.Random stream, read in bulk
+        u = _uniforms(_draw_words(random.Random(97 + energy), n))
+        energies = np.full(n, energy, dtype=np.int32)
+        if linked:
+            both, reposted, kept = tables.outcomes(u, energies, np.ones(n, dtype=bool),
+                                                   np.zeros(n, dtype=np.int32))
+        else:
+            both, reposted, kept = tables.outcomes(u, energies)
+        freq = {2: int(both.sum()), 1: int((reposted & ~both).sum()),
+                0: int((kept & ~reposted).sum()), -1: int((~kept).sum())}
+        for delta, p in delta_probs(pkw["p_like"], p_repost).items():
             se = math.sqrt(p * (1.0 - p) / n)
             if se > 0:
                 worst_z = max(worst_z, abs(freq[delta] / n - p) / se)
@@ -100,15 +113,16 @@ def test_a3_kernel_fidelity():
 
 
 def test_a4_absorbing_death():
-    """p_00=1, p_0j=0, rows stochastic; no events after death in 10^3 runs."""
+    """Step-table rows over energies 1..100 are distributions, energy 0
+    has none; no events after death in 10^3 runs."""
     t0 = time.perf_counter()
     params = BehaviorParams.constant(p_s=0.3, e0=2, p_like=0.35, p_repost=0.12)
-    ok_chain = transition_probability(0, 0, params) == 1.0
-    for j in range(1, 104):
-        ok_chain = ok_chain and transition_probability(0, j, params) == 0.0
-    for i in range(0, 101):
-        row = sum(transition_probability(i, j, params) for j in range(0, 104))
-        ok_chain = ok_chain and abs(row - 1.0) < 1e-12
+    tables = _StepTables(params, horizon=100)
+    tables.cover(100)
+    c2, c21, c210 = tables.c2[:100], tables.c21[:100], tables.c210[:100]
+    rows = np.column_stack((c2, c21 - c2, c210 - c21, 1.0 - c210))
+    ok_chain = (tables.low == 1 and bool((rows >= 0.0).all())
+                and float(np.abs(rows.sum(axis=1) - 1.0).max()) < 1e-12)
 
     # Seeds 0..999, stepped together as one batch.
     result = run_simulation(SimulationConfig(params=params, horizon=60, seed=0), runs=1000)

@@ -59,6 +59,25 @@ class TestSimulate:
         assert code == 2
         assert "p_s" in capsys.readouterr().err
 
+    # Python's json reads NaN and Infinity; a NaN boost would give every
+    # link carrier NaN thresholds, and would be written back as non-JSON.
+    @pytest.mark.parametrize("text, field", [
+        ('{"link_boost": NaN, "link_carrier_fraction": 0.5}', "link_boost"),
+        ('{"link_boost": Infinity, "p_repost": 0.0, "link_carrier_fraction": 0.5}',
+         "link_boost"),
+        ('{"rich_get_richer_gamma": NaN, "link_carrier_fraction": 0.5}',
+         "rich_get_richer_gamma"),
+        ('{"rich_get_richer_gamma": Infinity}', "rich_get_richer_gamma"),
+    ])
+    def test_non_finite_boost_exits_two(self, tmp_path, capsys, text, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {field} must be finite")
+        assert not out.exists()
+
     # An int field takes a JSON integer and a float field any JSON number;
     # neither takes a boolean or a string, and nothing is rounded.
     @pytest.mark.parametrize("field, value", [

@@ -1,16 +1,23 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmon.diffusion import (
     BehaviorParams,
-    DeltaDistribution,
-    delta_distribution,
     effective_repost_prob,
-    sample_delta,
-    transition_probability,
+    repost_probs,
+    step_thresholds,
+)
+from netmon.simulator import (
+    EVENT_DEATH,
+    SimulationConfig,
+    _draw_words,
+    _StepTables,
+    _uniforms,
+    run_simulation,
 )
 
 from _oracles import delta_probs
@@ -20,56 +27,70 @@ def const_params(p_like, p_repost, **kw):
     return BehaviorParams.constant(p_s=0.0, e0=1, p_like=p_like, p_repost=p_repost, **kw)
 
 
+def row(thresholds):
+    """The step probabilities (+2, +1, 0, -1) that thresholds (c2, c21, c210) encode."""
+    c2, c21, c210 = thresholds
+    return c2, c21 - c2, c210 - c21, 1 - c210
+
+
+def table_rows(params, top):
+    """The engine's step-table rows for energies 1..top."""
+    tables = _StepTables(params, horizon=top)
+    tables.cover(top)
+    assert tables.low == 1
+    return np.column_stack(row((tables.c2[:top], tables.c21[:top], tables.c210[:top])))
+
+
+def engine_deltas(params, energy, u, linked=None, reposts=None):
+    """The energy moves the engine makes from draws ``u`` at ``energy``."""
+    tables = _StepTables(params, horizon=energy)
+    tables.cover(energy)
+    both, reposted, kept = tables.outcomes(u, np.full(len(u), energy, dtype=np.int32),
+                                           linked, reposts)
+    # the engine adds the three masks and subtracts 1
+    return both.astype(int) + reposted + kept - 1
+
+
 class TestDeltaDistribution:
     def test_symmetric_half_probs(self):
-        d = delta_distribution(1, const_params(0.5, 0.5))
-        assert d.p_plus2 == pytest.approx(0.25)
-        assert d.p_plus1 == pytest.approx(0.25)
-        assert d.p_zero == pytest.approx(0.25)
-        assert d.p_minus1 == pytest.approx(0.25)
+        assert row(step_thresholds(0.5, 0.5)) == pytest.approx((0.25, 0.25, 0.25, 0.25))
 
     def test_certain_like_and_repost(self):
-        d = delta_distribution(1, const_params(1.0, 1.0))
-        assert (d.p_plus2, d.p_plus1, d.p_zero, d.p_minus1) == (1.0, 0.0, 0.0, 0.0)
+        assert row(step_thresholds(1.0, 1.0)) == (1.0, 0.0, 0.0, 0.0)
 
     def test_link_boost_doubles_repost_prob(self):
         params = const_params(0.2, 0.4, link_boost=2.0)
-        d = delta_distribution(3, params, has_link=True)
-        assert d.p_plus2 == pytest.approx(0.16)
-        assert d.p_plus1 == pytest.approx(0.64)
-        assert d.p_zero == pytest.approx(0.04)
-        assert d.p_minus1 == pytest.approx(0.16)
+        p_repost = repost_probs(effective_repost_prob(3, params), params, True, 0)
+        assert row(step_thresholds(0.2, p_repost)) == pytest.approx((0.16, 0.64, 0.04, 0.16))
 
     def test_boost_ignored_without_link(self):
         params = const_params(0.2, 0.4, link_boost=2.0)
-        d = delta_distribution(3, params, has_link=False)
-        assert d.p_plus1 == pytest.approx((1 - 0.2) * 0.4)
+        p_repost = repost_probs(effective_repost_prob(3, params), params, False, 0)
+        assert row(step_thresholds(0.2, p_repost))[1] == pytest.approx((1 - 0.2) * 0.4)
 
     def test_boosted_prob_clamped_to_one(self):
         params = const_params(0.5, 0.9, link_boost=5.0)
-        assert effective_repost_prob(1, params, has_link=True) == 1.0
+        assert repost_probs(effective_repost_prob(1, params), params, True, 0) == 1.0
 
     def test_rich_get_richer_term(self):
         params = const_params(0.5, 0.1, link_boost=2.0, rich_get_richer_gamma=0.5)
-        # 2 * 0.1 * (1 + 0.5*3) = 0.5
-        assert effective_repost_prob(1, params, True, reposts_spawned=3) == pytest.approx(0.5)
-        # gamma only applies to link carriers
-        assert effective_repost_prob(1, params, False, reposts_spawned=3) == pytest.approx(0.1)
+        # 2 * 0.1 * (1 + 0.5*3) = 0.5; gamma only applies to link carriers
+        p = repost_probs(0.1, params, np.array([True, False]), np.array([3, 3]))
+        assert p == pytest.approx([0.5, 0.1])
 
     def test_dead_agent_has_no_distribution(self):
-        with pytest.raises(ValueError):
-            delta_distribution(0, const_params(0.5, 0.5))
-        with pytest.raises(ValueError):
-            delta_distribution(-2, const_params(0.5, 0.5))
+        # An agent loses at most 1 per tick, so the tables start at
+        # max(1, e0 - horizon) and hold no row for energy 0 or below.
+        for e0, horizon in [(1, 1), (1, 50), (3, 2), (3, 3), (3, 10), (10, 4)]:
+            params = BehaviorParams.constant(p_s=0.0, e0=e0, p_like=0.5, p_repost=0.5)
+            assert _StepTables(params, horizon).low == max(1, e0 - horizon) >= 1
 
     def test_matches_product_form_oracle(self):
         for p_like, p_repost in [(0.1, 0.9), (0.33, 0.41), (0.0, 1.0)]:
-            d = delta_distribution(5, const_params(p_like, p_repost))
+            params = const_params(p_like, p_repost)
+            got = row(step_thresholds(params.like_prob(5), effective_repost_prob(5, params)))
             expected = delta_probs(p_like, p_repost)
-            assert d.p_plus2 == pytest.approx(expected[2])
-            assert d.p_plus1 == pytest.approx(expected[1])
-            assert d.p_zero == pytest.approx(expected[0])
-            assert d.p_minus1 == pytest.approx(expected[-1])
+            assert got == pytest.approx(tuple(expected[d] for d in (2, 1, 0, -1)))
 
     @given(
         p_like=st.floats(0.0, 1.0),
@@ -87,101 +108,76 @@ class TestDeltaDistribution:
         params = const_params(
             p_like, p_repost, link_boost=boost, rich_get_richer_gamma=gamma
         )
-        d = delta_distribution(energy, params, has_link, n_reposts)
-        for p in (d.p_plus2, d.p_plus1, d.p_zero, d.p_minus1):
-            assert 0.0 <= p <= 1.0
-        assert d.p_plus2 + d.p_plus1 + d.p_zero + d.p_minus1 == pytest.approx(1.0, abs=1e-12)
+        p = repost_probs(effective_repost_prob(energy, params), params, has_link, n_reposts)
+        probs = row(step_thresholds(params.like_prob(energy), p))
+        for q in probs:
+            assert 0.0 <= q <= 1.0
+        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_distribution_rejected(self):
         with pytest.raises(ValueError):
-            DeltaDistribution(0.5, 0.5, 0.5, 0.5)
+            const_params(1.2, 0.5)
         with pytest.raises(ValueError):
-            DeltaDistribution(1.2, -0.2, 0.0, 0.0)
+            const_params(0.5, -0.2)
+        # Pluggable probabilities out of [0, 1] are clamped before use.
+        params = BehaviorParams(p_s=0.0, e0=1, like_prob=lambda _e: 1.5,
+                                repost_prob=lambda _e: -0.2)
+        assert table_rows(params, 3).tolist() == [[0.0, 0.0, 1.0, 0.0]] * 3
 
 
 class TestTransitionProbability:
     def test_zero_state_is_absorbing(self):
-        params = const_params(0.5, 0.5)
-        assert transition_probability(0, 0, params) == 1.0
-        assert transition_probability(0, 1, params) == 0.0
-        for j in range(1, 10):
-            assert transition_probability(0, j, params) == 0.0
+        # An agent whose energy reaches 0 takes no further step.
+        params = BehaviorParams.constant(p_s=0.3, e0=2, p_like=0.35, p_repost=0.12)
+        result = run_simulation(SimulationConfig(params, horizon=40, seed=3), runs=50)
+        deaths = 0
+        for events in result.events.runs():
+            dead = set()
+            for _, kind, agent_id, _ in events:
+                assert agent_id not in dead
+                if kind == EVENT_DEATH:
+                    dead.add(agent_id)
+            deaths += len(dead)
+        assert deaths > 100
 
     def test_unreachable_jump(self):
-        assert transition_probability(2, 5, const_params(0.5, 0.5)) == 0.0
-        assert transition_probability(5, 3, const_params(0.5, 0.5)) == 0.0
+        # The masks nest (u < c2 implies u < c21 implies u < c210), so a
+        # draw makes exactly one of the moves -1, 0, +1, +2.
+        u = _uniforms(_draw_words(random.Random(5), 10_000))
+        for energy in (2, 5):
+            deltas = engine_deltas(const_params(0.5, 0.5), energy, u)
+            assert set(deltas.tolist()) == {-1, 0, 1, 2}
 
     def test_rows_are_stochastic(self):
-        params = const_params(0.37, 0.61)
-        for i in range(0, 101):
-            total = sum(transition_probability(i, j, params) for j in range(0, 104))
-            assert total == pytest.approx(1.0, abs=1e-12)
+        rows = table_rows(const_params(0.37, 0.61), 100)
+        assert (rows >= 0.0).all()
+        assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_matches_delta_distribution(self):
         params = const_params(0.3, 0.2)
-        d = delta_distribution(4, params)
-        assert transition_probability(4, 6, params) == d.p_plus2
-        assert transition_probability(4, 5, params) == d.p_plus1
-        assert transition_probability(4, 4, params) == d.p_zero
-        assert transition_probability(4, 3, params) == d.p_minus1
+        rows = table_rows(params, 4)
+        assert tuple(rows[3]) == row(step_thresholds(0.3, 0.2))
+        expected = delta_probs(0.3, 0.2)
+        assert tuple(rows[3]) == pytest.approx(tuple(expected[d] for d in (2, 1, 0, -1)))
 
 
 class TestSampleDelta:
+    """The engine's draw: one uniform compared against the step thresholds."""
+
     def test_degenerate_distributions(self):
-        rng = random.Random(1)
-        assert sample_delta(DeltaDistribution(1.0, 0.0, 0.0, 0.0), rng) == 2
-        assert sample_delta(DeltaDistribution(0.0, 0.0, 0.0, 1.0), rng) == -1
-        assert sample_delta(DeltaDistribution(0.0, 1.0, 0.0, 0.0), rng) == 1
-        assert sample_delta(DeltaDistribution(0.0, 0.0, 1.0, 0.0), rng) == 0
-
-    def test_consumes_exactly_one_draw(self):
-        dist = DeltaDistribution(0.25, 0.25, 0.25, 0.25)
-        rng_a = random.Random(7)
-        rng_b = random.Random(7)
-        sample_delta(dist, rng_a)
-        rng_b.random()
-        assert rng_a.getstate() == rng_b.getstate()
-
-    def test_same_stream_state_same_result(self):
-        dist = DeltaDistribution(0.1, 0.2, 0.3, 0.4)
-        rng = random.Random(13)
-        state = rng.getstate()
-        first = sample_delta(dist, rng)
-        rng.setstate(state)
-        assert sample_delta(dist, rng) == first
+        # the extremes random() can return, then a stream of draws
+        u = np.concatenate(([0.0, 1.0 - 2.0**-53],
+                            _uniforms(_draw_words(random.Random(1), 1000))))
+        for p_like, p_repost, delta in [(1.0, 1.0, 2), (0.0, 0.0, -1), (0.0, 1.0, 1),
+                                        (1.0, 0.0, 0)]:
+            assert set(engine_deltas(const_params(p_like, p_repost), 3, u).tolist()) == {delta}
 
     def test_uniform_frequencies(self):
-        dist = DeltaDistribution(0.25, 0.25, 0.25, 0.25)
-        rng = random.Random(20160501)
         n = 10**6
-        counts = {2: 0, 1: 0, 0: 0, -1: 0}
-        for _ in range(n):
-            counts[sample_delta(dist, rng)] += 1
-        for delta in (-1, 0, 1, 2):
-            assert counts[delta] / n == pytest.approx(0.25, abs=0.002)
-
-
-class TestMarkovProperty:
-    def test_replay_from_midpoint_gives_identical_suffix(self):
-        params = const_params(0.4, 0.35)
-        rng = random.Random(99)
-        energy = 5
-        walk = [energy]
-        states = []
-        for _ in range(200):
-            if energy == 0:
-                break
-            states.append(rng.getstate())
-            energy += sample_delta(delta_distribution(energy, params), rng)
-            walk.append(energy)
-        assert len(walk) > 20
-        mid = len(states) // 2
-        replay_rng = random.Random()
-        replay_rng.setstate(states[mid])
-        energy = walk[mid]
-        for expected in walk[mid + 1 :]:
-            energy += sample_delta(delta_distribution(energy, params), replay_rng)
-            assert energy == expected
+        u = _uniforms(_draw_words(random.Random(20160501), n))
+        counts = np.bincount(engine_deltas(const_params(0.5, 0.5), 1, u) + 1, minlength=4)
+        for freq in counts / n:
+            assert freq == pytest.approx(0.25, abs=0.002)
 
 
 class TestParams:
@@ -196,3 +192,11 @@ class TestParams:
             BehaviorParams.constant(
                 p_s=0.5, e0=1, p_like=0.5, p_repost=0.5, rich_get_richer_gamma=-1.0
             )
+        # A non-finite boost or gamma would give NaN thresholds, or inf * 0.
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="link_boost"):
+                BehaviorParams.constant(p_s=0.5, e0=1, p_like=0.5, p_repost=0.5, link_boost=bad)
+            with pytest.raises(ValueError, match="rich_get_richer_gamma"):
+                BehaviorParams.constant(
+                    p_s=0.5, e0=1, p_like=0.5, p_repost=0.5, rich_get_richer_gamma=bad
+                )

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmon import simulator
-from netmon.diffusion import BehaviorParams, delta_distribution
+from netmon.diffusion import BehaviorParams
 from netmon.simulator import (
     EVENT_DEATH,
     EVENT_LIKE,
@@ -34,6 +34,7 @@ from netmon.simulator import (
 )
 
 from _oracles import (
+    delta_probs,
     reference_events_from_jsonl,
     reference_events_to_jsonl,
     reference_life_stats_from_jsonl,
@@ -243,8 +244,7 @@ class TestKernelFidelity:
                 assert energy == 0
 
         assert not res.truncated
-        dist = delta_distribution(3, cfg.params)
-        expected = {2: dist.p_plus2, 1: dist.p_plus1, 0: dist.p_zero, -1: dist.p_minus1}
+        expected = delta_probs(0.3, 0.1)
         n = sum(steps[(3, d)] for d in (-1, 0, 1, 2))
         assert n > 2000
         for d, p in expected.items():
@@ -674,7 +674,9 @@ class TestEarlyStop:
         cfg = config(0.0, 0.0, e0=1, horizon=10**6)
         # Eagerly the tables would cover energies 1..2 * 10**6 + 1.
         assert list(replicate(cfg, 1)) == list(run_simulation(cfg, record_events=False).stats)
-        assert calls < 100
+        # Above 0: the tables still reach the kernel through this name,
+        # which the benchmark's tracer counts.
+        assert 0 < calls < 100
 
 
 class TestConfigValidation:
