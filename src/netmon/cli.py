@@ -9,11 +9,21 @@ Exit codes: 0 success, 2 usage or input error, 1 internal failure.
 Every run echoes its fully resolved configuration (seed included) to a
 sidecar JSON next to its outputs.  Setting NETMON_OFFLINE=1 forces the
 offline redirect fetcher no matter what flags say.
+
+``main`` builds its argument parser once per process and runs each
+command with the cyclic garbage collector paused, putting the
+collector's state back on every exit.  A command's data is acyclic, and
+the cyclic garbage a command leaves (argparse's and the JSON encoder's)
+does not grow with its input, so a collector pass would only walk live
+objects.  Library entry points such as ``replicate`` and ``load_corpus``
+leave the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import json
 import math
 import os
@@ -23,7 +33,7 @@ from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
-from .diffusion import BehaviorParams
+from .diffusion import BehaviorParams, is_finite
 from .distfit import (
     ConvergenceError,
     PowerLawFit,
@@ -96,14 +106,6 @@ def _read_json(path: Path, what: str):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too long an integer, too deep nesting
         raise CliError(f"{what} is not valid JSON: {exc}") from exc
-
-
-def _is_finite(value) -> bool:
-    """Whether a number is finite as a float (a huge integer is not)."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 # ---------------------------------------------------------------- simulate
@@ -240,7 +242,7 @@ def _read_samples(path_str: str, want_int: bool) -> list:
             value = int(stripped) if want_int else float(stripped)
         except ValueError as exc:
             raise CliError(f"non-numeric value on line {line_no}: {stripped!r}") from exc
-        if not _is_finite(value):
+        if not is_finite(value):
             raise CliError(f"value out of range on line {line_no}: {stripped!r}")
         samples.append(value)
     if not samples:
@@ -505,7 +507,7 @@ def _read_counts(path_str: str):
             if len(parts) not in (1, 2):
                 raise ValueError(stripped)
             count = int(parts[-1])
-            if not _is_finite(count):
+            if not is_finite(count):
                 raise ValueError(f"{count} does not fit a float")
         except ValueError as exc:
             raise CliError(
@@ -588,7 +590,9 @@ def cmd_plot_points(args) -> int:
 
 # -------------------------------------------------------------------- main
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="netmon",
         description="Agent-based message diffusion model and link-monitoring pipeline",
@@ -603,14 +607,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--no-events", action="store_true",
                        help="skip the event log, keep life stats only")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit a distribution to samples")
     p_fit.add_argument("distribution", choices=["weibull", "powerlaw"])
     p_fit.add_argument("--input", required=True, help="one number per line")
     p_fit.add_argument("--out", required=True, help="fit JSON output path")
     p_fit.add_argument("--xmin", type=int, default=1, help="power-law tail cutoff")
-    p_fit.set_defaults(func=cmd_fit)
 
     p_pipe = sub.add_parser("pipeline", help="run scan/extract/resolve/rank/export")
     p_pipe.add_argument("--queries", required=True, help="query packet file")
@@ -625,7 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="parallel resolutions")
     p_pipe.add_argument("--shortener-registry", help="file of short-address bases")
     p_pipe.add_argument("--out-dir", required=True)
-    p_pipe.set_defaults(func=cmd_pipeline)
 
     p_cmp = sub.add_parser("compare", help="anomaly check against a baseline fit")
     p_cmp.add_argument("--empirical", required=True,
@@ -634,23 +635,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--threshold", type=float, default=None,
                        help="KS flag threshold (default 1.36/sqrt(n))")
     p_cmp.add_argument("--out", required=True, help="report JSON output path")
-    p_cmp.set_defaults(func=cmd_compare)
 
     p_plot = sub.add_parser("plot-points", help="emit density curve points as CSV")
     p_plot.add_argument("--fit", required=True, help="weibull fit JSON")
     p_plot.add_argument("--x-max", type=float, required=True)
     p_plot.add_argument("--n", type=int, default=100, help="number of points")
     p_plot.add_argument("--out", required=True, help="CSV output path")
-    p_plot.set_defaults(func=cmd_plot_points)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up at call time, so a command patched onto this module is the
+    # one that runs.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
+    # The cyclic collector is paused while the command runs: its data is
+    # acyclic, so a pass would walk every live object and free nothing.
+    # Only a call that found it on turns it back on, so it ends as it was
+    # found even when several threads call main.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
+        return command(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -663,6 +670,9 @@ def main(argv=None) -> int:
     except Exception:
         traceback.print_exc()
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

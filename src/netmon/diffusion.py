@@ -25,9 +25,18 @@ import numpy as np
 __all__ = [
     "BehaviorParams",
     "effective_repost_prob",
+    "is_finite",
     "repost_probs",
     "step_thresholds",
 ]
+
+
+def is_finite(value) -> bool:
+    """Whether a number is finite as a float (an integer too large for one is not)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass
@@ -60,9 +69,9 @@ class BehaviorParams:
             raise ValueError(
                 f"link_carrier_fraction must be in [0, 1], got {self.link_carrier_fraction}"
             )
-        if not (math.isfinite(self.link_boost) and self.link_boost >= 1.0):
+        if not (is_finite(self.link_boost) and self.link_boost >= 1.0):
             raise ValueError(f"link_boost must be finite and >= 1, got {self.link_boost}")
-        if not (math.isfinite(self.rich_get_richer_gamma) and self.rich_get_richer_gamma >= 0.0):
+        if not (is_finite(self.rich_get_richer_gamma) and self.rich_get_richer_gamma >= 0.0):
             raise ValueError(
                 f"rich_get_richer_gamma must be finite and >= 0, got {self.rich_get_richer_gamma}"
             )

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -999,3 +1000,106 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+
+class TestCollectorPauseAndParser:
+    """main runs each command with the cyclic collector off, builds its parser once."""
+
+    @pytest.fixture(params=[True, False], ids=["gc_on", "gc_off"])
+    def collector_on(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("case, outcome", [
+        ("success", ("return", 0)),
+        ("cli_error", ("return", 2)),
+        ("missing_corpus", ("return", 2)),
+        ("raising_command", ("return", 1)),
+        ("usage_error", ("exit", 2)),
+        ("help", ("exit", 0)),
+    ])
+    def test_collector_state_restored_on_every_exit(self, tmp_path, monkeypatch, capsys,
+                                                    collector_on, case, outcome):
+        import netmon.cli as cli_mod
+
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        out = str(tmp_path / "out")
+        simulate = ["simulate", "--runs", "1", "--steps", "5", "--out", out]
+        argv = {
+            "success": simulate,
+            "cli_error": ["fit", "weibull", "--input", str(empty), "--out", out],
+            "missing_corpus": ["pipeline", "--queries", str(FIXTURES / "queries.txt"),
+                               "--corpus", str(tmp_path / "missing.jsonl"), "--out-dir", out],
+            "raising_command": simulate,
+            "usage_error": ["simulate"],
+            "help": ["--help"],
+        }[case]
+        if case == "raising_command":
+            def boom(*args, **kwargs):
+                raise RuntimeError("induced failure")
+
+            monkeypatch.setattr(cli_mod, "run_simulation", boom)
+        try:
+            got = ("return", main(argv))
+        except SystemExit as exc:
+            got = ("exit", exc.code)
+        capsys.readouterr()
+        assert got == outcome
+        assert gc.isenabled() is collector_on
+
+    def test_command_runs_with_collector_off_and_patch_reaches_it(
+            self, tmp_path, monkeypatch, capsys, collector_on):
+        import netmon.cli as cli_mod
+
+        argv = ["fit", "weibull", "--input", str(tmp_path / "missing.txt"),
+                "--out", str(tmp_path / "fit.json")]
+        assert main(argv) == 2  # the real cmd_fit: no such input file
+        seen = []
+
+        def fake_fit(args):
+            seen.append((args.distribution, gc.isenabled()))
+            return 0
+
+        # patched after a first call, so after the parser was built
+        monkeypatch.setattr(cli_mod, "cmd_fit", fake_fit)
+        assert main(argv) == 0
+        assert seen == [("weibull", False)]
+        assert gc.isenabled() is collector_on
+
+    def test_parser_built_once(self, tmp_path, capsys):
+        from netmon.cli import build_parser
+
+        build_parser.cache_clear()
+        argv = ["fit", "weibull", "--input", str(tmp_path / "missing.txt"),
+                "--out", str(tmp_path / "fit.json")]
+        assert main(argv) == main(argv) == 2
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_cyclic_garbage_does_not_grow_with_input(self, tmp_path, capsys):
+        # The premise of the pause: what a run leaves for the collector is a
+        # constant, so pausing it costs no memory that grows with the input.
+        lines = (FIXTURES / "corpus_1000.jsonl").read_text().splitlines(keepends=True)
+
+        def pipeline(copies: int) -> list:
+            corpus = tmp_path / f"copies{copies}.jsonl"
+            corpus.write_text("".join(line.replace('"id": "', f'"id": "c{c}-', 1)
+                                      for c in range(copies) for line in lines))
+            return ["pipeline", "--queries", str(FIXTURES / "queries.txt"),
+                    "--corpus", str(corpus), "--redirect-map", str(FIXTURES / "redirect_map.json"),
+                    "--out-dir", str(tmp_path / f"pipeline{copies}")]
+
+        def simulate(runs: int) -> list:
+            return ["simulate", "--runs", str(runs), "--out", str(tmp_path / f"simulate{runs}")]
+
+        def cyclic_garbage(argv: list) -> int:
+            gc.collect()
+            assert main(argv) == 0
+            return gc.collect()
+
+        for small, large in ((pipeline(1), pipeline(5)), (simulate(2), simulate(20))):
+            cyclic_garbage(small)  # first-call allocations (caches, lazy imports)
+            assert cyclic_garbage(small) == cyclic_garbage(large)

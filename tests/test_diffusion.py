@@ -200,3 +200,10 @@ class TestParams:
                 BehaviorParams.constant(
                     p_s=0.5, e0=1, p_like=0.5, p_repost=0.5, rich_get_richer_gamma=bad
                 )
+
+    def test_integer_too_large_for_a_float_is_a_value_error(self):
+        # math.isfinite would raise OverflowError converting it.
+        for field in ("link_boost", "rich_get_richer_gamma"):
+            with pytest.raises(ValueError, match=field):
+                BehaviorParams.constant(p_s=0.5, e0=1, p_like=0.5, p_repost=0.5,
+                                        **{field: 10**400})
