@@ -91,6 +91,16 @@ def _write_sidecar(target: Path, config: dict) -> None:
     target.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
 
 
+def _write_output(out: str, text: str, config: dict) -> Path:
+    """Write ``text`` to the file ``out``, making its directory, and beside
+    it the sidecar ``<out>.run.json``: ``config`` plus ``"out"``."""
+    path = Path(out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    _write_sidecar(Path(f"{path}.run.json"), {**config, "out": str(path)})
+    return path
+
+
 def _read_text(path: Path, what: str) -> str:
     """The text of an input file, which must be UTF-8."""
     try:
@@ -106,6 +116,15 @@ def _read_json(path: Path, what: str):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too long an integer, too deep nesting
         raise CliError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _typed(value, kind):
+    """A JSON field's ``value`` as ``kind``: an int field takes a JSON integer,
+    a float field any JSON number (OverflowError past the float range).  A
+    boolean is neither, no string is converted, and anything else is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        raise TypeError(f"not a JSON {kind.__name__}: {value!r}")
+    return kind(value)
 
 
 # ---------------------------------------------------------------- simulate
@@ -150,26 +169,15 @@ def _load_sim_config(args) -> dict:
         for key, value in loaded.items():
             if key not in _SIM_CONFIG_FIELDS:
                 raise CliError(f"unknown config field: {key}")
-            if value is None and key == "max_agents":
-                resolved[key] = None
-                continue
-            # An int field takes a JSON integer and a float field any JSON
-            # number.  A boolean is neither, and no string is converted.
-            kind = _SIM_CONFIG_FIELDS[key]
-            accepted = (int, float) if kind is float else int
             try:
-                if isinstance(value, bool) or not isinstance(value, accepted):
-                    raise TypeError(key)
-                resolved[key] = kind(value)
+                resolved[key] = (None if key == "max_agents" and value is None
+                                 else _typed(value, _SIM_CONFIG_FIELDS[key]))
             except (TypeError, OverflowError) as exc:
                 raise CliError(f"bad value for config field {key}: {value!r}") from exc
     # flags override the config file
-    if args.steps is not None:
-        resolved["horizon"] = args.steps
-    if args.seed is not None:
-        resolved["seed"] = args.seed
-    if args.runs is not None:
-        resolved["runs"] = args.runs
+    for key, flag in (("horizon", args.steps), ("seed", args.seed), ("runs", args.runs)):
+        if flag is not None:
+            resolved[key] = flag
     return resolved
 
 
@@ -250,73 +258,56 @@ def _read_samples(path_str: str, want_int: bool) -> list:
     return samples
 
 
+# Each fit type's distribution name, its range check, and its fields in
+# file order: attribute, file key, kind and default (None: required).
+_FIT_TABLE = {
+    WeibullFit: ("weibull", lambda fit: fit.k > 0 and fit.lam > 0, (
+        ("k", "k", float, None),
+        ("lam", "lambda", float, None),
+        ("log_likelihood", "log_likelihood", float, 0.0),
+        ("n_samples", "n_samples", int, 0),
+        ("ks_statistic", "ks_statistic", float, 0.0),
+    )),
+    PowerLawFit: ("powerlaw", lambda fit: fit.alpha > 1 and fit.xmin >= 1, (
+        ("alpha", "alpha", float, None),
+        ("xmin", "xmin", int, 1),
+        ("log_likelihood", "log_likelihood", float, 0.0),
+        ("n_tail", "n_tail", int, 0),
+    )),
+}
+
+
 def _fit_to_dict(fit) -> dict:
-    if isinstance(fit, WeibullFit):
-        return {
-            "distribution": "weibull",
-            "k": fit.k,
-            "lambda": fit.lam,
-            "log_likelihood": fit.log_likelihood,
-            "n_samples": fit.n_samples,
-            "ks_statistic": fit.ks_statistic,
-        }
-    return {
-        "distribution": "powerlaw",
-        "alpha": fit.alpha,
-        "xmin": fit.xmin,
-        "log_likelihood": fit.log_likelihood,
-        "n_tail": fit.n_tail,
-    }
-
-
-def _fit_number(obj: dict, key: str, default=None, whole: bool = False):
-    """Field ``key`` of a fit file (``default`` if it is left out) as a
-    float, or as an int where ``whole``.  A boolean, null, or a fraction
-    where ``whole`` (which ``int`` would cut) raises TypeError/ValueError."""
-    value = obj[key] if default is None else obj.get(key, default)
-    if isinstance(value, bool):
-        raise TypeError(f"{key} must be a number, not {json.dumps(value)}")
-    if not whole:
-        return float(value)
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key} must be an integer, not {value!r}")
-    return int(value)
+    name, _, fields = _FIT_TABLE[type(fit)]
+    return {"distribution": name, **{key: getattr(fit, attr) for attr, key, _, _ in fields}}
 
 
 def _load_fit(path_str: str):
-    """The fit in a fit file: a Weibull with finite k > 0 and lambda > 0, or
-    a power law with finite alpha > 1 and xmin >= 1; every other number in
-    it finite too.  No number field may hold a boolean or null, nor an
-    integer field (xmin, n_samples, n_tail) a number with a fraction."""
+    """The fit in a fit file, of the type its ``distribution`` names or, with
+    none, of the first type whose first key it has.  Each field keeps its
+    JSON type (``_typed``), the fit passes its range check, floats are finite."""
     path = Path(path_str)
     obj = _read_json(path, "fit file")
     if not isinstance(obj, dict):
         raise CliError(f"fit file {path} must hold a JSON object")
-    try:
-        if obj.get("distribution") == "weibull" or "k" in obj:
-            fit = WeibullFit(
-                k=_fit_number(obj, "k"),
-                lam=_fit_number(obj, "lambda"),
-                log_likelihood=_fit_number(obj, "log_likelihood", 0.0),
-                n_samples=_fit_number(obj, "n_samples", 0, whole=True),
-                ks_statistic=_fit_number(obj, "ks_statistic", 0.0),
-            )
-            in_range = fit.k > 0 and fit.lam > 0
-            floats = (fit.k, fit.lam, fit.log_likelihood, fit.ks_statistic)
-        elif obj.get("distribution") == "powerlaw" or "alpha" in obj:
-            fit = PowerLawFit(
-                alpha=_fit_number(obj, "alpha"),
-                xmin=_fit_number(obj, "xmin", 1, whole=True),
-                log_likelihood=_fit_number(obj, "log_likelihood", 0.0),
-                n_tail=_fit_number(obj, "n_tail", 0, whole=True),
-            )
-            in_range = fit.alpha > 1 and fit.xmin >= 1
-            floats = (fit.alpha, fit.log_likelihood)
-        else:
-            raise CliError(f"fit file {path} names no known distribution")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CliError(f"bad fit file {path}: {exc}") from exc
-    if not (in_range and all(map(math.isfinite, floats))):
+    fit_type = next((t for t, (name, _, fields) in _FIT_TABLE.items()
+                     if (obj["distribution"] == name if "distribution" in obj
+                         else fields[0][1] in obj)), None)
+    if fit_type is None:
+        raise CliError(f"bad fit file {path}: names no known distribution")
+    name, in_range, fields = _FIT_TABLE[fit_type]
+    values = {}
+    for attr, key, kind, default in fields:
+        if default is None and key not in obj:
+            raise CliError(f"bad fit file {path}: a {name} fit needs {key}")
+        value = obj.get(key, default)
+        try:
+            values[attr] = _typed(value, kind)
+        except (TypeError, OverflowError) as exc:
+            raise CliError(f"bad fit file {path}: bad value for {key}: {value!r}") from exc
+    fit = fit_type(**values)
+    floats = [values[attr] for attr, _, kind, _ in fields if kind is float]
+    if not (in_range(fit) and all(map(math.isfinite, floats))):
         raise CliError(f"bad fit file {path}: parameters out of range in {_fit_to_dict(fit)}")
     return fit
 
@@ -337,15 +328,9 @@ def cmd_fit(args) -> int:
             raise CliError(f"power-law fit failed: {exc}") from exc
         print(f"alpha={fit.alpha:.6g} xmin={fit.xmin}")
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(_fit_to_dict(fit), indent=2) + "\n")
-    _write_sidecar(
-        Path(str(out) + ".run.json"),
-        {"distribution": args.distribution, "input": args.input,
-         "xmin": args.xmin if args.distribution == "powerlaw" else None,
-         "out": str(out)},
-    )
+    _write_output(args.out, json.dumps(_fit_to_dict(fit), indent=2) + "\n",
+                  {"distribution": args.distribution, "input": args.input,
+                   "xmin": args.xmin if args.distribution == "powerlaw" else None})
     return 0
 
 
@@ -553,14 +538,9 @@ def cmd_compare(args) -> int:
             for k, c, p in report.top_outliers
         ],
     }
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(obj, indent=2) + "\n")
-    _write_sidecar(
-        Path(str(out) + ".run.json"),
-        {"empirical": args.empirical, "baseline_fit": args.baseline_fit,
-         "threshold": args.threshold, "out": str(out)},
-    )
+    _write_output(args.out, json.dumps(obj, indent=2) + "\n",
+                  {"empirical": args.empirical, "baseline_fit": args.baseline_fit,
+                   "threshold": args.threshold})
     print(f"ks={report.empirical_ks:.6g} threshold={report.threshold:.6g} "
           f"flagged={report.flagged}")
     return 0
@@ -576,14 +556,8 @@ def cmd_plot_points(args) -> int:
         points = emit_pdf_points(fit, x_max=args.x_max, n_points=args.n)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["x,pdf"] + [f"{x!r},{y!r}" for x, y in points]
-    out.write_text("".join(line + "\n" for line in lines))
-    _write_sidecar(
-        Path(str(out) + ".run.json"),
-        {"fit": args.fit, "x_max": args.x_max, "n": args.n, "out": str(out)},
-    )
+    csv = "x,pdf\n" + "".join(f"{x!r},{y!r}\n" for x, y in points)
+    out = _write_output(args.out, csv, {"fit": args.fit, "x_max": args.x_max, "n": args.n})
     print(f"wrote {len(points)} curve points -> {out}")
     return 0
 

@@ -131,19 +131,17 @@ def powerlaw_cdf(x: float, alpha: float, xmin: float) -> float:
     return 1.0 - (x / x0) ** (1.0 - alpha)
 
 
-def _weibull_residual(k: float, x: np.ndarray, log_x: np.ndarray, mean_log: float) -> float:
+def _weibull_residual(k: float, log_x: np.ndarray, mean_log: float) -> tuple[float, float]:
+    """The shape equation's residual at ``k`` and its slope d residual / dk."""
     # Scale-invariant form: weights (x/max)^k avoid overflow for large k.
     w = np.exp(k * (log_x - log_x.max()))
-    return float(np.dot(w, log_x) / w.sum() - 1.0 / k - mean_log)
-
-
-def _weibull_residual_slope(k: float, log_x: np.ndarray) -> float:
-    # d residual / dk = weighted variance of log x + 1/k^2 > 0.
-    w = np.exp(k * (log_x - log_x.max()))
-    w = w / w.sum()
+    total = w.sum()
+    resid = float(np.dot(w, log_x) / total - 1.0 / k - mean_log)
+    # The slope is the weighted variance of log x + 1/k^2 > 0.
+    w = w / total
     m = float(np.dot(w, log_x))
     var = float(np.dot(w, (log_x - m) ** 2))
-    return var + 1.0 / (k * k)
+    return resid, var + 1.0 / (k * k)
 
 
 def fit_weibull_mle(samples: Sequence[float] | np.ndarray) -> WeibullFit:
@@ -179,7 +177,7 @@ def fit_weibull_mle(samples: Sequence[float] | np.ndarray) -> WeibullFit:
 
     k = min(max(1.2 / sd_log, _K_LO), _K_HI)
     lo, hi = _K_LO, _K_HI
-    resid = _weibull_residual(k, x, log_x, mean_log)
+    resid, slope = _weibull_residual(k, log_x, mean_log)
     for _ in range(_K_MAX_ITER):
         if abs(resid) < _K_TOL:
             break
@@ -188,12 +186,11 @@ def fit_weibull_mle(samples: Sequence[float] | np.ndarray) -> WeibullFit:
             lo = max(lo, k)
         else:
             hi = min(hi, k)
-        step = resid / _weibull_residual_slope(k, log_x)
-        k_next = k - step
+        k_next = k - resid / slope
         if not (lo < k_next < hi):
             k_next = 0.5 * (lo + hi)
         k = k_next
-        resid = _weibull_residual(k, x, log_x, mean_log)
+        resid, slope = _weibull_residual(k, log_x, mean_log)
     else:
         raise ConvergenceError(
             f"shape solver did not reach |residual| < {_K_TOL} in {_K_MAX_ITER} iterations",

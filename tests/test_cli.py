@@ -10,12 +10,15 @@ import tempfile
 import tracemalloc
 from datetime import datetime
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netmon.cli as cli_mod
 from netmon.cli import main
+from netmon.distfit import PowerLawFit, WeibullFit
 from netmon.simulator import CHUNK_RUNS
 
 from _oracles import powerlaw_int_samples, weibull_samples
@@ -168,8 +171,6 @@ class TestSimulate:
         self.assert_output_bytes_pinned(tmp_path)
 
     def test_chunk_boundaries_leave_output_bytes_unchanged(self, tmp_path, monkeypatch):
-        import netmon.cli as cli_mod
-
         # 3 and 5 runs in chunks of 2: full chunks and a last partial one
         monkeypatch.setattr(cli_mod, "CHUNK_RUNS", 2)
         self.assert_output_bytes_pinned(tmp_path)
@@ -212,8 +213,6 @@ class TestSimulate:
     # 2 and 20 runs in one chunk each, and in one and ten chunks of 2.
     @pytest.mark.parametrize("chunk_runs", [CHUNK_RUNS, 2], ids=["one_chunk", "chunks_of_2"])
     def test_memory_does_not_grow_with_runs(self, tmp_path, monkeypatch, chunk_runs):
-        import netmon.cli as cli_mod
-
         monkeypatch.setattr(cli_mod, "CHUNK_RUNS", chunk_runs)
         # Agents never die and one appears every tick, so every run has the
         # same 100 agents and about 5k events, whatever its seed.
@@ -726,6 +725,35 @@ class TestInputFileFuzz:
                                (row.split(",")[1] for row in rows)), rows
 
 
+_FIT_FILES = {
+    "weibull": {"distribution": "weibull", "k": 1.9, "lambda": 180.0, "log_likelihood": 0.0,
+                "n_samples": 100, "ks_statistic": 0.0},
+    "powerlaw": {"distribution": "powerlaw", "alpha": 2.5, "xmin": 1, "log_likelihood": 0.0,
+                 "n_tail": 10},
+}
+# A fit-file field keeps its JSON type, as a --config field does: no string
+# is converted (numeric or not), and an integer field takes no float, not
+# even an integral one.
+_WRONG_TYPE_FIELDS = pytest.mark.parametrize("dist, key, value", [
+    ("weibull", "k", "1_9"), ("weibull", "lambda", " 180 "), ("weibull", "n_samples", "12"),
+    ("weibull", "k", "nan"), ("weibull", "lambda", "inf"), ("weibull", "ks_statistic", "nan"),
+    ("weibull", "n_samples", 1e300), ("powerlaw", "alpha", "2.5"), ("powerlaw", "alpha", "nan"),
+    ("powerlaw", "alpha", "inf"), ("powerlaw", "xmin", "inf"), ("powerlaw", "xmin", 2.0),
+])
+# The distribution a fit file names picks its type, whatever keys it holds.
+_DISAGREEING_DISTRIBUTION = pytest.mark.parametrize("name, named", [
+    ("powerlaw", "alpha"), ("gamma", "distribution"), (None, "distribution"),
+])
+
+
+def _assert_bad_fit_file(capsys, out: Path, code: int, *named: str) -> None:
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: bad fit file "), err
+    assert all(word in err for word in named), err
+    assert not out.exists() and not Path(f"{out}.run.json").exists()
+
+
 class TestCompare:
     def _baseline(self, tmp_path):
         fit = tmp_path / "baseline.json"
@@ -771,8 +799,8 @@ class TestCompare:
         assert err.count("\n") == 1 and "fit file" in err
 
     @pytest.mark.parametrize("field, value", [
-        ("k", "nan"), ("k", float("nan")), ("k", 0), ("lambda", "inf"), ("lambda", -1.0),
-        ("log_likelihood", float("-inf")), ("ks_statistic", "nan"),
+        ("k", float("nan")), ("k", 0), ("lambda", float("inf")), ("lambda", -1.0),
+        ("log_likelihood", float("-inf")), ("ks_statistic", float("nan")),
     ])
     def test_fit_parameter_out_of_range_exits_two(self, tmp_path, capsys, field, value):
         src = tmp_path / "counts.txt"
@@ -786,9 +814,10 @@ class TestCompare:
         assert not out.exists()
 
     @pytest.mark.parametrize("fields", [
-        {"alpha": "nan"}, {"alpha": 1.0}, {"alpha": "inf"}, {"xmin": 0}, {"xmin": "inf"},
+        {"alpha": float("nan")}, {"alpha": 1.0}, {"alpha": float("inf")}, {"xmin": 0},
+        {"xmin": -1},
     ])
-    def test_powerlaw_parameter_out_of_range_exits_two(self, tmp_path, fields):
+    def test_powerlaw_parameter_out_of_range_exits_two(self, tmp_path, capsys, fields):
         src = tmp_path / "counts.txt"
         src.write_text("".join(f"{i}\n" for i in range(1, 30)))
         fit = tmp_path / "fit.json"
@@ -796,6 +825,7 @@ class TestCompare:
                                    **fields}))
         assert main(["compare", "--empirical", str(src), "--baseline-fit", str(fit),
                      "--out", str(tmp_path / "r.json")]) == 2
+        assert "out of range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fields", [
         {"distribution": "powerlaw", "alpha": 2.5, "xmin": 2.7},
@@ -823,15 +853,24 @@ class TestCompare:
         assert err.count("\n") == 1 and "bad fit file" in err, err
         assert not out.exists()
 
-    def test_integral_float_in_integer_field_accepted(self, tmp_path):
+    def _compare(self, tmp_path, fit_obj) -> tuple[int, Path]:
         src = tmp_path / "counts.txt"
         src.write_text("".join(f"{i}\n" for i in range(1, 30)))
         fit = tmp_path / "fit.json"
-        fit.write_text(json.dumps({"distribution": "powerlaw", "alpha": 2.5, "xmin": 2.0}))
+        fit.write_text(json.dumps(fit_obj))
         out = tmp_path / "r.json"
-        assert main(["compare", "--empirical", str(src), "--baseline-fit", str(fit),
-                     "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["baseline"]["xmin"] == 2
+        return main(["compare", "--empirical", str(src), "--baseline-fit", str(fit),
+                     "--out", str(out)]), out
+
+    @_WRONG_TYPE_FIELDS
+    def test_fit_field_of_the_wrong_type_exits_two(self, tmp_path, capsys, dist, key, value):
+        code, out = self._compare(tmp_path, {**_FIT_FILES[dist], key: value})
+        _assert_bad_fit_file(capsys, out, code, f"bad value for {key}: {value!r}")
+
+    @_DISAGREEING_DISTRIBUTION
+    def test_distribution_disagreeing_with_keys_exits_two(self, tmp_path, capsys, name, named):
+        code, out = self._compare(tmp_path, {**_FIT_FILES["weibull"], "distribution": name})
+        _assert_bad_fit_file(capsys, out, code, named)
 
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_non_finite_threshold_exits_two(self, tmp_path, threshold):
@@ -887,7 +926,7 @@ class TestPlotPoints:
         assert main(["plot-points", "--fit", str(fit), "--x-max", "10",
                      "--out", str(tmp_path / "c.csv")]) == 2
 
-    @pytest.mark.parametrize("k, lam", [(1.9, "inf"), ("nan", 180.0), (1.9, 0.0)])
+    @pytest.mark.parametrize("k, lam", [(1.9, float("inf")), (float("nan"), 180.0), (1.9, 0.0)])
     def test_fit_parameter_out_of_range_exits_two(self, tmp_path, capsys, k, lam):
         out = tmp_path / "curve.csv"
         assert main(["plot-points", "--fit", str(self._fit_file(tmp_path, k=k, lam=lam)),
@@ -900,6 +939,22 @@ class TestPlotPoints:
         assert main(["plot-points", "--fit", str(self._fit_file(tmp_path)),
                      "--x-max", x_max, "--out", str(tmp_path / "c.csv")]) == 2
 
+    def _plot(self, tmp_path, fit_obj) -> tuple[int, Path]:
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps(fit_obj))
+        out = tmp_path / "c.csv"
+        return main(["plot-points", "--fit", str(fit), "--x-max", "10", "--out", str(out)]), out
+
+    @_WRONG_TYPE_FIELDS
+    def test_fit_field_of_the_wrong_type_exits_two(self, tmp_path, capsys, dist, key, value):
+        code, out = self._plot(tmp_path, {**_FIT_FILES[dist], key: value})
+        _assert_bad_fit_file(capsys, out, code, f"bad value for {key}: {value!r}")
+
+    @_DISAGREEING_DISTRIBUTION
+    def test_distribution_disagreeing_with_keys_exits_two(self, tmp_path, capsys, name, named):
+        code, out = self._plot(tmp_path, {**_FIT_FILES["weibull"], "distribution": name})
+        _assert_bad_fit_file(capsys, out, code, named)
+
     def test_powerlaw_fit_rejected(self, tmp_path):
         fit = tmp_path / "fit.json"
         fit.write_text(json.dumps({"distribution": "powerlaw", "alpha": 2.5, "xmin": 1,
@@ -908,10 +963,61 @@ class TestPlotPoints:
                      "--out", str(tmp_path / "c.csv")]) == 2
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_FITS = st.one_of(
+    st.builds(WeibullFit, k=_POSITIVE, lam=_POSITIVE, log_likelihood=_FINITE,
+              n_samples=st.integers(min_value=0), ks_statistic=_FINITE),
+    st.builds(PowerLawFit, alpha=st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+              xmin=st.integers(min_value=1), log_likelihood=_FINITE,
+              n_tail=st.integers(min_value=0)),
+)
+
+
+class TestFitFile:
+    """The fit file `netmon fit` writes, as compare and plot-points read it."""
+
+    @given(fit=_FITS)
+    @settings(max_examples=100, deadline=None)
+    def test_written_fit_reads_back_equal(self, fit):
+        distribution = "weibull" if isinstance(fit, WeibullFit) else "powerlaw"
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+                mock.patch.object(cli_mod, f"fit_{distribution}_mle", lambda *a, **kw: fit):
+            samples, out = Path(tmp) / "samples.txt", Path(tmp) / "fit.json"
+            samples.write_text("1\n")
+            assert main(["fit", distribution, "--input", str(samples), "--out", str(out)]) == 0
+            assert cli_mod._load_fit(str(out)) == fit
+
+    @pytest.mark.parametrize("distribution, keys", [
+        ("weibull", ["distribution", "k", "lambda", "log_likelihood", "n_samples",
+                     "ks_statistic"]),
+        ("powerlaw", ["distribution", "alpha", "xmin", "log_likelihood", "n_tail"]),
+    ])
+    def test_layout_pinned(self, tmp_path, capsys, distribution, keys):
+        samples = tmp_path / "samples.txt"
+        samples.write_text("".join(f"{2**j}\n" for j in range(14)))
+        out = tmp_path / "fit.json"
+        assert main(["fit", distribution, "--input", str(samples), "--out", str(out)]) == 0
+        assert list(json.loads(out.read_text())) == keys
+
+    def test_sidecar_holds_the_normalized_out_path(self, tmp_path, monkeypatch, capsys):
+        samples = tmp_path / "samples.txt"
+        samples.write_text("".join(f"{2**j}\n" for j in range(14)))
+        fit = tmp_path / "weibull.json"
+        assert main(["fit", "weibull", "--input", str(samples), "--out", str(fit)]) == 0
+        for command in (["fit", "weibull", "--input", str(samples)],
+                        ["compare", "--empirical", str(samples), "--baseline-fit", str(fit)],
+                        ["plot-points", "--fit", str(fit), "--x-max", "10"]):
+            (tmp_path / command[0]).mkdir()
+            monkeypatch.chdir(tmp_path / command[0])
+            capsys.readouterr()
+            assert main([*command, "--out", "./sub//w.json"]) == 0
+            assert json.loads(Path("sub/w.json.run.json").read_text())["out"] == "sub/w.json"
+        assert capsys.readouterr().out.endswith(" curve points -> sub/w.json\n")
+
+
 class TestExitCodesAndDeterminism:
     def test_internal_failure_exits_one(self, tmp_path, monkeypatch, capsys):
-        import netmon.cli as cli_mod
-
         def boom(*args, **kwargs):
             raise RuntimeError("induced failure")
 
@@ -1022,8 +1128,6 @@ class TestCollectorPauseAndParser:
     ])
     def test_collector_state_restored_on_every_exit(self, tmp_path, monkeypatch, capsys,
                                                     collector_on, case, outcome):
-        import netmon.cli as cli_mod
-
         empty = tmp_path / "empty.txt"
         empty.write_text("")
         out = str(tmp_path / "out")
@@ -1052,8 +1156,6 @@ class TestCollectorPauseAndParser:
 
     def test_command_runs_with_collector_off_and_patch_reaches_it(
             self, tmp_path, monkeypatch, capsys, collector_on):
-        import netmon.cli as cli_mod
-
         argv = ["fit", "weibull", "--input", str(tmp_path / "missing.txt"),
                 "--out", str(tmp_path / "fit.json")]
         assert main(argv) == 2  # the real cmd_fit: no such input file
