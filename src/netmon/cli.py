@@ -31,6 +31,7 @@ import sys
 import traceback
 from contextlib import nullcontext
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 from .diffusion import BehaviorParams, is_finite
@@ -336,10 +337,22 @@ def cmd_fit(args) -> int:
 
 # ---------------------------------------------------------------- pipeline
 
+# Lines per write call in _write_lines.
+_WRITE_BATCH = 1024
+
+
 def _write_lines(target: Path, lines) -> None:
-    """Stream ``lines`` to ``target`` without joining them first."""
+    """Write the text lines of the iterable ``lines`` to ``target``.
+
+    The lines are joined ``_WRITE_BATCH`` at a time and written with one
+    ``write`` call per batch, so memory holds one batch, not the file.
+    The file ends when ``lines`` is exhausted; an empty line, or a batch
+    of them, does not end it.
+    """
+    lines = iter(lines)
     with target.open("w") as fh:
-        fh.writelines(lines)
+        while batch := list(islice(lines, _WRITE_BATCH)):
+            fh.write("".join(batch))
 
 
 def cmd_pipeline(args) -> int:

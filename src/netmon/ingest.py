@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
+from functools import lru_cache
 from typing import IO, Iterable, Iterator, Union
 
 from .jsonl import decode_line, quote
@@ -89,21 +90,36 @@ def format_timestamp(dt: datetime) -> str:
 
 # netmon's own output form, and the millisecond form of Twitter API v2's
 # created_at.  Hours stop at 23, so that no reading of T24:00 as the next
-# day's midnight can reach the fast path.
+# day's midnight can reach the fast path, and minutes and seconds at 59, so
+# that the shape alone checks the clock.
 _CANONICAL_SHAPE = re.compile(
-    r"[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}(?:\.[0-9]{1,6})?Z")
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]"
+    r"(?:\.[0-9]{1,6})?Z")
+
+
+@lru_cache(maxsize=4096)
+def _check_date(value: str) -> None:
+    """Raise ``ValueError`` unless ``YYYY-MM-DD`` is a calendar date in
+    years 1..9999; a corpus repeats its dates, so each is parsed once."""
+    date.fromisoformat(value)
 
 
 def canonical_timestamp(value: str) -> str:
     """``format_timestamp(parse_timestamp(value))``, with the same exceptions.
 
-    A UTC value of the form ``YYYY-MM-DDTHH:MM:SS[.ffffff]Z`` is only
-    checked by ``fromisoformat`` (which rejects impossible fields such as
-    Feb 30 or second 60) and cut to whole seconds; every other value is
-    parsed and formatted.  The text has a fixed width, so it orders as
-    the instants do.
+    A UTC value of the form ``YYYY-MM-DDTHH:MM:SSZ`` is already that
+    text: its clock fields are checked by their shape and its date once
+    per distinct date by ``date.fromisoformat`` (which rejects Feb 29 of
+    a common year or year 0), and it is returned as is.  With 1 to 6
+    fraction digits before the ``Z`` it is checked by
+    ``datetime.fromisoformat`` and cut to whole seconds.  Every other
+    value is parsed and formatted.  The text has a fixed width, so it
+    orders as the instants do.
     """
     if _CANONICAL_SHAPE.fullmatch(value):
+        if len(value) == 20:
+            _check_date(value[:10])
+            return value
         datetime.fromisoformat(value[:-1])
         return value[:19] + "Z"
     return format_timestamp(parse_timestamp(value))

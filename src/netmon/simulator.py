@@ -101,6 +101,9 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        # random.Random seeds from abs(seed), so seed -k would repeat run k.
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.initial_agents < 1:
             raise ValueError(f"initial_agents must be >= 1, got {self.initial_agents}")
         if self.max_agents is not None and self.max_agents < 1:

@@ -99,6 +99,20 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: bad value for config field {field}: {value!r}\n"
         assert not out.exists()
 
+    # Seed -k would repeat run k (random.Random seeds from abs(seed)).
+    @pytest.mark.parametrize("fields, flags, seed", [
+        ({}, ["--seed", "-1"], -1),
+        ({"seed": -1}, [], -1),
+        ({"seed": 3}, ["--seed", "-3"], -3),
+    ], ids=["flag", "config", "flag_over_config"])
+    def test_negative_seed_exits_two(self, tmp_path, capsys, fields, flags, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: seed must be >= 0, got {seed}\n"
+        assert not out.exists()
+
     def test_config_values_of_their_json_type_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"p_s": 0, "link_boost": 2, "p_like": 0.25, "e0": 3,
@@ -275,6 +289,30 @@ class TestFit:
         assert obj["alpha"] == pytest.approx(expected)
         assert obj["distribution"] == "powerlaw"
         assert obj["xmin"] == 1
+
+
+class TestWriteLines:
+    """_write_lines writes its lines in batches of _WRITE_BATCH."""
+
+    N = cli_mod._WRITE_BATCH
+
+    @pytest.mark.parametrize("count", [0, 1, N - 1, N, N + 1, 2 * N + 1])
+    def test_bytes_equal_the_joined_lines(self, tmp_path, count):
+        lines = [f"line {i}\n" if i % 3 else f'{{"n": {i}}}\n' for i in range(count)]
+        target = tmp_path / "out.jsonl"
+        cli_mod._write_lines(target, (line for line in lines))
+        assert target.read_bytes() == "".join(lines).encode()
+
+    # A whole batch of empty lines, and empty lines across a batch boundary.
+    @pytest.mark.parametrize("lines", [
+        [""] * N + ["after\n"],
+        ["before\n"] + [""] * (2 * N) + ["after\n"],
+        ["a\n"] * (N - 1) + ["", "", "b\n"],
+    ], ids=["empty_batch", "empty_across_batches", "empty_at_boundary"])
+    def test_empty_lines_do_not_end_the_file(self, tmp_path, lines):
+        target = tmp_path / "out.jsonl"
+        cli_mod._write_lines(target, (line for line in lines))
+        assert target.read_text() == "".join(lines)
 
 
 class TestPipeline:

@@ -183,6 +183,26 @@ class TestLoadCorpus:
         assert messages == []
         assert [(r.line_no, r.reason) for r in rejects] == [(1, f"bad timestamp: {ts!r}")]
 
+    # A whole-second UTC stamp has its date checked once per distinct date:
+    # each stamp is on two lines, so the second meets the date already seen.
+    @pytest.mark.parametrize("ts", ["2016-02-29T00:00:00Z", "2000-02-29T00:00:00Z"])
+    def test_whole_second_utc_stamp_kept_as_is(self, ts):
+        ingest_mod._check_date.cache_clear()
+        messages, rejects = load_corpus([corpus_line("m1", ts=ts), corpus_line("m2", ts=ts)])
+        assert [m.timestamp for m in messages] == [ts, ts] and rejects == []
+        info = ingest_mod._check_date.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("ts", [
+        "2015-02-29T00:00:00Z", "1900-02-29T00:00:00Z", "0000-01-01T00:00:00Z",
+        "2016-05-04T00:60:00Z", "2016-05-04T23:59:60Z", "2016-05-04T24:00:00Z",
+    ])
+    def test_impossible_whole_second_utc_stamp_rejected(self, ts):
+        messages, rejects = load_corpus([corpus_line("m1", ts=ts), corpus_line("m2", ts=ts)])
+        assert messages == []
+        assert [(r.line_no, r.reason) for r in rejects] == [
+            (1, f"bad timestamp: {ts!r}"), (2, f"bad timestamp: {ts!r}")]
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this Python converts integer strings of any length")
     def test_integer_too_long_to_convert_rejected(self):

@@ -419,7 +419,7 @@ class TestBatchedReplicate:
         boost=st.sampled_from([1.0, 1.7]),
         gamma=st.sampled_from([0.0, 0.5]),
         horizon=st.integers(1, 12),
-        seed=st.integers(-1000, 2**40),
+        seed=st.integers(0, 2**40),
         max_agents=st.none() | st.integers(1, 200),
         initial_agents=st.integers(1, 3),
         n_runs=st.integers(1, 5),
@@ -445,7 +445,7 @@ class TestBatchedReplicate:
         boost=st.sampled_from([1.0, 1.7]),
         gamma=st.sampled_from([0.0, 0.5]),
         horizon=st.integers(1, 12),
-        seed=st.integers(-1000, 2**40),
+        seed=st.integers(0, 2**40),
         max_agents=st.none() | st.integers(1, 200),
         initial_agents=st.integers(1, 3),
         n_runs=st.integers(1, 5),
@@ -689,6 +689,15 @@ class TestConfigValidation:
         params = BehaviorParams.constant(p_s=0.0, e0=1, p_like=0.5, p_repost=0.5)
         with pytest.raises(ValueError):
             SimulationConfig(params=params, horizon=5, seed=1, initial_agents=0)
+
+    # random.Random seeds from abs(seed): run -k would repeat run k.
+    @pytest.mark.parametrize("seed", [-1, -3, -2**40])
+    def test_negative_seed_rejected(self, seed):
+        params = BehaviorParams.constant(p_s=0.0, e0=1, p_like=0.5, p_repost=0.5)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SimulationConfig(params=params, horizon=5, seed=seed)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            calibrated_default_config(seed=seed)
 
     def test_energy_must_fit_int32(self):
         params = BehaviorParams.constant(p_s=0.0, e0=2**31 - 9, p_like=0.5, p_repost=0.5)
