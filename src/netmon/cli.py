@@ -435,22 +435,22 @@ def cmd_pipeline(args) -> int:
     )
     _write_lines(out_dir / "resolved.jsonl", resolved_jsonl(resolved.values()))
 
-    records = build_link_records(matched, extracted, resolved)
+    citations = build_link_records(matched, extracted, resolved)
     # summary statistics, taken now so that the link occurrences can be
     # freed before ranking; the link ratios are undefined when nothing matched
     stats = link_stats(matched, extracted, resolved) if matched else None
     n_links = len(extracted)
     del extracted
-    ranked = rank_resources(records, granularity=args.granularity)
+    ranked = rank_resources(citations, granularity=args.granularity)
     (out_dir / "ranking.json").write_text(ranking_json(ranked))
 
     # stage 5 boundary: manifest for the downstream crawler
-    doc_ranked = ranked if args.granularity == "document" else rank_resources(records)
+    doc_ranked = ranked if args.granularity == "document" else rank_resources(citations)
     manifest = fetch_manifest(doc_ranked, top_n=args.top)
     (out_dir / "manifest.txt").write_text("".join(u + "\n" for u in manifest))
 
     # stage 6: export stream for the corporate system
-    export_records = build_export_records(records, packet)
+    export_records = build_export_records(citations, packet)
     (out_dir / "export.jsonl").write_bytes(export_stream(export_records))
 
     stats_obj = {

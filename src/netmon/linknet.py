@@ -22,7 +22,7 @@ from .jsonl import quote
 __all__ = [
     "ExtractedLink",
     "ResolvedLink",
-    "LinkRecord",
+    "ResourceCitations",
     "LinkStats",
     "LinkParseError",
     "FetchFailed",
@@ -112,21 +112,19 @@ class ResolvedLink:
 
 
 @dataclass(slots=True)
-class LinkRecord:
-    """One link occurrence joined with its message provenance;
-    ``timestamp`` is the message's canonical UTC text and
-    ``matched_queries`` the indices of the queries the message matched."""
+class ResourceCitations:
+    """The link occurrences that reached one canonical final URL, folded:
+    ``first_seen`` is the least canonical UTC timestamp text of the citing
+    messages, ``query_sets`` their distinct ``matched_queries``."""
 
-    message_id: str
-    author: str
-    timestamp: str
-    raw_url: str
-    final_url: str
+    url: str
     host: str
-    status: str
-    was_shortened: bool
     social: bool
-    matched_queries: frozenset[int]
+    citations: int
+    authors: set[str]
+    first_seen: str
+    message_ids: set[str]
+    query_sets: set[frozenset[int]]
 
 
 @dataclass(frozen=True)
@@ -413,23 +411,37 @@ def build_link_records(
     messages: Sequence[Message],
     extracted: Sequence[ExtractedLink],
     resolved: Mapping[str, ResolvedLink],
-) -> list[LinkRecord]:
-    """Join link occurrences with message provenance and query matches,
-    extraction order; a message id that recurs takes its last message.
-    Whether a host is social is decided once per host."""
+) -> list[ResourceCitations]:
+    """Fold each resolved or not-shortened link occurrence, joined with
+    its message, into the citations of its final URL; one entry per
+    final URL, in first-occurrence order.  A message id that recurs
+    takes its last message.  Whether a host is social is decided once
+    per host."""
     by_id = {m.id: m for m in messages}
     social_of: dict[str, bool] = {}
-    records = []
+    folds: dict[str, ResourceCitations] = {}
     for link in extracted:
         res = resolved[link.raw_url]
+        if res.status not in _OK_STATUSES:
+            continue
         msg = by_id[link.message_id]
-        social = social_of.get(res.host)
-        if social is None:
-            social = social_of[res.host] = _is_social(res.host)
-        records.append(LinkRecord(msg.id, msg.author, msg.timestamp, link.raw_url,
-                                  res.final_url, res.host, res.status, res.was_shortened,
-                                  social, msg.matched_queries))
-    return records
+        fold = folds.get(res.final_url)
+        if fold is None:
+            social = social_of.get(res.host)
+            if social is None:
+                social = social_of[res.host] = _is_social(res.host)
+            folds[res.final_url] = ResourceCitations(
+                res.final_url, res.host, social, 1, {msg.author}, msg.timestamp, {msg.id},
+                {msg.matched_queries})
+            continue
+        fold.citations += 1
+        fold.authors.add(msg.author)
+        # fixed-width canonical texts: the least text is the earliest instant
+        if msg.timestamp < fold.first_seen:
+            fold.first_seen = msg.timestamp
+        fold.message_ids.add(msg.id)
+        fold.query_sets.add(msg.matched_queries)
+    return list(folds.values())
 
 
 def link_stats(

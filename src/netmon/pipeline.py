@@ -16,7 +16,7 @@ from typing import Mapping, Sequence, Union
 from .distfit import PowerLawFit, WeibullFit, ks_statistic, powerlaw_cdf, weibull_cdf
 from .ingest import QueryPacket
 from .jsonl import quote
-from .linknet import _OK_STATUSES, LinkRecord
+from .linknet import ResourceCitations
 
 __all__ = [
     "RankedResource",
@@ -72,36 +72,32 @@ class AnomalyReport:
 
 
 def rank_resources(
-    records: Sequence[LinkRecord],
+    citations: Sequence[ResourceCitations],
     granularity: str = "document",
 ) -> list[RankedResource]:
     """Rank cited resources by citations, author diversity, then key.
 
     ``granularity`` selects the grouping key: the canonical final URL
-    (``document``) or its host (``host``).  Only successfully resolved
-    links count.  Ranks are dense, 1..N.
+    (``document``, one entry per resource) or its host (``host``, the
+    resources of a host merged: citations summed, author sets united).
+    Ranks are dense, 1..N.
     """
     if granularity not in ("document", "host"):
         raise ValueError(f"granularity must be 'document' or 'host', got {granularity!r}")
-    by_document = granularity == "document"
-    groups: dict[str, dict] = {}
-    for r in records:
-        if r.status not in _OK_STATUSES:
-            continue
-        key = r.final_url if by_document else r.host
-        g = groups.get(key)
-        if g is None:
-            g = groups[key] = {"citations": 0, "authors": set(), "social": r.social}
-        g["citations"] += 1
-        g["authors"].add(r.author)
-    ordered = sorted(
-        groups.items(),
-        key=lambda item: (-item[1]["citations"], -len(item[1]["authors"]), item[0]),
-    )
-    return [
-        RankedResource(key, g["citations"], len(g["authors"]), i + 1, g["social"])
-        for i, (key, g) in enumerate(ordered)
-    ]
+    if granularity == "document":
+        groups = [(c.url, c.citations, len(c.authors), c.social) for c in citations]
+    else:
+        by_host: dict[str, list[ResourceCitations]] = {}
+        for c in citations:
+            by_host.setdefault(c.host, []).append(c)
+        groups = [
+            (host, sum(c.citations for c in cs), len(set().union(*(c.authors for c in cs))),
+             cs[0].social)
+            for host, cs in by_host.items()
+        ]
+    groups.sort(key=lambda g: (-g[1], -g[2], g[0]))
+    return [RankedResource(key, n, authors, i + 1, social)
+            for i, (key, n, authors, social) in enumerate(groups)]
 
 
 def ranking_json(ranked: Sequence[RankedResource]) -> str:
@@ -131,40 +127,25 @@ def fetch_manifest(ranked: Sequence[RankedResource], top_n: int) -> list[str]:
 
 
 def build_export_records(
-    records: Sequence[LinkRecord],
+    citations: Sequence[ResourceCitations],
     packet: QueryPacket,
 ) -> list[ExportRecord]:
-    """Aggregate per-document export records for the corporate system.
+    """One export record per cited document, for the corporate system.
 
     Social-platform links are excluded; the export carries external
-    informational resources only.  Query labels come from the query sets
-    the records carry; each group keeps its distinct sets and maps them
-    to labels once.
+    informational resources only.  Each resource maps its distinct query
+    sets to labels once.
     """
-    groups: dict[str, dict] = {}
-    for r in records:
-        if r.status not in _OK_STATUSES or r.social:
-            continue
-        g = groups.get(r.final_url)
-        if g is None:
-            g = groups[r.final_url] = {
-                "first_seen": r.timestamp, "citations": 0, "query_sets": set(), "ids": set(),
-            }
-        g["citations"] += 1
-        # fixed-width canonical texts: the least text is the earliest instant
-        if r.timestamp < g["first_seen"]:
-            g["first_seen"] = r.timestamp
-        g["ids"].add(r.message_id)
-        g["query_sets"].add(r.matched_queries)
     return [
         ExportRecord(
-            url,
-            g["first_seen"],
-            g["citations"],
-            tuple(sorted({packet.queries[i] for matched in g["query_sets"] for i in matched})),
-            tuple(sorted(g["ids"])),
+            c.url,
+            c.first_seen,
+            c.citations,
+            tuple(sorted({packet.queries[i] for matched in c.query_sets for i in matched})),
+            tuple(sorted(c.message_ids)),
         )
-        for url, g in groups.items()
+        for c in citations
+        if not c.social
     ]
 
 

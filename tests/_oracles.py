@@ -22,12 +22,13 @@ from netmon.ingest import Message, format_timestamp, parse_timestamp
 from netmon.linknet import (
     _OK_STATUSES,
     _URL_RUN,
+    SOCIAL_HOSTS,
     ExtractedLink,
     LinkParseError,
     _Split,
     _trim_url,
 )
-from netmon.pipeline import ExportRecord
+from netmon.pipeline import ExportRecord, RankedResource
 from netmon.simulator import (
     EVENT_DEATH,
     EVENT_LIKE,
@@ -540,6 +541,57 @@ def reference_export_stream(records) -> bytes:
         + "\n"
         for r in ordered
     ).encode("utf-8")
+
+
+class ReferenceLinkRecord(NamedTuple):
+    """One link occurrence joined with its message: the per-occurrence
+    record that ``linknet.build_link_records`` once returned."""
+
+    message_id: str
+    author: str
+    timestamp: str
+    raw_url: str
+    final_url: str
+    host: str
+    status: str
+    was_shortened: bool
+    social: bool
+    matched_queries: frozenset
+
+
+def reference_link_records(messages, extracted, resolved) -> list:
+    """One ``ReferenceLinkRecord`` per link occurrence, in extraction
+    order, of every status; a message id that recurs takes its last
+    message."""
+    by_id = {m.id: m for m in messages}
+    records = []
+    for link in extracted:
+        res = resolved[link.raw_url]
+        msg = by_id[link.message_id]
+        records.append(ReferenceLinkRecord(
+            msg.id, msg.author, msg.timestamp, link.raw_url, res.final_url, res.host,
+            res.status, res.was_shortened, res.host.removeprefix("www.") in SOCIAL_HOSTS,
+            msg.matched_queries))
+    return records
+
+
+def reference_rank_resources(records, granularity: str = "document") -> list:
+    """``pipeline.rank_resources`` over per-occurrence records: successful
+    occurrences grouped by final URL or host, sorted by citations, then
+    distinct authors, then key."""
+    groups: dict[str, dict] = {}
+    for r in records:
+        if r.status not in _OK_STATUSES:
+            continue
+        key = r.final_url if granularity == "document" else r.host
+        g = groups.setdefault(key, {"citations": 0, "authors": set(), "social": r.social})
+        g["citations"] += 1
+        g["authors"].add(r.author)
+    ordered = sorted(groups, key=lambda k: (-groups[k]["citations"],
+                                            -len(groups[k]["authors"]), k))
+    return [RankedResource(k, groups[k]["citations"], len(groups[k]["authors"]), i + 1,
+                           groups[k]["social"])
+            for i, k in enumerate(ordered)]
 
 
 def reference_export_records(messages, records, packet) -> list:

@@ -497,20 +497,38 @@ class TestLinkRecordsAndStats:
 
     def test_records_carry_provenance_and_social_tag(self):
         messages, extracted, resolved = self._setup()
-        records = build_link_records(messages, extracted, resolved)
-        assert len(records) == 4
-        assert records[0].message_id == "m1" and records[0].author == "ann"
-        assert records[0].final_url == "https://news.test/one"
-        by_host = {r.host for r in records}
-        assert by_host == {"news.test", "youtu.be"}
-        assert [r.social for r in records] == [False, False, False, True]
+        citations = build_link_records(messages, extracted, resolved)
+        # bit.ly/a and news.test/one both reach news.test/one
+        assert [(c.url, c.host, c.social, c.citations, c.authors, c.message_ids)
+                for c in citations] == [
+            ("https://news.test/one", "news.test", False, 3, {"ann", "bob"}, {"m1", "m2"}),
+            ("https://youtu.be/clip", "youtu.be", True, 1, {"ann"}, {"m3"}),
+        ]
+        assert all(c.first_seen == "2016-05-04T10:00:00Z" for c in citations)
+        assert all(c.query_sets == {frozenset()} for c in citations)
+
+    def test_failed_and_recurring_ids_folded(self):
+        messages = [
+            Message("m1", "ann", "2016-05-02T00:00:00Z", "https://a.test/x http://bit.ly/dead",
+                    frozenset({0})),
+            Message("m2", "bob", "2016-05-01T00:00:00Z", "https://a.test/x", frozenset({1})),
+            # the last message for an id wins the join
+            Message("m1", "cem", "2016-05-03T00:00:00Z", "https://a.test/x", frozenset({2})),
+        ]
+        extracted = extract_links(messages)
+        resolved = resolve_all(extracted, OfflineFetcher({"http://bit.ly/dead": None}))
+        (cited,) = build_link_records(messages, extracted, resolved)
+        assert (cited.url, cited.citations, cited.authors, cited.message_ids) == (
+            "https://a.test/x", 3, {"cem", "bob"}, {"m1", "m2"})
+        assert cited.first_seen == "2016-05-01T00:00:00Z"
+        assert cited.query_sets == {frozenset({1}), frozenset({2})}
 
     def test_social_www_variant(self):
         messages = [msg("m1", "https://www.youtube.com/watch?v=1")]
         extracted = extract_links(messages)
         resolved = resolve_all(extracted, OfflineFetcher({}))
-        records = build_link_records(messages, extracted, resolved)
-        assert records[0].social
+        citations = build_link_records(messages, extracted, resolved)
+        assert citations[0].social
 
     def test_fractions(self):
         messages, extracted, resolved = self._setup()
@@ -531,8 +549,8 @@ class TestLinkRecordsAndStats:
         messages = [msg("m1", "local http://[::1]/x and http://[::1]:80/x")]
         extracted = extract_links(messages)
         resolved = resolve_all(extracted, OfflineFetcher({}))
-        records = build_link_records(messages, extracted, resolved)
-        assert [(r.final_url, r.host) for r in records] == [("http://[::1]/x", "::1")] * 2
+        citations = build_link_records(messages, extracted, resolved)
+        assert [(c.url, c.host, c.citations) for c in citations] == [("http://[::1]/x", "::1", 2)]
         stats = link_stats(messages, extracted, resolved)
         assert stats.per_source_counts == {"::1": 2}
         assert stats.unique_links_fraction == stats.unique_links_fraction_pre_resolution == 0.5
@@ -547,9 +565,10 @@ class TestLinkRecordsAndStats:
         # bit.ly/a and its target, then the two plain URLs
         assert sorted(parsed) == sorted(urls + ["https://news.test/one"])
         parsed.clear()
-        records = build_link_records(messages, extracted, resolved)
+        citations = build_link_records(messages, extracted, resolved)
         assert parsed == []
-        assert {r.host for r in records} == {"news.test", "www.youtube.com"}
+        assert [(c.host, c.citations) for c in citations] == [
+            ("news.test", 667), ("www.youtube.com", 333)]
         # the raw URLs' canonical forms come from resolve's parses
         stats = link_stats(messages, extracted, resolved)
         assert parsed == []

@@ -22,8 +22,9 @@ from netmon.linknet import (
     STATUS_NOT_SHORTENED,
     STATUS_RESOLVED,
     SOCIAL_HOSTS,
-    LinkRecord,
+    ExtractedLink,
     OfflineFetcher,
+    ResolvedLink,
     build_link_records,
     extract_links,
     resolve_all,
@@ -44,8 +45,10 @@ from _oracles import (
     reference_export_records,
     reference_export_stream,
     reference_extract_links,
+    reference_link_records,
     reference_match_queries,
     reference_matched_jsonl,
+    reference_rank_resources,
     reference_ranking_json,
     weibull_samples,
 )
@@ -57,20 +60,24 @@ WEIBULL_BASELINE = WeibullFit(k=1.9, lam=180.0, log_likelihood=0.0, n_samples=10
                               ks_statistic=0.0)
 
 
-def record(url, author="ann", mid="m1", host=None, status=STATUS_RESOLVED,
-           social=False, ts="2016-05-04T10:00:00Z", queries=frozenset()):
-    return LinkRecord(
-        message_id=mid,
-        author=author,
-        timestamp=ts,
-        raw_url=url,
-        final_url=url,
-        host=host or url.split("/")[2],
-        status=status,
-        was_shortened=False,
-        social=social,
-        matched_queries=queries,
-    )
+def record(url, author="ann", mid=None, status=STATUS_RESOLVED, ts="2016-05-04T10:00:00Z",
+           queries=frozenset()):
+    """One occurrence of a link to ``url``: ``fold`` gives it a raw URL of
+    its own and, when ``mid`` is None, a message id of its own."""
+    return url, author, mid, status, ts, queries
+
+
+def fold(records):
+    """``build_link_records`` over the occurrences, each in a message that
+    cites its URL once through its raw URL, with its status."""
+    messages, extracted, resolved = [], [], {}
+    for i, (url, author, mid, status, ts, queries) in enumerate(records):
+        msg = Message(mid or f"m{i}", author, ts, url, queries)
+        raw = f"https://raw.test/{i}"
+        messages.append(msg)
+        extracted.append(ExtractedLink(msg.id, raw, 0))
+        resolved[raw] = ResolvedLink(raw, url, (raw,), False, status, url.split("/")[2], raw)
+    return build_link_records(messages, extracted, resolved)
 
 
 class TestRankResources:
@@ -83,7 +90,7 @@ class TestRankResources:
             + [record("https://b.test/x", author=f"u{i}") for i in range(5)]
             + [record("https://c.test/x", author=f"u{i}") for i in range(2)]
         )
-        ranked = rank_resources(records)
+        ranked = rank_resources(fold(records))
         assert [(r.key, r.rank) for r in ranked] == [
             ("https://a.test/x", 1),
             ("https://b.test/x", 2),
@@ -95,46 +102,58 @@ class TestRankResources:
                    record("https://a.test/x", author="ann"),
                    record("https://b.test/x", author="ann"),
                    record("https://b.test/x", author="bob")]
-        ranked = rank_resources(records)
+        ranked = rank_resources(fold(records))
         assert ranked[0].key == "https://b.test/x"
         assert ranked[0].distinct_authors == 2
 
     def test_matches_sort_by_count_oracle(self):
         rng = random.Random(17)
         hosts = [f"h{i:02d}.test" for i in range(40)]
-        records = []
+        cited = []  # (host, author) per occurrence
         for n in range(500):
             host = hosts[min(int(rng.expovariate(0.12)), 39)]
-            records.append(
-                record(f"https://{host}/", author=f"u{rng.randrange(25)}", host=host)
-            )
-        ranked = rank_resources(records, granularity="host")
-        counts = Counter(r.host for r in records)
-        authors = {h: len({r.author for r in records if r.host == h}) for h in counts}
+            cited.append((host, f"u{rng.randrange(25)}"))
+        # each host cited through several documents
+        records = [record(f"https://{host}/{n % 3}", author=author)
+                   for n, (host, author) in enumerate(cited)]
+        ranked = rank_resources(fold(records), granularity="host")
+        counts = Counter(host for host, _ in cited)
+        authors = {h: len({a for host, a in cited if host == h}) for h in counts}
         oracle = sorted(counts, key=lambda h: (-counts[h], -authors[h], h))
         assert [r.key for r in ranked] == oracle
         assert [r.citations for r in ranked] == [counts[h] for h in oracle]
+        assert [r.distinct_authors for r in ranked] == [authors[h] for h in oracle]
         assert [r.rank for r in ranked] == list(range(1, len(oracle) + 1))
 
     def test_permutation_invariant(self):
         records = [record(f"https://h{i % 7}.test/x", author=f"u{i % 3}") for i in range(30)]
         shuffled = records[:]
         random.Random(3).shuffle(shuffled)
-        assert rank_resources(records) == rank_resources(shuffled)
+        for granularity in ("document", "host"):
+            assert (rank_resources(fold(records), granularity)
+                    == rank_resources(fold(shuffled), granularity))
 
     def test_citations_sum_to_successful_links(self):
         records = [record("https://a.test/x"), record("https://b.test/x"),
                    record("https://c.test/x", status=STATUS_FAILED),
                    record("https://a.test/x", status=STATUS_NOT_SHORTENED)]
-        ranked = rank_resources(records)
+        ranked = rank_resources(fold(records))
         assert sum(r.citations for r in ranked) == 3
 
     def test_document_vs_host_granularity(self):
         records = [record("https://a.test/one"), record("https://a.test/two")]
-        docs = rank_resources(records, granularity="document")
-        hosts = rank_resources(records, granularity="host")
+        docs = rank_resources(fold(records), granularity="document")
+        hosts = rank_resources(fold(records), granularity="host")
         assert len(docs) == 2 and len(hosts) == 1
         assert hosts[0].key == "a.test" and hosts[0].citations == 2
+
+    def test_host_merge_unites_author_sets(self):
+        # one author citing two documents of a host is one distinct author
+        records = [record("https://a.test/one", author="ann"),
+                   record("https://a.test/one", author="ann"),
+                   record("https://a.test/two", author="ann")]
+        (host,) = rank_resources(fold(records), granularity="host")
+        assert (host.key, host.citations, host.distinct_authors) == ("a.test", 3, 1)
 
     def test_rejects_unknown_granularity(self):
         with pytest.raises(ValueError):
@@ -157,9 +176,9 @@ class TestRankingJson:
 class TestFetchManifest:
     def _ranked(self):
         records = ([record("https://a.test/x")] * 3
-                   + [record("https://soc.test/x", social=True)] * 2
+                   + [record("https://youtu.be/x")] * 2
                    + [record("https://b.test/x")])
-        return rank_resources(records)
+        return rank_resources(fold(records))
 
     def test_top_n_larger_than_list(self):
         manifest = fetch_manifest(self._ranked(), top_n=10)
@@ -189,9 +208,9 @@ class TestBuildExportRecords:
             record("https://a.test/x", mid="m2", ts="2016-05-01T09:00:00Z",
                    queries=frozenset({1})),
             # a social link's query set gives no label
-            record("https://soc.test/x", mid="m1", social=True, queries=frozenset({2})),
+            record("https://youtu.be/x", mid="m3", queries=frozenset({2})),
         ]
-        out = build_export_records(records, packet)
+        out = build_export_records(fold(records), packet)
         assert len(out) == 1
         rec = out[0]
         assert rec.url == "https://a.test/x"
@@ -245,14 +264,18 @@ class TestPerTextWork:
         extracted = extract_links(messages)
         assert extracted == reference_extract_links(messages)
         resolved = resolve_all(extracted, OfflineFetcher(_POOL_REDIRECTS), max_in_flight=1)
-        records = build_link_records(messages, extracted, resolved)
-        assert [r.social for r in records] == [
-            r.host.removeprefix("www.") in SOCIAL_HOSTS for r in records
+        # The pool gives failed statuses, social hosts, two raw URLs with one
+        # final URL and message ids that recur.
+        citations = build_link_records(messages, extracted, resolved)
+        records = reference_link_records(messages, extracted, resolved)
+        assert [c.social for c in citations] == [
+            c.host.removeprefix("www.") in SOCIAL_HOSTS for c in citations
         ]
         for granularity in ("document", "host"):
-            ranked = rank_resources(records, granularity)
+            ranked = rank_resources(citations, granularity)
+            assert ranked == reference_rank_resources(records, granularity)
             assert ranking_json(ranked) == reference_ranking_json(ranked)
-        export = build_export_records(records, _POOL_PACKET)
+        export = build_export_records(citations, _POOL_PACKET)
         expected = reference_export_records(messages, records, _POOL_PACKET)
         assert export == expected
         assert export_stream(export) == reference_export_stream(expected)
@@ -274,18 +297,18 @@ class TestPerTextWork:
                    if id(m) not in kept_ids)
         extracted = extract_links(matched)
         resolved = resolve_all(extracted, OfflineFetcher(_POOL_REDIRECTS), max_in_flight=1)
-        records = build_link_records(matched, extracted, resolved)
+        citations = build_link_records(matched, extracted, resolved)
         by_id = {m.id: m for m in matched}  # the last message for an id wins
-        assert [r.matched_queries for r in records] == [
-            by_id[r.message_id].matched_queries for r in records]
-        assert build_export_records(records, _POOL_PACKET) == reference_export_records(
-            matched, records, _POOL_PACKET)
+        assert [c.query_sets for c in citations] == [
+            {by_id[i].matched_queries for i in c.message_ids} for c in citations]
+        assert build_export_records(citations, _POOL_PACKET) == reference_export_records(
+            matched, reference_link_records(matched, extracted, resolved), _POOL_PACKET)
 
     def test_first_seen_is_the_earliest_citation(self):
         packet = QueryPacket(queries=("q",))
         stamps = ["2016-05-02T09:00:00Z", "2016-05-01T09:00:00Z", "2016-05-03T09:00:00Z"]
-        records = [record("https://a.test/x", mid=f"m{i}", ts=ts) for i, ts in enumerate(stamps)]
-        out = build_export_records(records, packet)
+        records = [record("https://a.test/x", ts=ts) for ts in stamps]
+        out = build_export_records(fold(records), packet)
         assert out[0].first_seen == "2016-05-01T09:00:00Z"
         assert out[0].query_labels == ()
 
