@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from functools import partial
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .distfit import PowerLawFit, WeibullFit, ks_statistic, powerlaw_cdf, weibull_cdf
 from .ingest import QueryPacket
@@ -40,8 +41,7 @@ KOLMOGOROV_5PCT = 1.36
 BaselineFit = Union[WeibullFit, PowerLawFit]
 
 
-@dataclass(frozen=True)
-class RankedResource:
+class RankedResource(NamedTuple):
     key: str
     citations: int
     distinct_authors: int
@@ -49,8 +49,7 @@ class RankedResource:
     social: bool
 
 
-@dataclass(frozen=True)
-class ExportRecord:
+class ExportRecord(NamedTuple):
     """One exported resource.  ``first_seen`` is the earliest citing
     message's canonical UTC timestamp text, as ``Message.timestamp``."""
 
@@ -59,6 +58,12 @@ class ExportRecord:
     citations: int
     query_labels: tuple[str, ...]
     source_message_ids: tuple[str, ...]
+
+
+# Build a record from a tuple of its fields at C speed, skipping the
+# keyword handling of the generated __new__.
+_make_ranked = partial(tuple.__new__, RankedResource)
+_make_export = partial(tuple.__new__, ExportRecord)
 
 
 @dataclass(frozen=True)
@@ -96,8 +101,8 @@ def rank_resources(
             for host, cs in by_host.items()
         ]
     groups.sort(key=lambda g: (-g[1], -g[2], g[0]))
-    return [RankedResource(key, n, authors, i + 1, social)
-            for i, (key, n, authors, social) in enumerate(groups)]
+    return [_make_ranked((key, n, authors, rank, social))
+            for rank, (key, n, authors, social) in enumerate(groups, start=1)]
 
 
 def ranking_json(ranked: Sequence[RankedResource]) -> str:
@@ -137,13 +142,13 @@ def build_export_records(
     sets to labels once.
     """
     return [
-        ExportRecord(
+        _make_export((
             c.url,
             c.first_seen,
             c.citations,
             tuple(sorted({packet.queries[i] for matched in c.query_sets for i in matched})),
             tuple(sorted(c.message_ids)),
-        )
+        ))
         for c in citations
         if not c.social
     ]

@@ -188,9 +188,9 @@ def replicate(config: SimulationConfig, n_runs: int) -> LifeStatsTable:
 
 
 # Builds an AgentLifeStats from a tuple of its fields at C speed, skipping
-# the keyword handling of the generated __new__; likewise an EventRecord.
+# the keyword handling of the generated __new__.  A whole run of rows is
+# mapped through tuple.__new__ directly, which skips the partial's call too.
 _make_row = partial(tuple.__new__, AgentLifeStats)
-_make_event = partial(tuple.__new__, EventRecord)
 
 _LIFE_STATS_COLUMNS = ("run_lengths", "lifetime", "censored", "total_likes",
                        "total_reposts", "link_index")
@@ -221,7 +221,8 @@ class LifeStatsTable:
         return np.concatenate([chunk[name] for chunk in self._chunks])
 
     def __iter__(self) -> Iterator[AgentLifeStats]:
-        return chain.from_iterable(map(_make_row, run) for run in self.runs())
+        return chain.from_iterable(map(tuple.__new__, repeat(AgentLifeStats), run)
+                                   for run in self.runs())
 
     def runs(self) -> Iterator[Iterator[tuple]]:
         """Each run's rows in turn, as plain tuples of the AgentLifeStats fields.
@@ -285,7 +286,8 @@ class EventLog:
                 + int(np.count_nonzero(~cols["censored"])) + int(self._truncated.sum()))
 
     def __iter__(self) -> Iterator[EventRecord]:
-        return chain.from_iterable(map(_make_event, run) for run in self.runs())
+        return chain.from_iterable(map(tuple.__new__, repeat(EventRecord), run)
+                                   for run in self.runs())
 
     def runs(self) -> Iterator[Iterator[tuple]]:
         """The events of each run in turn."""

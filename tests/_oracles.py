@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import string
 from datetime import timezone
 from decimal import Decimal, getcontext
@@ -26,7 +27,6 @@ from netmon.linknet import (
     ExtractedLink,
     LinkParseError,
     _Split,
-    _trim_url,
 )
 from netmon.pipeline import ExportRecord, RankedResource
 from netmon.simulator import (
@@ -132,6 +132,22 @@ _TRAILING = set(".,;:!?'\"")
 _CLOSERS = {")": "(", "]": "[", "}": "{"}
 
 
+def reference_trim_url(candidate: str) -> str:
+    """``linknet._trim_url`` as first written: peel trailing punctuation
+    and unbalanced closers, re-slicing and re-counting the candidate at
+    every step (quadratic in the length of what it peels)."""
+    while candidate:
+        last = candidate[-1]
+        if last in _TRAILING:
+            candidate = candidate[:-1]
+            continue
+        if last in _CLOSERS and candidate.count(_CLOSERS[last]) < candidate.count(last):
+            candidate = candidate[:-1]
+            continue
+        break
+    return candidate
+
+
 def reference_url_scan(text: str) -> list[tuple[int, str]]:
     """Character-by-character URL scanner used to cross-check extraction.
 
@@ -151,17 +167,7 @@ def reference_url_scan(text: str) -> list[tuple[int, str]]:
         j = start
         while j < len(text) and text[j] in _URL_ALLOWED:
             j += 1
-        candidate = text[start:j]
-        # peel trailing punctuation and unbalanced closers
-        while candidate:
-            last = candidate[-1]
-            if last in _TRAILING:
-                candidate = candidate[:-1]
-                continue
-            if last in _CLOSERS and candidate.count(_CLOSERS[last]) < candidate.count(last):
-                candidate = candidate[:-1]
-                continue
-            break
+        candidate = reference_trim_url(text[start:j])
         if len(candidate) > len("https://"):
             out.append((start, candidate))
             i = start + len(candidate)
@@ -176,7 +182,7 @@ def reference_extract_links(messages) -> list:
     out = []
     for message in messages:
         for m in _URL_RUN.finditer(message.text):
-            url = _trim_url(m.group(0))
+            url = reference_trim_url(m.group(0))
             if len(url) <= len("https://"):
                 continue
             out.append(ExtractedLink(message_id=message.id, raw_url=url, position=m.start()))
@@ -200,6 +206,17 @@ def reference_split_checked(url: str) -> _Split:
     except ValueError as exc:
         raise LinkParseError(f"bad port in {url!r}") from exc
     return _Split(parts.scheme, parts.netloc, host.lower(), port, parts.path, parts.query)
+
+
+# Words as first defined: maximal runs of [^\W_], the word characters
+# without the underscore.
+_WORD = re.compile(r"[^\W_]+")
+
+
+def reference_words(text: str) -> list[str]:
+    """``ingest._words`` as first written: the regex tokenizer, each word
+    case-folded on its own."""
+    return [word.casefold() for word in _WORD.findall(text)]
 
 
 def naive_word_match(text: str, query: str) -> bool:

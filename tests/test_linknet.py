@@ -38,6 +38,7 @@ from _oracles import (
     reference_links_jsonl,
     reference_resolved_jsonl,
     reference_split_checked,
+    reference_trim_url,
     reference_url_scan,
 )
 from _strategies import JSON_TEXT
@@ -158,6 +159,27 @@ class TestExtractLinks:
         for text in self.FIXTURE_TEXTS:
             got = [(l.position, l.raw_url) for l in extract_links([msg("1", text)])]
             assert got == reference_url_scan(text), f"mismatch on: {text!r}"
+
+    # Brackets, the punctuation that is peeled and letters that stop the peel.
+    @given(st.text(st.sampled_from("()[]{}.,;:!?'\"a/"), max_size=40))
+    @settings(max_examples=500, deadline=None)
+    def test_trim_agrees_with_reference(self, tail):
+        candidate = "http://a.test/" + tail
+        assert linknet_mod._trim_url(candidate) == reference_trim_url(candidate)
+
+    # 200,000 trailing characters: peeling them one re-count at a time took
+    # minutes; a linear peel takes milliseconds.
+    @pytest.mark.parametrize("tail,kept", [
+        (")." * 100_000, ""),
+        ("(" * 100_000 + ")" * 100_000 + "." * 100_000, "(" * 100_000 + ")" * 100_000),
+    ])
+    def test_long_trailing_run_peeled_in_linear_time(self, tail, kept):
+        text = f"see http://a.test/p{tail} end"
+        start = time.perf_counter()
+        out = extract_links([msg("1", text)])
+        elapsed = time.perf_counter() - start
+        assert [(l.position, l.raw_url) for l in out] == [(4, "http://a.test/p" + kept)]
+        assert elapsed < 2.0, f"{elapsed:.2f} s to peel {len(tail)} trailing characters"
 
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -27,6 +27,7 @@ from netmon.linknet import (
     ResolvedLink,
     build_link_records,
     extract_links,
+    resolve,
     resolve_all,
 )
 from netmon.pipeline import (
@@ -218,6 +219,63 @@ class TestBuildExportRecords:
         assert rec.first_seen == "2016-05-01T09:00:00Z"
         assert rec.query_labels == ("central bank", "market rates")
         assert rec.source_message_ids == ("m1", "m2")
+
+
+_RECORD_FIELDS = [
+    (ResolvedLink, ("raw_url", "final_url", "redirect_chain", "was_shortened", "status",
+                    "host", "raw_canonical")),
+    (RankedResource, ("key", "citations", "distinct_authors", "rank", "social")),
+    (ExportRecord, ("url", "first_seen", "citations", "query_labels", "source_message_ids")),
+]
+
+
+def _fields(rec):
+    """The record's type and its fields by name, which a plain tuple of
+    the same values does not equal."""
+    return type(rec), rec._asdict()
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls,fields", _RECORD_FIELDS)
+    def test_fields_keywords_and_immutability(self, cls, fields):
+        assert cls._fields == fields
+        rec = cls(**{name: f"v{i}" for i, name in enumerate(fields)})
+        assert tuple(rec) == tuple(f"v{i}" for i in range(len(fields)))
+        assert not hasattr(rec, "__dict__")
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, "other")
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+
+    def test_builders_return_keyword_built_records(self):
+        fetcher = OfflineFetcher({"http://bit.ly/a": "https://News.test:443/x"})
+        assert _fields(resolve(ExtractedLink("m1", "http://bit.ly/a", 0), fetcher)) == _fields(
+            ResolvedLink(raw_url="http://bit.ly/a", final_url="https://news.test/x",
+                         redirect_chain=("http://bit.ly/a", "https://News.test:443/x"),
+                         was_shortened=True, status=STATUS_RESOLVED, host="news.test",
+                         raw_canonical="http://bit.ly/a"))
+        assert _fields(resolve(ExtractedLink("m1", "http://[::1/", 0), fetcher)) == _fields(
+            ResolvedLink(raw_url="http://[::1/", final_url="http://[::1/",
+                         redirect_chain=("http://[::1/",), was_shortened=False,
+                         status=STATUS_FAILED, host="", raw_canonical="http://[::1/"))
+        citations = fold([
+            record("https://a.test/x", author="ann", mid="m2", ts="2016-05-02T09:00:00Z",
+                   queries=frozenset({1})),
+            record("https://a.test/x", author="bob", mid="m1", queries=frozenset({0})),
+            record("https://youtu.be/v", author="ann", mid="m3"),
+        ])
+        assert list(map(_fields, rank_resources(citations))) == list(map(_fields, [
+            RankedResource(key="https://a.test/x", citations=2, distinct_authors=2, rank=1,
+                           social=False),
+            RankedResource(key="https://youtu.be/v", citations=1, distinct_authors=1, rank=2,
+                           social=True),
+        ]))
+        packet = QueryPacket(queries=("market rates", "central bank"))
+        assert list(map(_fields, build_export_records(citations, packet))) == [_fields(
+            ExportRecord(url="https://a.test/x", first_seen="2016-05-02T09:00:00Z",
+                         citations=2, query_labels=("central bank", "market rates"),
+                         source_message_ids=("m1", "m2")))]
 
 
 # A repost-heavy corpus drawn from a few texts: with and without URLs,
