@@ -228,40 +228,16 @@ def _bad_field(obj: dict) -> str:
     return ""
 
 
-# Code points the separator table caches at most; past it each further
-# code point is looked up afresh, so the table stays bounded.
-_SEPARATORS_CAP = 65536
-
-
-class _Separators(dict):
-    """``str.translate`` table mapping each code point that is not
-    ``str.isalnum()`` to a space and every other to itself.
-
-    ASCII is filled here; any other code point the first time it is
-    seen, until the table holds ``_SEPARATORS_CAP`` entries."""
-
-    def __init__(self) -> None:
-        super().__init__((code, code if chr(code).isalnum() else 32) for code in range(128))
-
-    def __missing__(self, code: int) -> int:
-        value = code if chr(code).isalnum() else 32
-        if len(self) < _SEPARATORS_CAP:
-            self[code] = value
-        return value
-
-
-_SEPARATORS = _Separators()
+# Words are maximal runs of str.isalnum characters, which is what
+# [^\W_] matches.
+_WORD = re.compile(r"[^\W_]+")
 
 
 def _words(text: str) -> list[str]:
-    """The case-folded words of ``text``, repeats included.
-
-    A word is a maximal run of ``str.isalnum()`` characters.  No such
-    character is ``str.isspace()``, so once every other character is a
-    space, ``str.split`` yields exactly the words."""
+    """The case-folded words of ``text``, repeats included."""
     # Each word is folded on its own: folding the whole text first is not
     # the same, as "İ".casefold() ends in U+0307, which is no alphanumeric.
-    return list(map(str.casefold, text.translate(_SEPARATORS).split()))
+    return [word.casefold() for word in _WORD.findall(text)]
 
 
 def match_queries(messages: Iterable[Message], packet: QueryPacket) -> list[Message]:

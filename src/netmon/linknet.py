@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 from urllib.parse import urljoin, urlsplit
 
@@ -110,11 +110,6 @@ class ResolvedLink(NamedTuple):
     raw_canonical: str  # canonicalize(raw_url); raw_url itself when it does not parse
 
 
-# Builds a ResolvedLink from a tuple of its fields at C speed, skipping the
-# keyword handling of the generated __new__; likewise a _Split.
-_make_resolved = partial(tuple.__new__, ResolvedLink)
-
-
 @dataclass(slots=True)
 class ResourceCitations:
     """The link occurrences that reached one canonical final URL, folded:
@@ -146,6 +141,7 @@ class LinkStats:
 _URL_RUN = re.compile(r"https?://[A-Za-z0-9\-._~:/?#\[\]@!$&'()*+,;=%]+")
 _TRAILING_PUNCT = ".,;:!?'\""
 _BRACKET_PAIRS = {")": "(", "]": "[", "}": "{"}
+_PEELABLE = _TRAILING_PUNCT + "".join(_BRACKET_PAIRS)
 
 
 def _trim_url(candidate: str) -> str:
@@ -154,25 +150,25 @@ def _trim_url(candidate: str) -> str:
     end; a closer is unbalanced when what is left holds more of it than
     of its opener.
 
-    Only punctuation and closers are peeled, so an opener's count is that
-    of the whole candidate and a closer's drops by one per peel: each is
-    counted once, and the time is linear in the candidate's length."""
+    Only the run of punctuation and closers at the end can be peeled, so
+    an opener's count is that of the whole candidate and a closer's drops
+    by one per peel: each is counted once, and the time is linear in the
+    candidate's length."""
     end = len(candidate)
+    keep = len(candidate.rstrip(_PEELABLE))
+    if keep == end:
+        return candidate
     counts: dict[str, int] = {}
-    while end:
+    while end > keep:
         last = candidate[end - 1]
-        if last in _TRAILING_PUNCT:
-            end -= 1
-            continue
         opener = _BRACKET_PAIRS.get(last)
-        if opener is None:
-            break
-        if last not in counts:
-            counts[last] = candidate.count(last, 0, end)
-            counts[opener] = candidate.count(opener)
-        if counts[opener] >= counts[last]:
-            break
-        counts[last] -= 1
+        if opener is not None:
+            if last not in counts:
+                counts[last] = candidate.count(last, 0, end)
+                counts[opener] = candidate.count(opener)
+            if counts[opener] >= counts[last]:
+                break
+            counts[last] -= 1
         end -= 1
     return candidate[:end]
 
@@ -213,9 +209,6 @@ class _Split(NamedTuple):
     query: str
 
 
-_make_split = partial(tuple.__new__, _Split)
-
-
 # A plain URL: http or https in any case, an ASCII host without userinfo,
 # brackets or escapes, an optional port of up to five digits, and a path
 # (empty or from "/"), query and fragment of printable ASCII.  RFC 3986
@@ -240,7 +233,7 @@ def _split_checked(url: str) -> _Split:
         scheme, netloc, host, port, path, query = m.groups("")
         port_num = int(port) if port else None
         if port_num is None or port_num <= 65535:
-            return _make_split((scheme.lower(), netloc, host.lower(), port_num, path, query))
+            return _Split(scheme.lower(), netloc, host.lower(), port_num, path, query)
     try:
         parts = urlsplit(url)
     except ValueError as exc:  # e.g. an unclosed IPv6 bracket
@@ -254,7 +247,7 @@ def _split_checked(url: str) -> _Split:
         port = parts.port
     except ValueError as exc:
         raise LinkParseError(f"bad port in {url!r}") from exc
-    return _make_split((parts.scheme, parts.netloc, host.lower(), port, parts.path, parts.query))
+    return _Split(parts.scheme, parts.netloc, host.lower(), port, parts.path, parts.query)
 
 
 def canonicalize(url: str) -> str:
@@ -364,7 +357,7 @@ def resolve(
     try:
         parts = _split_checked(raw)
     except LinkParseError:
-        return _make_resolved((raw, raw, (raw,), False, STATUS_FAILED, "", raw))
+        return ResolvedLink(raw, raw, (raw,), False, STATUS_FAILED, "", raw)
     raw_canonical = _canonical(parts)
     from_shortener = parts.host in _registry_hosts(registry)
     chain = [raw]
@@ -396,8 +389,8 @@ def resolve(
         parts = target_parts
 
     final_url = _canonical(parts) if len(chain) > 1 else raw_canonical
-    return _make_resolved((raw, final_url, tuple(chain), from_shortener or len(chain) > 1, status,
-                           parts.host, raw_canonical))
+    return ResolvedLink(raw, final_url, tuple(chain), from_shortener or len(chain) > 1, status,
+                        parts.host, raw_canonical)
 
 
 def resolve_all(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from .distfit import PowerLawFit, WeibullFit, ks_statistic, powerlaw_cdf, weibull_cdf
@@ -60,12 +59,6 @@ class ExportRecord(NamedTuple):
     source_message_ids: tuple[str, ...]
 
 
-# Build a record from a tuple of its fields at C speed, skipping the
-# keyword handling of the generated __new__.
-_make_ranked = partial(tuple.__new__, RankedResource)
-_make_export = partial(tuple.__new__, ExportRecord)
-
-
 @dataclass(frozen=True)
 class AnomalyReport:
     series_name: str
@@ -101,8 +94,8 @@ def rank_resources(
             for host, cs in by_host.items()
         ]
     groups.sort(key=lambda g: (-g[1], -g[2], g[0]))
-    return [_make_ranked((key, n, authors, rank, social))
-            for rank, (key, n, authors, social) in enumerate(groups, start=1)]
+    return [RankedResource(key, n, authors, i + 1, social)
+            for i, (key, n, authors, social) in enumerate(groups)]
 
 
 def ranking_json(ranked: Sequence[RankedResource]) -> str:
@@ -142,13 +135,13 @@ def build_export_records(
     sets to labels once.
     """
     return [
-        _make_export((
+        ExportRecord(
             c.url,
             c.first_seen,
             c.citations,
             tuple(sorted({packet.queries[i] for matched in c.query_sets for i in matched})),
             tuple(sorted(c.message_ids)),
-        ))
+        )
         for c in citations
         if not c.social
     ]

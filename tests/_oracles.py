@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-import re
 import string
 from datetime import timezone
 from decimal import Decimal, getcontext
@@ -206,17 +205,6 @@ def reference_split_checked(url: str) -> _Split:
     except ValueError as exc:
         raise LinkParseError(f"bad port in {url!r}") from exc
     return _Split(parts.scheme, parts.netloc, host.lower(), port, parts.path, parts.query)
-
-
-# Words as first defined: maximal runs of [^\W_], the word characters
-# without the underscore.
-_WORD = re.compile(r"[^\W_]+")
-
-
-def reference_words(text: str) -> list[str]:
-    """``ingest._words`` as first written: the regex tokenizer, each word
-    case-folded on its own."""
-    return [word.casefold() for word in _WORD.findall(text)]
 
 
 def naive_word_match(text: str, query: str) -> bool:
