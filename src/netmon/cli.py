@@ -75,6 +75,7 @@ from .pipeline import (
 from .simulator import (
     CHUNK_RUNS,
     SimulationConfig,
+    TooManyAgentsError,
     calibrated_default_config,
     events_to_jsonl,
     life_stats_to_jsonl,
@@ -130,20 +131,13 @@ def _typed(value, kind):
 
 # ---------------------------------------------------------------- simulate
 
-_SIM_CONFIG_FIELDS = {
-    "p_s": float,
-    "e0": int,
-    "p_like": float,
-    "p_repost": float,
-    "link_carrier_fraction": float,
-    "link_boost": float,
-    "rich_get_richer_gamma": float,
-    "horizon": int,
-    "seed": int,
-    "runs": int,
-    "max_agents": int,
-    "initial_agents": int,
-}
+# Each simulate field's kind: BehaviorParams.constant's arguments, then
+# SimulationConfig's, then the number of runs.
+_PARAM_FIELDS = {"p_s": float, "e0": int, "p_like": float, "p_repost": float,
+                 "link_carrier_fraction": float, "link_boost": float,
+                 "rich_get_richer_gamma": float}
+_RUN_FIELDS = {"horizon": int, "seed": int, "max_agents": int, "initial_agents": int}
+_SIM_CONFIG_FIELDS = {**_PARAM_FIELDS, **_RUN_FIELDS, "runs": int}
 
 
 def _default_sim_config() -> dict:
@@ -187,22 +181,8 @@ def cmd_simulate(args) -> int:
     if resolved["runs"] < 1:
         raise CliError(f"runs must be >= 1, got {resolved['runs']}")
     try:
-        params = BehaviorParams.constant(
-            p_s=resolved["p_s"],
-            e0=resolved["e0"],
-            p_like=resolved["p_like"],
-            p_repost=resolved["p_repost"],
-            link_carrier_fraction=resolved["link_carrier_fraction"],
-            link_boost=resolved["link_boost"],
-            rich_get_richer_gamma=resolved["rich_get_richer_gamma"],
-        )
-        config = SimulationConfig(
-            params=params,
-            horizon=resolved["horizon"],
-            seed=resolved["seed"],
-            max_agents=resolved["max_agents"],
-            initial_agents=resolved["initial_agents"],
-        )
+        params = BehaviorParams.constant(**{name: resolved[name] for name in _PARAM_FIELDS})
+        config = SimulationConfig(params, **{name: resolved[name] for name in _RUN_FIELDS})
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -221,8 +201,11 @@ def cmd_simulate(args) -> int:
     ) as events_out:
         for first in range(0, runs, CHUNK_RUNS):
             last = min(first + CHUNK_RUNS, runs)
-            result = run_simulation(replace(config, seed=config.seed + first),
-                                    record_events=record_events, runs=last - first)
+            try:
+                result = run_simulation(replace(config, seed=config.seed + first),
+                                        record_events=record_events, runs=last - first)
+            except TooManyAgentsError as exc:
+                raise CliError(str(exc)) from exc
             n_agents += len(result.stats)
             # Each run's rows and events are made just before they are
             # written and dropped right after.

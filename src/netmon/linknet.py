@@ -317,29 +317,46 @@ class OfflineFetcher:
         return target
 
 
+@lru_cache(maxsize=None)
+def _opener():
+    """An http(s)-only ``urllib`` opener that hands a 3xx back as an HTTPError."""
+    import urllib.request as ur  # not at module level: it adds about 30 ms to every start-up
+
+    class NoRedirect(ur.HTTPRedirectHandler):
+        def redirect_request(self, *args):
+            return None
+
+    opener = ur.OpenerDirector()
+    for handler in (ur.ProxyHandler(), ur.UnknownHandler(), ur.HTTPHandler(), ur.HTTPSHandler(),
+                    ur.HTTPDefaultErrorHandler(), NoRedirect(), ur.HTTPErrorProcessor()):
+        opener.add_handler(handler)
+    return opener
+
+
 class LiveFetcher:
-    """Follows one redirect hop over HTTP; HEAD first, GET fallback."""
+    """Follows one redirect hop over HTTP: HEAD, then GET if HEAD answers 405 or 501."""
 
     def __init__(self, timeout: float = 5.0):
         self.timeout = timeout
 
     def __call__(self, url: str) -> Optional[str]:
-        import requests
+        from http.client import HTTPException
+        from urllib.error import HTTPError
+        from urllib.request import Request
 
         try:
-            resp = requests.head(url, allow_redirects=False, timeout=self.timeout)
-            if resp.status_code in (405, 501):
-                resp = requests.get(
-                    url, allow_redirects=False, timeout=self.timeout, stream=True
-                )
-                resp.close()
-        except requests.RequestException as exc:
+            for method in ("HEAD", "GET"):
+                try:
+                    response = _opener().open(Request(url, method=method), timeout=self.timeout)
+                except HTTPError as exc:  # every status but a 2xx, a 3xx too
+                    response = exc
+                with response:
+                    status, location = response.status, response.headers.get("Location")
+                if status not in (405, 501):
+                    break
+        except (OSError, HTTPException, ValueError) as exc:
             raise FetchFailed(f"fetch failed for {url}: {exc}") from exc
-        if 300 <= resp.status_code < 400:
-            target = resp.headers.get("Location")
-            if target:
-                return urljoin(url, target)
-        return None
+        return urljoin(url, location) if 300 <= status < 400 and location else None
 
 
 def resolve(

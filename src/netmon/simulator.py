@@ -43,7 +43,6 @@ import json
 import random
 from array import array
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -66,11 +65,11 @@ __all__ = [
     "EVENT_DEATH",
     "EVENT_TRUNCATED",
     "CHUNK_RUNS",
+    "TooManyAgentsError",
     "run_simulation",
     "replicate",
     "repost_counts_by_link",
     "events_to_jsonl",
-    "events_from_jsonl",
     "life_stats_to_jsonl",
     "life_stats_from_jsonl",
     "calibrated_default_config",
@@ -88,6 +87,17 @@ EVENT_TRUNCATED = "truncated"
 # simulate; bounds the generators, draw buffers and agent columns held at
 # once, whatever the number of runs.
 CHUNK_RUNS = 1024
+
+# A run's draws for a tick come from one getrandbits(64 * n), whose
+# argument is a C int: one run steps at most this many agents per tick.
+_MAX_RUN_ACTIVE = (2**31 - 1) >> 6
+
+
+class TooManyAgentsError(ValueError):
+    """A run has more active agents than one tick can step (2**25 - 1).
+
+    A supercritical config without ``max_agents`` grows until it does.
+    """
 
 
 @dataclass(frozen=True)
@@ -186,11 +196,6 @@ def replicate(config: SimulationConfig, n_runs: int) -> LifeStatsTable:
         chunks += result.stats._chunks
     return LifeStatsTable(config.seed, chunks)
 
-
-# Builds an AgentLifeStats from a tuple of its fields at C speed, skipping
-# the keyword handling of the generated __new__.  A whole run of rows is
-# mapped through tuple.__new__ directly, which skips the partial's call too.
-_make_row = partial(tuple.__new__, AgentLifeStats)
 
 _LIFE_STATS_COLUMNS = ("run_lengths", "lifetime", "censored", "total_likes",
                        "total_reposts", "link_index")
@@ -614,6 +619,13 @@ def _run_chunk(config: SimulationConfig, tables: _StepTables, n_runs: int,
         if not live:
             break
         tables.cover(params.e0 + 2 * (tick + 1))
+        if len(active) > _MAX_RUN_ACTIVE:  # no run can pass it unless the chunk has
+            for r in live:
+                if n_active[r] > _MAX_RUN_ACTIVE:
+                    raise TooManyAgentsError(
+                        f"run with seed {config.seed + r} has {n_active[r]} active agents "
+                        f"at tick {tick}, more than the {_MAX_RUN_ACTIVE} one run can step; "
+                        f"max_agents is {max_agents}, set it to at most {_MAX_RUN_ACTIVE}")
         root_runs, root_links = array("i"), array("i")
         words: list[bytes] = []
         for r in live:
@@ -676,17 +688,6 @@ def events_to_jsonl(events: Iterable[EventRecord], run: Optional[int] = None) ->
     ])
 
 
-def events_from_jsonl(text: str) -> list[EventRecord]:
-    """The events of ``events_to_jsonl`` text; blank lines are skipped.
-
-    Other keys, such as ``run``, are ignored.
-    """
-    return [
-        EventRecord(d["tick"], d["kind"], d["agent_id"], d.get("related_agent_id"))
-        for d in _json_objects(text)
-    ]
-
-
 def life_stats_to_jsonl(stats: Iterable[AgentLifeStats]) -> str:
     """One JSON object per agent, keys in AgentLifeStats field order."""
     return "".join([
@@ -699,28 +700,23 @@ def life_stats_to_jsonl(stats: Iterable[AgentLifeStats]) -> str:
 
 
 def life_stats_from_jsonl(text: str) -> list[AgentLifeStats]:
-    """The rows of ``life_stats_to_jsonl`` text; blank lines are skipped."""
-    return [
-        _make_row((d["agent_id"], d["lifetime"], d["censored"], d["total_likes"],
-                   d["total_reposts"], d.get("carried_link")))
-        for d in _json_objects(text)
-    ]
-
-
-def _json_objects(text: str) -> Iterator[dict]:
-    """The JSON object on each non-blank line of ``text``.
+    """The rows of ``life_stats_to_jsonl`` text; blank lines are skipped.
 
     Lines decode, and fail with ``json.JSONDecodeError``, exactly as
     ``json.loads`` has them; a value that is not an object fails the
-    same way.
+    same way.  Rows are made by tuple.__new__, which skips the keyword
+    handling of the generated __new__.
     """
+    rows = []
     for line in text.splitlines():
-        if not line.strip():
-            continue
-        obj = decode_line(line)
-        if type(obj) is not dict:
-            raise json.JSONDecodeError("Expecting a JSON object", line, 0)
-        yield obj
+        if line.strip():
+            d = decode_line(line)
+            if type(d) is not dict:
+                raise json.JSONDecodeError("Expecting a JSON object", line, 0)
+            rows.append(tuple.__new__(AgentLifeStats, (
+                d["agent_id"], d["lifetime"], d["censored"], d["total_likes"],
+                d["total_reposts"], d.get("carried_link"))))
+    return rows
 
 
 # Default configuration, calibrated once: pooled repost counts of the

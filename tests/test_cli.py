@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netmon.cli as cli_mod
+import netmon.simulator as simulator_mod
 from netmon.cli import main
 from netmon.distfit import PowerLawFit, WeibullFit
 from netmon.simulator import CHUNK_RUNS
@@ -62,6 +63,18 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "p_s" in capsys.readouterr().err
+
+    def test_run_past_the_active_agent_limit_exits_two(self, tmp_path, capsys, monkeypatch):
+        # A supercritical config without max_agents, against a lowered limit.
+        monkeypatch.setattr(simulator_mod, "_MAX_RUN_ACTIVE", 100)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p_like": 0.0, "p_repost": 0.95, "e0": 3, "horizon": 30}))
+        code = main(["simulate", "--config", str(cfg), "--seed", "3", "--no-events",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: run with seed 3 has ") and "max_agents is None" in err
+        assert err.count("\n") == 1
 
     # Python's json reads NaN and Infinity; a NaN boost would give every
     # link carrier NaN thresholds, and would be written back as non-JSON.

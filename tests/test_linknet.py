@@ -1,7 +1,17 @@
+import http.client
+import io
 import json
+import os
 import string
+import subprocess
+import sys
+import textwrap
 import time
+import urllib.request
+from email.message import Message as HeaderMessage
 from pathlib import Path
+from urllib.error import HTTPError, URLError
+from urllib.response import addinfourl
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +30,7 @@ from netmon.linknet import (
     ExtractedLink,
     FetchFailed,
     LinkParseError,
+    LiveFetcher,
     OfflineFetcher,
     ResolvedLink,
     build_link_records,
@@ -502,6 +513,154 @@ class TestResolveAll:
         serial = resolve_all(links, OfflineFetcher(mapping), max_in_flight=1)
         parallel = resolve_all(links, OfflineFetcher(mapping), max_in_flight=8)
         assert serial == parallel
+
+
+class StubOpener:
+    """Stands in for LiveFetcher's urllib opener; no socket is opened.
+
+    Each request takes the next answer: an exception to raise, or a
+    status and headers.  As the real opener does, a 2xx comes back as a
+    response and any other status is raised as an HTTPError.  Every
+    request's method, URL and timeout and every answer's body are kept.
+    """
+
+    def __init__(self, *answers):
+        self.answers = list(answers)
+        self.requests = []
+        self.bodies = []
+
+    def open(self, request, timeout):
+        self.requests.append((request.get_method(), request.full_url, timeout))
+        answer = self.answers.pop(0)
+        if isinstance(answer, BaseException):
+            raise answer
+        status, fields = answer
+        headers = HeaderMessage()
+        for name, value in fields.items():
+            headers[name] = value
+        body = io.BytesIO(b"body")
+        self.bodies.append(body)
+        if 200 <= status < 300:
+            return addinfourl(body, headers, request.full_url, status)
+        raise HTTPError(request.full_url, status, "stub", headers, body)
+
+
+@pytest.fixture
+def stub_opener(monkeypatch):
+    """Installs a StubOpener with the given answers in place of the real opener."""
+    def install(*answers):
+        stub = StubOpener(*answers)
+        monkeypatch.setattr(linknet_mod, "_opener", lambda: stub)
+        return stub
+    return install
+
+
+class TestLiveFetcher:
+    URL = "http://bit.ly/a/b"
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    @pytest.mark.parametrize("location, target", [
+        ("https://news.test/story?id=1", "https://news.test/story?id=1"),
+        ("/story", "http://bit.ly/story"),
+        ("c", "http://bit.ly/a/c"),
+    ])
+    def test_redirect_gives_location_joined_to_url(self, stub_opener, status, location,
+                                                  target):
+        stub = stub_opener((status, {"Location": location}))
+        assert LiveFetcher()(self.URL) == target
+        assert stub.requests == [("HEAD", self.URL, 5.0)]
+        assert all(body.closed for body in stub.bodies)
+
+    @pytest.mark.parametrize("status, fields", [
+        (301, {}),
+        (302, {"Location": ""}),
+        (200, {"Location": "https://news.test/x"}),
+        (404, {}),
+        (500, {"Location": "https://news.test/x"}),
+    ])
+    def test_other_answers_give_none(self, stub_opener, status, fields):
+        stub = stub_opener((status, fields))
+        assert LiveFetcher()(self.URL) is None
+        assert [method for method, _, _ in stub.requests] == ["HEAD"]
+        assert all(body.closed for body in stub.bodies)
+
+    @pytest.mark.parametrize("refused", [405, 501])
+    @pytest.mark.parametrize("answer, result", [
+        ((302, {"Location": "/x"}), "http://bit.ly/x"),
+        ((200, {}), None),
+        ((405, {}), None),
+        ((501, {"Location": "/x"}), None),
+    ])
+    def test_refused_head_falls_back_to_one_get(self, stub_opener, refused, answer, result):
+        stub = stub_opener((refused, {"Location": "/head"}), answer)
+        assert LiveFetcher(timeout=2.5)(self.URL) == result
+        assert stub.requests == [("HEAD", self.URL, 2.5), ("GET", self.URL, 2.5)]
+        assert len(stub.bodies) == 2 and all(body.closed for body in stub.bodies)
+
+    @pytest.mark.parametrize("error", [
+        URLError("connection refused"),
+        TimeoutError("timed out"),
+        http.client.RemoteDisconnected("closed without response"),
+        http.client.BadStatusLine("HTTP/9"),
+    ])
+    @pytest.mark.parametrize("on_get", [False, True])
+    def test_errors_raise_fetch_failed(self, stub_opener, error, on_get):
+        stub = stub_opener(*([(405, {})] if on_get else []), error)
+        with pytest.raises(FetchFailed, match="fetch failed for http://bit.ly/a/b") as info:
+            LiveFetcher()(self.URL)
+        assert info.value.__cause__ is error
+        assert len(stub.requests) == 1 + on_get
+        assert all(body.closed for body in stub.bodies)
+
+    def test_url_urllib_cannot_request_raises_fetch_failed(self, stub_opener):
+        stub = stub_opener()
+        with pytest.raises(FetchFailed) as info:
+            LiveFetcher()("no scheme")
+        assert isinstance(info.value.__cause__, ValueError)
+        assert stub.requests == []
+
+    @pytest.mark.parametrize("url", ["file:///dev/null", "data:,x"])
+    def test_real_opener_refuses_other_schemes(self, url):
+        with pytest.raises(FetchFailed, match="unknown url type") as info:
+            LiveFetcher()(url)
+        assert isinstance(info.value.__cause__, URLError)
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_real_opener_hands_a_redirect_back(self, status):
+        # The opener's own error chain, as it runs on a 3xx answer, with no socket.
+        request = urllib.request.Request(self.URL, method="HEAD")
+        headers = HeaderMessage()
+        headers["Location"] = "/next"
+        body = io.BytesIO()
+        with pytest.raises(HTTPError) as info:
+            linknet_mod._opener().error("http", request, body, status, "moved", headers)
+        with info.value as answer:
+            assert (answer.status, answer.headers["Location"]) == (status, "/next")
+        assert body.closed
+
+    def test_runs_without_requests(self):
+        script = textwrap.dedent("""
+            import io, sys, urllib.error
+            from email.message import Message
+            sys.modules["requests"] = None
+            import netmon.linknet as linknet
+
+            class Opener:
+                def open(self, request, timeout):
+                    headers = Message()
+                    headers["Location"] = "/story"
+                    raise urllib.error.HTTPError(request.full_url, 301, "moved", headers,
+                                                 io.BytesIO())
+
+            linknet._opener = Opener
+            print(linknet.LiveFetcher()("http://bit.ly/a"))
+        """)
+        src = str(Path(linknet_mod.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "http://bit.ly/story\n"
 
 
 class TestLinkRecordsAndStats:

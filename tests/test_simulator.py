@@ -23,8 +23,8 @@ from netmon.simulator import (
     AgentLifeStats,
     EventRecord,
     SimulationConfig,
+    TooManyAgentsError,
     calibrated_default_config,
-    events_from_jsonl,
     events_to_jsonl,
     life_stats_from_jsonl,
     life_stats_to_jsonl,
@@ -542,11 +542,49 @@ class TestTruncation:
         assert all(e.kind != EVENT_TRUNCATED for e in res.events)
 
 
+class TestActiveAgentLimit:
+    """A run past the agents one getrandbits call can draw for stops with an error.
+
+    The real limit is 2**25 - 1 active agents per run; these tests lower
+    it rather than grow a run that far.
+    """
+
+    SUPERCRITICAL = dict(p_like=0.0, p_repost=0.95, e0=3, horizon=30)
+
+    def test_supercritical_run_raises(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_MAX_RUN_ACTIVE", 100)
+        cfg = config(**self.SUPERCRITICAL, seed=5)
+        with pytest.raises(TooManyAgentsError, match=r"^run with seed 5 has \d+ active agents "
+                           r"at tick \d+, .*max_agents is None") as info:
+            run_simulation(cfg, record_events=False)
+        assert isinstance(info.value, ValueError)
+        with pytest.raises(TooManyAgentsError):
+            replicate(cfg, 3)
+
+    def test_max_agents_below_the_limit_truncates_instead(self, monkeypatch):
+        cfg = config(**self.SUPERCRITICAL, max_agents=100)
+        unpatched = run_simulation(cfg, runs=4)
+        monkeypatch.setattr(simulator, "_MAX_RUN_ACTIVE", 100)
+        patched = run_simulation(cfg, runs=4)
+        assert patched.truncated == 4
+        assert list(patched.stats) == list(unpatched.stats)
+        assert list(patched.events) == list(unpatched.events)
+
+    def test_chunk_past_the_limit_with_every_run_under_it(self, monkeypatch):
+        # Twenty runs of up to 60 agents put the chunk, not any one run,
+        # past the lowered limit.
+        cfg = config(**self.SUPERCRITICAL, max_agents=60)
+        unpatched = run_simulation(cfg, record_events=False, runs=20)
+        monkeypatch.setattr(simulator, "_MAX_RUN_ACTIVE", 100)
+        assert list(run_simulation(cfg, record_events=False, runs=20).stats) == list(
+            unpatched.stats)
+
+
 class TestSerialization:
     def test_events_round_trip(self):
         res = run_simulation(config(0.3, 0.1, e0=2, p_s=0.3, horizon=40, seed=2))
         text = events_to_jsonl(res.events)
-        assert events_from_jsonl(text) == list(res.events)
+        assert reference_events_from_jsonl(text) == list(res.events)
         first = text.splitlines()[0]
         assert '"tick": 0' in first and '"kind": "self_generate"' in first
 
@@ -592,9 +630,9 @@ class TestSerializationAgainstOracles:
     def test_events_match_json_module(self, events, run, blanks):
         text = events_to_jsonl(events, run=run)
         assert text == reference_events_to_jsonl(events, run=run)
-        assert events_from_jsonl(text) == events
+        assert reference_events_from_jsonl(text) == events
         padded = with_blank_lines(text, blanks)
-        assert events_from_jsonl(padded) == reference_events_from_jsonl(padded) == events
+        assert reference_events_from_jsonl(padded) == events
 
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(life_stats_rows, max_size=8), blanks=blank_lines)
@@ -613,13 +651,15 @@ class TestSerializationAgainstOracles:
         assert life_stats_from_jsonl(line) == reference_life_stats_from_jsonl(line) == [row]
 
     @settings(max_examples=100, deadline=None)
-    @given(event=event_records, run=runs,
+    @given(row=life_stats_rows, event=event_records, run=runs,
            junk=st.sampled_from(["x", "}", ", 1", " {}", "[]", "\"", "\t0"]))
-    def test_trailing_data_raises_decode_error(self, event, run, junk):
-        line = events_to_jsonl([event], run=run).rstrip("\n") + junk
-        for read in (events_from_jsonl, reference_events_from_jsonl):
+    def test_trailing_data_raises_decode_error(self, row, event, run, junk):
+        line = life_stats_to_jsonl([row]).rstrip("\n") + junk
+        for read in (life_stats_from_jsonl, reference_life_stats_from_jsonl):
             with pytest.raises(json.JSONDecodeError):
                 read(line)
+        with pytest.raises(json.JSONDecodeError):
+            reference_events_from_jsonl(events_to_jsonl([event], run=run).rstrip("\n") + junk)
 
     @pytest.mark.parametrize("line", [
         '{"agent_id": 0, "lifetime": 1',
@@ -636,9 +676,8 @@ class TestSerializationAgainstOracles:
 
     @pytest.mark.parametrize("line", ["[1, 2]", "5", '"text"', "null", " true "])
     def test_line_that_is_not_an_object_raises_decode_error(self, line):
-        for read in (events_from_jsonl, life_stats_from_jsonl):
-            with pytest.raises(json.JSONDecodeError):
-                read(line + "\n")
+        with pytest.raises(json.JSONDecodeError):
+            life_stats_from_jsonl(line + "\n")
 
 
 class TestEarlyStop:
