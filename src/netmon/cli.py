@@ -29,7 +29,7 @@ import math
 import os
 import sys
 import traceback
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -176,6 +176,34 @@ def _load_sim_config(args) -> dict:
     return resolved
 
 
+def _write_simulation(config: SimulationConfig, runs: int, life_stats_path: Path,
+                      events_path: Path | None = None) -> int:
+    """Write ``runs`` runs' life stats, and events with ``events_path``; the agent count.
+
+    The runs step together a chunk at a time.  Each chunk's lines are
+    rendered from its columns a block at a time, and the chunk is freed
+    before the next one starts, so memory holds one chunk's agent columns
+    plus one block's lines whatever the number of runs.
+    """
+    n_agents = 0
+    with open(life_stats_path, "wb") as life_stats_out, (
+        nullcontext() if events_path is None else open(events_path, "wb")
+    ) as events_out:
+        for first in range(0, runs, CHUNK_RUNS):
+            try:
+                result = run_simulation(replace(config, seed=config.seed + first),
+                                        record_events=events_out is not None,
+                                        runs=min(CHUNK_RUNS, runs - first))
+            except TooManyAgentsError as exc:
+                raise CliError(str(exc)) from exc
+            n_agents += len(result.stats)
+            life_stats_to_jsonl(result.stats, life_stats_out)
+            if events_out is not None:
+                events_to_jsonl(result.events, run=first, out=events_out)
+            del result
+    return n_agents
+
+
 def cmd_simulate(args) -> int:
     resolved = _load_sim_config(args)
     if resolved["runs"] < 1:
@@ -188,33 +216,17 @@ def cmd_simulate(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    # The runs step together a chunk at a time.  A chunk's lines are
-    # written run by run, and the chunk is freed before the next one
-    # starts, so memory does not grow past one chunk's whatever the number
-    # of runs.
-    record_events = not args.no_events
-    runs = resolved["runs"]
-    n_agents = 0
-    with open(out_dir / "life_stats.jsonl", "w") as life_stats_out, (
-        open(out_dir / "events.jsonl", "w") if record_events else nullcontext()
-    ) as events_out:
-        for first in range(0, runs, CHUNK_RUNS):
-            last = min(first + CHUNK_RUNS, runs)
-            try:
-                result = run_simulation(replace(config, seed=config.seed + first),
-                                        record_events=record_events, runs=last - first)
-            except TooManyAgentsError as exc:
-                raise CliError(str(exc)) from exc
-            n_agents += len(result.stats)
-            # Each run's rows and events are made just before they are
-            # written and dropped right after.
-            stats, events = result.stats.runs(), result.events.runs()
-            for k in range(first, last):
-                life_stats_out.write(life_stats_to_jsonl(next(stats)))
-                if record_events:
-                    events_out.write(events_to_jsonl(next(events), run=k))
-            del result, stats, events
+    outputs = [out_dir / "life_stats.jsonl"]
+    if not args.no_events:
+        outputs.append(out_dir / "events.jsonl")
+    try:
+        n_agents = _write_simulation(config, resolved["runs"], *outputs)
+    except BaseException:
+        # A failed run leaves no output that could pass for a finished one.
+        for path in outputs:
+            with suppress(OSError):
+                path.unlink()
+        raise
 
     _write_sidecar(out_dir / "run_config.json", resolved)
     print(f"simulated {resolved['runs']} run(s), {n_agents} agents -> {out_dir}")

@@ -41,16 +41,18 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from array import array
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
+from . import jsonl
 from .diffusion import (BehaviorParams, _clamp01, effective_repost_prob, repost_probs,
                         step_thresholds)
-from .jsonl import decode_line, quote
+from .jsonl import decode_line, int_texts, quote, render_lines
 
 __all__ = [
     "SimulationConfig",
@@ -265,10 +267,14 @@ class EventLog:
     per tick the self-generations, then per agent in ascending id its
     like, repost and death, then the truncation marker.
 
-    Iterating yields every run's :class:`EventRecord`\\ s, run after run.
-    ``runs`` yields each run's events as a one-pass iterator of plain
-    tuples of the EventRecord fields, so only one run's are held at a
-    time.  Without recorded events both are empty.
+    A run is rebuilt as four arrays: tick, kind code, agent id (-1 for
+    the truncation marker) and related id (-1 for none).  Iterating yields
+    every run's :class:`EventRecord`\\ s, run after run.  ``runs`` yields
+    each run's events as a one-pass iterator of plain tuples of the
+    EventRecord fields, zipped from its arrays, so only one run's are held
+    at a time.  ``events_to_jsonl`` renders the arrays of consecutive runs
+    straight to lines, a block at a time.  Without recorded events all
+    are empty.
     """
 
     # Kind codes 0..4, in the order _run_events gathers the kinds.
@@ -296,9 +302,18 @@ class EventLog:
 
     def runs(self) -> Iterator[Iterator[tuple]]:
         """The events of each run in turn."""
+        for tick, kind, agent, related in self._run_arrays():
+            related_ids = related.astype(object)
+            related_ids[related < 0] = None
+            yield zip(tick.tolist(), self._KIND_NAMES[kind].tolist(), agent.tolist(),
+                      related_ids.tolist())
+
+    def _run_arrays(self) -> Iterator[tuple[np.ndarray, ...]]:
+        """Each run's events as arrays: tick, kind code, agent and related (-1 for none)."""
         if self._likes is None:
+            none = np.zeros(0, dtype=np.int64)
             for _ in range(len(self._censor)):
-                yield iter(())
+                yield none, none, none, none
             return
         cols = self._columns
         bits = np.frombuffer(self._likes.bits, dtype=np.uint8)
@@ -316,7 +331,7 @@ class EventLog:
             lo = hi
 
     def _run_events(self, birth, parent, death, censor: int, truncated: bool,
-                    bits, tick_start, before) -> Iterator[tuple]:
+                    bits, tick_start, before) -> tuple[np.ndarray, ...]:
         n = len(birth)
         # Each agent steps on the ticks after its birth up to its death or
         # the last tick the run ran; count this run's steps per tick.
@@ -354,16 +369,25 @@ class EventLog:
         slot = np.concatenate((roots, n + 3 * like_agent, n + 3 * parents + 1,
                                n + 3 * dead + 2, np.full(len(halt), 4 * n)))
         order = np.argsort(ticks * (4 * n + 1) + slot, kind="stable")
-        related = related[order]
-        reposts = np.flatnonzero(related >= 0)
-        related_ids = np.full(len(related), None, dtype=object)
-        related_ids[reposts] = related[reposts]
-        return zip(
-            ticks[order].tolist(),
-            self._KIND_NAMES[kinds[order]].tolist(),
-            agents[order].tolist(),
-            related_ids.tolist(),
-        )
+        return ticks[order], kinds[order], agents[order], related[order]
+
+    def _jsonl_blocks(self, run: Optional[int]) -> Iterator[bytes]:
+        """``events_to_jsonl``'s lines, a block of consecutive runs at a time.
+
+        Runs join a group until it holds ``jsonl.BLOCK_LINES`` events; each group
+        is rendered from its concatenated columns, so only one group's
+        arrays are held at a time.
+        """
+        group: list[tuple[np.ndarray, ...]] = []
+        size = first = 0
+        for k, events in enumerate(self._run_arrays()):
+            group.append(events)
+            size += len(events[0])
+            if size >= jsonl.BLOCK_LINES:
+                yield from _event_lines(group, None if run is None else run + first)
+                group, size, first = [], 0, k + 1
+        if group:
+            yield from _event_lines(group, None if run is None else run + first)
 
 
 class _StepTables:
@@ -674,29 +698,126 @@ def repost_counts_by_link(stats: Iterable[AgentLifeStats]) -> dict[str, int]:
     return counts
 
 
-def events_to_jsonl(events: Iterable[EventRecord], run: Optional[int] = None) -> str:
+def _finish(blocks: Iterable[bytes], out: Optional[BinaryIO]) -> Optional[str]:
+    """The text of ``blocks``, or, with ``out``, None once they are written to it."""
+    if out is None:
+        return b"".join(blocks).decode("ascii")
+    for block in blocks:
+        out.write(block)
+    return None
+
+
+def events_to_jsonl(events: Iterable[EventRecord], run: Optional[int] = None,
+                    out: Optional[BinaryIO] = None) -> Optional[str]:
     """One JSON object per event, keys tick, kind, agent_id, related_agent_id.
 
     With ``run`` each line starts with ``"run": run``, as in the event
-    log ``netmon simulate`` writes.
+    log ``netmon simulate`` writes.  An :class:`EventLog` is rendered from
+    its columns by ``jsonl.render_lines``, and its k-th run's lines carry
+    ``"run": run + k``.  Returns the text or, with ``out``, writes it to
+    that binary file and returns None.
     """
+    if isinstance(events, EventLog):
+        return _finish(events._jsonl_blocks(run), out)
     head = "{" if run is None else '{"run": %d, ' % run
-    return "".join([
+    return _finish(["".join([
         f'{head}"tick": {tick}, "kind": {quote(kind)}, "agent_id": {agent_id}, '
         f'"related_agent_id": {"null" if related is None else related}}}\n'
         for tick, kind, agent_id, related in events
-    ])
+    ]).encode("ascii")], out)
 
 
-def life_stats_to_jsonl(stats: Iterable[AgentLifeStats]) -> str:
-    """One JSON object per agent, keys in AgentLifeStats field order."""
-    return "".join([
+# The kind field's texts by kind code, each with the key of the next field.
+_KIND_TEXTS = np.array([f', "kind": {quote(kind)}, "agent_id": '.encode("ascii")
+                        for kind in EventLog._KIND_NAMES])
+
+
+def _event_lines(group: list[tuple[np.ndarray, ...]], run: Optional[int]) -> Iterator[bytes]:
+    """The lines of consecutive runs' event columns; the first run is ``run``.
+
+    A line is its (run, tick) head, its kind, its agent id (-1 for the
+    truncation marker) and its related id (``null`` for -1).
+    """
+    tick, kind, agent, related = (np.concatenate(column) for column in zip(*group))
+    if not len(tick):
+        return
+    which = np.repeat(np.arange(len(group)), [len(events[0]) for events in group])
+    # Lines are ordered by run, then tick: a head starts at each change.
+    new = np.ones(len(tick), dtype=bool)
+    new[1:] = (tick[1:] != tick[:-1]) | (which[1:] != which[:-1])
+    starts = np.flatnonzero(new)
+    if run is None:
+        heads = [b'{"tick": %d' % t for t in tick[starts].tolist()]
+    else:
+        heads = [b'{"run": %d, "tick": %d' % (run + k, t)
+                 for k, t in zip(which[starts].tolist(), tick[starts].tolist())]
+    yield from render_lines((
+        (np.array(heads), np.cumsum(new) - 1),
+        (_KIND_TEXTS, kind),
+        (int_texts(agent, b', "related_agent_id": ', [b'-1, "related_agent_id": ']), agent),
+        (int_texts(related, b"}\n", [b"null}\n"]), related),
+    ))
+
+
+def life_stats_to_jsonl(stats: Iterable[AgentLifeStats],
+                        out: Optional[BinaryIO] = None) -> Optional[str]:
+    """One JSON object per agent, keys in AgentLifeStats field order.
+
+    A :class:`LifeStatsTable` is rendered from its columns by
+    ``jsonl.render_lines``.  Returns the text or, with ``out``, writes it
+    to that binary file and returns None.
+    """
+    if isinstance(stats, LifeStatsTable):
+        return _finish(_life_stats_lines(stats), out)
+    return _finish(["".join([
         f'{{"agent_id": {agent_id}, "lifetime": {lifetime}, '
         f'"censored": {"true" if censored else "false"}, "total_likes": {likes}, '
         f'"total_reposts": {reposts}, '
         f'"carried_link": {"null" if link is None else quote(link)}}}\n'
         for agent_id, lifetime, censored, likes, reposts, link in stats
-    ])
+    ]).encode("ascii")], out)
+
+
+_CENSORED_TEXTS = np.array([b'false, "total_likes": ', b'true, "total_likes": '])
+
+
+def _life_stats_lines(stats: LifeStatsTable) -> Iterator[bytes]:
+    """The lines of a table's columns, chunk by chunk.
+
+    A carried link is two fields: its run's ``"r{seed}-l`` and its
+    ``{link_index}"}``; a row without a link takes ``null}`` and an empty
+    text.
+    """
+    seed = stats.seed
+    for chunk in stats._chunks:
+        lengths = chunk["run_lengths"]
+        n_runs = len(lengths)
+        # Each row's run, -1 where it carries no link, and its id within the run.
+        link_run = np.repeat(np.arange(n_runs, dtype=np.int32), lengths)
+        ident = np.arange(len(link_run), dtype=np.int32)
+        ident -= np.repeat((np.cumsum(lengths) - lengths).astype(np.int32), lengths)
+        link = chunk["link_index"]
+        link_run[link < 0] = -1
+        lifetime, likes, reposts = chunk["lifetime"], chunk["total_likes"], chunk["total_reposts"]
+        yield from render_lines((
+            (int_texts(ident, b', "lifetime": ', prefix=b'{"agent_id": '), ident),
+            (int_texts(lifetime, b', "censored": '), lifetime),
+            (_CENSORED_TEXTS, chunk["censored"].view(np.uint8)),
+            (int_texts(likes, b', "total_reposts": '), likes),
+            (int_texts(reposts, b', "carried_link": '), reposts),
+            (np.array([b'"r%d-l' % (seed + r) for r in range(n_runs)] + [b"null}\n"]), link_run),
+            (int_texts(link, b'"}\n', [b""]), link),
+        ))
+        seed += n_runs
+
+
+# One life_stats_to_jsonl line with every value a JSON integer below 10**18,
+# a boolean, null or a string of printable ASCII without quote or backslash.
+_UINT = "(0|[1-9][0-9]{0,17})"
+_LIFE_STATS_LINE = re.compile(
+    r'^\{"agent_id": %s, "lifetime": %s, "censored": (true|false), "total_likes": %s, '
+    r'"total_reposts": %s, "carried_link": (null|"[ !#-\[\]-~]*")\}$' % ((_UINT,) * 4),
+    re.M)
 
 
 def life_stats_from_jsonl(text: str) -> list[AgentLifeStats]:
@@ -706,7 +827,19 @@ def life_stats_from_jsonl(text: str) -> list[AgentLifeStats]:
     ``json.loads`` has them; a value that is not an object fails the
     same way.  Rows are made by tuple.__new__, which skips the keyword
     handling of the generated __new__.
+
+    Text whose every line, each ended by ``\\n``, fills the writer's
+    template with values ``_LIFE_STATS_LINE`` admits is read by one
+    ``findall``: such a line holds no blank line, nor any other character
+    ``splitlines`` splits on, and ``json.loads`` decodes it to exactly
+    the matched values.  Any other text is decoded line by line.
     """
+    matches = _LIFE_STATS_LINE.findall(text)
+    if matches and len(matches) == text.count("\n") and text.endswith("\n"):
+        return [tuple.__new__(AgentLifeStats, (
+            int(agent_id), int(lifetime), censored == "true", int(likes), int(reposts),
+            None if link == "null" else link[1:-1]))
+            for agent_id, lifetime, censored, likes, reposts, link in matches]
     rows = []
     for line in text.splitlines():
         if line.strip():

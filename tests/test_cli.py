@@ -17,12 +17,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netmon.cli as cli_mod
+import netmon.jsonl as jsonl_mod
 import netmon.simulator as simulator_mod
 from netmon.cli import main
 from netmon.distfit import PowerLawFit, WeibullFit
-from netmon.simulator import CHUNK_RUNS
+from netmon.simulator import CHUNK_RUNS, EventRecord, life_stats_from_jsonl, run_simulation
 
-from _oracles import powerlaw_int_samples, weibull_samples
+from _oracles import (
+    powerlaw_int_samples,
+    reference_events_to_jsonl,
+    reference_life_stats_to_jsonl,
+    weibull_samples,
+)
+from _strategies import SIM_FIELDS, sim_config
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -75,6 +82,39 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: run with seed 3 has ") and "max_agents is None" in err
         assert err.count("\n") == 1
+
+    # The first chunk past the lowered active-agent limit; a later chunk
+    # failing the same way, or with an internal error, after one was written.
+    @pytest.mark.parametrize("failure, code", [
+        (None, 2), (simulator_mod.TooManyAgentsError("too many"), 2),
+        (RuntimeError("internal"), 1),
+    ], ids=["first_chunk", "second_chunk", "internal_error"])
+    def test_failed_run_leaves_no_output(self, tmp_path, monkeypatch, failure, code):
+        monkeypatch.setattr(cli_mod, "CHUNK_RUNS", 2)
+        fields = {"p_like": 0.3, "p_repost": 0.1, "e0": 2, "horizon": 30}
+        if failure is None:
+            monkeypatch.setattr(simulator_mod, "_MAX_RUN_ACTIVE", 100)
+            fields.update(p_like=0.0, p_repost=0.95, e0=3)
+        else:
+            chunks = []
+            real_run_simulation = cli_mod.run_simulation
+
+            def run_simulation(*args, **kwargs):
+                chunks.append(kwargs["runs"])
+                if len(chunks) == 2:
+                    raise failure
+                return real_run_simulation(*args, **kwargs)
+
+            monkeypatch.setattr(cli_mod, "run_simulation", run_simulation)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--runs", "5", "--seed", "3",
+                     "--out", str(out)]) == code
+        if failure is not None:
+            assert chunks == [2, 2]
+        assert not any((out / name).exists()
+                       for name in ("life_stats.jsonl", "events.jsonl", "run_config.json"))
 
     # Python's json reads NaN and Infinity; a NaN boost would give every
     # link carrier NaN thresholds, and would be written back as non-JSON.
@@ -263,6 +303,35 @@ class TestSimulate:
         assert (tmp_path / "runs20" / "events.jsonl").read_text().count("\n") == 20 * (
             (tmp_path / "runs2" / "events.jsonl").read_text().count("\n") // 2
         )
+
+
+class TestSimulateOutputAgainstOracles:
+    """netmon simulate's column writers against json.dumps of the row API's rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fields=SIM_FIELDS, seed=st.integers(0, 2**40), runs=st.integers(1, 7),
+           chunk_runs=st.integers(1, 3), block_lines=st.integers(1, 40), events=st.booleans())
+    def test_files_match_json_dumps(self, fields, seed, runs, chunk_runs, block_lines, events):
+        # Small chunks and blocks, so that runs straddle both.
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(cli_mod, "CHUNK_RUNS", chunk_runs), \
+                mock.patch.object(jsonl_mod, "BLOCK_LINES", block_lines):
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(fields))
+            out = Path(tmp) / "out"
+            assert main(["simulate", "--config", str(cfg), "--runs", str(runs),
+                         "--seed", str(seed), "--out", str(out),
+                         *([] if events else ["--no-events"])]) == 0
+            life_stats = (out / "life_stats.jsonl").read_text()
+            event_log = (out / "events.jsonl").read_text() if events else None
+        # The same runs as one chunk, through the row API.
+        result = run_simulation(sim_config(fields, seed), runs=runs)
+        assert life_stats == reference_life_stats_to_jsonl(result.stats)
+        assert life_stats_from_jsonl(life_stats) == list(result.stats)
+        if events:
+            assert event_log == "".join(
+                reference_events_to_jsonl(map(EventRecord._make, run), run=k)
+                for k, run in enumerate(result.events.runs()))
 
 
 class TestFit:

@@ -1,11 +1,15 @@
-"""decode_line against json.loads, the decoder it stands in for."""
+"""decode_line against json.loads, the decoder it stands in for, and the
+block render kernel against a join of Python bytes."""
 
 import json
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netmon.jsonl import decode_line
+from netmon import jsonl
+from netmon.jsonl import decode_line, int_texts, render_lines
 
 from _strategies import JSON_TEXT
 
@@ -47,3 +51,35 @@ class TestDecodeLine:
         s = "[" * 100_000 + "]" * 100_000
         assert outcome(decode_line, s) == outcome(json.loads, s)
         assert outcome(decode_line, s)[0] is RecursionError
+
+
+# Printable ASCII and the line end, but never a NUL: the kernel's pad byte.
+_ASCII_TEXT = st.binary(max_size=6).map(lambda b: bytes(32 + c % 95 for c in b)) | st.just(b"\n")
+
+
+class TestRenderLines:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_fields=st.integers(1, 4), n_lines=st.integers(0, 30),
+           block_lines=st.integers(1, 8))
+    def test_lines_join_the_picked_texts(self, data, n_fields, n_lines, block_lines):
+        tables = [data.draw(st.lists(_ASCII_TEXT, min_size=1, max_size=5))
+                  for _ in range(n_fields)]
+        indices = [data.draw(st.lists(st.integers(-len(t), len(t) - 1), min_size=n_lines,
+                                      max_size=n_lines)) for t in tables]
+        fields = [(np.array(t, dtype="S"), np.array(i, dtype=np.int64))
+                  for t, i in zip(tables, indices)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jsonl, "BLOCK_LINES", block_lines)
+            blocks = list(render_lines(fields))
+        assert len(blocks) == -(-n_lines // block_lines)
+        assert b"".join(blocks) == b"".join(
+            b"".join(table[index[k]] for table, index in zip(tables, indices))
+            for k in range(n_lines))
+
+
+class TestIntTexts:
+    @pytest.mark.parametrize("top", [-1, 0, 1, 9, 10, 99, 100, 1000, 12345])
+    def test_every_integer_up_to_the_largest_then_the_extras(self, top):
+        table = int_texts(np.array([-1, top]), b", x", [b"no", b"-1"], prefix=b"{")
+        assert table.tolist() == [b"{%d, x" % i for i in range(top + 1)] + [b"no", b"-1"]
+        assert table[-1] == b"-1"

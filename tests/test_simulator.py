@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netmon import simulator
+from netmon import jsonl, simulator
 from netmon.diffusion import BehaviorParams
 from netmon.simulator import (
     EVENT_DEATH,
@@ -42,6 +43,7 @@ from _oracles import (
     reference_run,
     reference_runs,
 )
+from _strategies import SIM_FIELDS, sim_config
 
 
 def config(p_like, p_repost, e0=1, p_s=0.0, horizon=50, seed=1, **kw):
@@ -622,6 +624,15 @@ def with_blank_lines(text: str, blanks: list[str]) -> str:
     return "".join(lines)
 
 
+TEMPLATE_LINE = ('{"agent_id": 0, "lifetime": 3, "censored": false, "total_likes": 1, '
+                 '"total_reposts": 0, "carried_link": "r1-l0"}')
+
+
+def near_template(old: str, new: str) -> str:
+    """A template line with ``old`` made ``new``, between two template lines."""
+    return f"{TEMPLATE_LINE}\n{TEMPLATE_LINE.replace(old, new)}\n{TEMPLATE_LINE}\n"
+
+
 class TestSerializationAgainstOracles:
     """The template writers and scanner readers against json.dumps/json.loads."""
 
@@ -678,6 +689,68 @@ class TestSerializationAgainstOracles:
     def test_line_that_is_not_an_object_raises_decode_error(self, line):
         with pytest.raises(json.JSONDecodeError):
             life_stats_from_jsonl(line + "\n")
+
+    # Text close to what life_stats_to_jsonl writes, which the one-findall
+    # fast path must leave to the line-by-line decoder.
+    @pytest.mark.parametrize("text", [
+        near_template('"lifetime": 3', '"lifetime": 03'),
+        near_template('"lifetime": 3', '"lifetime": -0'),
+        near_template('"lifetime": 3', '"lifetime": 1.0'),
+        near_template('"lifetime": 3', '"lifetime": 1e3'),
+        near_template('"r1-l0"', '"r1\\u002dl0"'),
+        near_template('"r1-l0"', '""'),
+        (TEMPLATE_LINE + "\r\n") * 3,
+        (TEMPLATE_LINE + "\n") * 2 + TEMPLATE_LINE,
+        near_template('"r1-l0"', '"r1\x85l0"'),
+        near_template('"r1-l0"', '"r1\u2028l0"'),
+        near_template('"lifetime": 3', '"lifetime": 3, "lifetime": 4'),
+        near_template('"carried_link"', '"extra": 1, "carried_link"'),
+        TEMPLATE_LINE + "\n\n" + TEMPLATE_LINE + "\n",
+    ], ids=["leading_zero", "minus_zero", "fraction", "exponent", "escaped_link",
+            "empty_link", "crlf", "no_final_newline", "raw_x85_in_link",
+            "raw_u2028_in_link", "duplicate_key", "extra_key", "blank_line"])
+    def test_near_template_text_reads_as_json_loads(self, text):
+        def outcome(read):
+            try:
+                return repr([tuple(row) for row in read(text)])
+            except json.JSONDecodeError:
+                return json.JSONDecodeError
+        assert outcome(life_stats_from_jsonl) == outcome(reference_life_stats_from_jsonl)
+
+    def test_writer_output_read_without_the_line_decoder(self, monkeypatch):
+        res = run_simulation(config(0.3, 0.1, e0=2, p_s=0.3, horizon=40, seed=2,
+                                    link_carrier_fraction=0.5), runs=3)
+        text = life_stats_to_jsonl(res.stats)
+
+        def decode_line(line):
+            raise AssertionError("decoded line by line")
+
+        monkeypatch.setattr(simulator, "decode_line", decode_line)
+        assert life_stats_from_jsonl(text) == list(res.stats)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fields=SIM_FIELDS, seed=st.integers(0, 2**40), runs=st.integers(1, 7),
+           chunk_runs=st.integers(1, 3), block_lines=st.integers(1, 40),
+           run=st.none() | st.integers(0, 2**63))
+    def test_column_writers_match_json_module(self, fields, seed, runs, chunk_runs,
+                                              block_lines, run):
+        cfg = sim_config(fields, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            # A table of several chunks, and blocks that end inside runs.
+            mp.setattr(simulator, "CHUNK_RUNS", chunk_runs)
+            mp.setattr(jsonl, "BLOCK_LINES", block_lines)
+            table = replicate(cfg, runs)
+            result = run_simulation(cfg, runs=runs)
+            stats_text = life_stats_to_jsonl(table)
+            events_text = events_to_jsonl(result.events, run=run)
+            written = io.BytesIO()
+            assert events_to_jsonl(result.events, run=run, out=written) is None
+        assert stats_text == reference_life_stats_to_jsonl(list(table))
+        assert life_stats_from_jsonl(stats_text) == list(table)
+        assert events_text == written.getvalue().decode() == "".join(
+            reference_events_to_jsonl(map(EventRecord._make, events),
+                                      run=None if run is None else run + k)
+            for k, events in enumerate(result.events.runs()))
 
 
 class TestEarlyStop:
