@@ -16,14 +16,14 @@ collector's state back on every exit.  A command's data is acyclic, and
 the cyclic garbage a command leaves (argparse's and the JSON encoder's)
 does not grow with its input, so a collector pass would only walk live
 objects.  Library entry points such as ``replicate`` and ``load_corpus``
-leave the collector alone.
+leave the collector alone; ``life_stats_from_jsonl`` alone pauses it
+while it builds its rows, and then restores it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import json
 import math
 import os
@@ -51,6 +51,7 @@ from .ingest import (
     matched_jsonl,
     rejects_jsonl,
 )
+from .jsonl import collector_paused
 from .linknet import (
     DEFAULT_SHORTENER_BASES,
     LinkParseError,
@@ -634,27 +635,21 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     # The cyclic collector is paused while the command runs: its data is
     # acyclic, so a pass would walk every live object and free nothing.
-    # Only a call that found it on turns it back on, so it ends as it was
-    # found even when several threads call main.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return command(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        return 1
-    except OSError as exc:  # an unusable path: missing, a directory, under a file, ...
-        where = f"{exc.filename}: {exc.strerror}" if exc.filename and exc.strerror else exc
-        print(f"error: {where}", file=sys.stderr)
-        return 2
-    except Exception:
-        traceback.print_exc()
-        return 1
-    finally:
-        if enabled:
-            gc.enable()
+    with collector_paused():
+        try:
+            return command(args)
+        except CliError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except BrokenPipeError:
+            return 1
+        except OSError as exc:  # an unusable path: missing, a directory, under a file, ...
+            where = f"{exc.filename}: {exc.strerror}" if exc.filename and exc.strerror else exc
+            print(f"error: {where}", file=sys.stderr)
+            return 2
+        except Exception:
+            traceback.print_exc()
+            return 1
 
 
 if __name__ == "__main__":

@@ -8,12 +8,14 @@ fill the template with an f-string per line, which costs about half what
 ``str.format`` does.  Rows held as numpy columns go through
 :func:`render_lines`: a line is the concatenation of one text per field,
 each picked from that field's table by an index column, so the per-line
-work is numpy gathers and copies.  Readers decode each line with
-:func:`decode_line`.
+work is numpy gathers and copies, and one boolean compress drops the
+NUL pads.  Readers decode each line with :func:`decode_line`; a reader
+that builds many rows does so under :func:`collector_paused`.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from json.encoder import encode_basestring_ascii as quote
 from json.scanner import make_scanner
@@ -21,7 +23,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["quote", "decode_line", "BLOCK_LINES", "int_texts", "render_lines"]
+__all__ = ["quote", "decode_line", "BLOCK_LINES", "int_texts", "render_lines",
+           "collector_paused"]
 
 # Decodes one JSON value at a given index of a string, in C.
 _scan_once = make_scanner(json.JSONDecoder())
@@ -29,6 +32,26 @@ _scan_once = make_scanner(json.JSONDecoder())
 # Lines rendered at once by render_lines: bounds the memory a render holds,
 # whatever the number of lines.
 BLOCK_LINES = 4096
+
+
+class collector_paused:
+    """Pauses the cyclic garbage collector for the body of a ``with``.
+
+    On exit, however the body ends, the collector is turned back on only
+    if it was on when the body began, so it ends as it was found, even
+    when several threads pause it at once.  For bodies whose objects are
+    acyclic: a pass would walk them all and free nothing.  A class rather
+    than a generator, so leaving the body allocates nothing once the
+    collector is back on, and sets off no pass of its own.
+    """
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self.enabled:
+            gc.enable()
 
 
 def decode_line(s: str):
@@ -79,8 +102,8 @@ def render_lines(fields: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator[by
     field; negative indices count from a table's end.  Yields the lines
     ``BLOCK_LINES`` at a time, one bytes object per block: every field of
     a block is gathered into one structured array, whose bytes, NUL pads
-    dropped, are the block's lines.  ``quote`` escapes every control
-    character, so no text holds a NUL of its own.
+    dropped by one boolean compress, are the block's lines.  ``quote``
+    escapes every control character, so no text holds a NUL of its own.
     """
     n = len(fields[0][1])
     record = np.dtype([("", table.dtype) for table, _ in fields])
@@ -88,4 +111,5 @@ def render_lines(fields: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator[by
         block = np.empty(min(BLOCK_LINES, n - lo), record)
         for name, (table, index) in zip(record.names, fields):
             block[name] = table[index[lo:lo + BLOCK_LINES]]
-        yield block.tobytes().replace(b"\0", b"")
+        chars = block.view(np.uint8)
+        yield chars[chars != 0].tobytes()

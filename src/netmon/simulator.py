@@ -45,6 +45,7 @@ import re
 from array import array
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -52,7 +53,7 @@ import numpy as np
 from . import jsonl
 from .diffusion import (BehaviorParams, _clamp01, effective_repost_prob, repost_probs,
                         step_thresholds)
-from .jsonl import decode_line, int_texts, quote, render_lines
+from .jsonl import collector_paused, decode_line, int_texts, quote, render_lines
 
 __all__ = [
     "SimulationConfig",
@@ -691,10 +692,10 @@ def _run_chunk(config: SimulationConfig, tables: _StepTables, n_runs: int,
 def repost_counts_by_link(stats: Iterable[AgentLifeStats]) -> dict[str, int]:
     """Total reposts per carried link; agents without links are skipped."""
     counts: dict[str, int] = {}
-    for s in stats:
-        if s.carried_link is None:
-            continue
-        counts[s.carried_link] = counts.get(s.carried_link, 0) + s.total_reposts
+    get = counts.get
+    for link, reposts in map(itemgetter(5, 4), stats):
+        if link is not None:
+            counts[link] = get(link, 0) + reposts
     return counts
 
 
@@ -832,24 +833,35 @@ def life_stats_from_jsonl(text: str) -> list[AgentLifeStats]:
     template with values ``_LIFE_STATS_LINE`` admits is read by one
     ``findall``: such a line holds no blank line, nor any other character
     ``splitlines`` splits on, and ``json.loads`` decodes it to exactly
-    the matched values.  Any other text is decoded line by line.
+    the matched values.  Its rows are built column by column, the match
+    tuples freed first, and equal links share one string.  Any other
+    text is decoded line by line.
+
+    The rows are built under :func:`jsonl.collector_paused`: the
+    collector never untracks tuple subclasses, so each of its passes
+    would walk every row read so far, and rows of ints, bools, strings
+    and None hold no cycle for it to free.
     """
-    matches = _LIFE_STATS_LINE.findall(text)
-    if matches and len(matches) == text.count("\n") and text.endswith("\n"):
-        return [tuple.__new__(AgentLifeStats, (
-            int(agent_id), int(lifetime), censored == "true", int(likes), int(reposts),
-            None if link == "null" else link[1:-1]))
-            for agent_id, lifetime, censored, likes, reposts, link in matches]
-    rows = []
-    for line in text.splitlines():
-        if line.strip():
-            d = decode_line(line)
-            if type(d) is not dict:
-                raise json.JSONDecodeError("Expecting a JSON object", line, 0)
-            rows.append(tuple.__new__(AgentLifeStats, (
-                d["agent_id"], d["lifetime"], d["censored"], d["total_likes"],
-                d["total_reposts"], d.get("carried_link"))))
-    return rows
+    with collector_paused():
+        matches = _LIFE_STATS_LINE.findall(text)
+        if matches and len(matches) == text.count("\n") and text.endswith("\n"):
+            ids, lifetimes, censored, likes, reposts, links = zip(*matches)
+            del matches
+            flags = {"true": True, "false": False}
+            texts = {link: None if link == "null" else link[1:-1] for link in set(links)}
+            return list(map(tuple.__new__, repeat(AgentLifeStats), zip(
+                map(int, ids), map(int, lifetimes), map(flags.__getitem__, censored),
+                map(int, likes), map(int, reposts), map(texts.__getitem__, links))))
+        rows = []
+        for line in text.splitlines():
+            if line.strip():
+                d = decode_line(line)
+                if type(d) is not dict:
+                    raise json.JSONDecodeError("Expecting a JSON object", line, 0)
+                rows.append(tuple.__new__(AgentLifeStats, (
+                    d["agent_id"], d["lifetime"], d["censored"], d["total_likes"],
+                    d["total_reposts"], d.get("carried_link"))))
+        return rows
 
 
 # Default configuration, calibrated once: pooled repost counts of the

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmon import jsonl, simulator
+from netmon.jsonl import quote
 from netmon.diffusion import BehaviorParams
 from netmon.simulator import (
     EVENT_DEATH,
@@ -498,6 +500,18 @@ class TestRepostCountsByLink:
         ]
         assert repost_counts_by_link(stats) == {"x": 5, "y": 1}
 
+    def test_generator_and_table_count_as_a_list(self):
+        table = replicate(config(0.3, 0.15, e0=2, p_s=0.5, horizon=40, seed=50,
+                                 link_carrier_fraction=0.5), 5)
+        rows = list(table)
+        expected: dict = {}  # keys in order of first appearance
+        for row in rows:
+            if row.carried_link is not None:
+                expected[row.carried_link] = expected.get(row.carried_link, 0) + row.total_reposts
+        assert len(expected) > 1 and any(expected.values())
+        for stats in (rows, table, (row for row in rows)):
+            assert list(repost_counts_by_link(stats).items()) == list(expected.items())
+
     def test_boosted_links_power_law_beats_exponential(self):
         from netmon.distfit import fit_exponential_tail, fit_powerlaw_mle
 
@@ -751,6 +765,69 @@ class TestSerializationAgainstOracles:
             reference_events_to_jsonl(map(EventRecord._make, events),
                                       run=None if run is None else run + k)
             for k, events in enumerate(result.events.runs()))
+
+
+def collections() -> int:
+    """Collector passes so far over all generations.
+
+    ``gc.get_stats`` is called before anything is allocated here, and it
+    reads the counts before it allocates: the young pass that the first
+    allocation after a paused build sets off is not counted.
+    """
+    stats = gc.get_stats()
+    return sum(s["collections"] for s in stats)
+
+
+class TestReaderCollector:
+    """life_stats_from_jsonl builds its rows with the cyclic collector paused."""
+
+    @pytest.fixture(params=[True, False], ids=["gc_on", "gc_off"])
+    def collector_on(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("text, decoded, rows", [
+        ((TEMPLATE_LINE + "\n") * 3, False, 3),
+        (near_template('"lifetime": 3', '"lifetime": 1e3'), True, 3),
+        (TEMPLATE_LINE + "\n{'agent_id': 0}\n", True, None),
+    ], ids=["template", "decoder", "bad_line"])
+    def test_collector_left_as_found(self, monkeypatch, collector_on, text, decoded, rows):
+        seen = []
+
+        def decode_line(line):
+            seen.append(gc.isenabled())
+            return jsonl.decode_line(line)
+
+        monkeypatch.setattr(simulator, "decode_line", decode_line)
+        if rows is None:
+            with pytest.raises(json.JSONDecodeError):
+                life_stats_from_jsonl(text)
+        else:
+            assert len(life_stats_from_jsonl(text)) == rows
+        assert gc.isenabled() is collector_on
+        assert bool(seen) is decoded and not any(seen)  # decoded with the collector paused
+
+    def test_template_rows_read_without_a_collection(self):
+        text = "".join(
+            f'{{"agent_id": {i}, "lifetime": {i % 40}, "censored": {"true" if i % 3 else "false"}, '
+            f'"total_likes": {i % 5}, "total_reposts": {i % 4}, '
+            f'"carried_link": {"null" if i % 2 else quote(f"r1-l{i % 9}")}}}\n'
+            for i in range(20_000))
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            gc.collect()
+            before = collections()
+            rows = life_stats_from_jsonl(text)
+            assert collections() == before
+            assert gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert len(rows) == 20_000
+        assert rows[9] == AgentLifeStats(9, 9, False, 4, 1, None)
+        assert rows[10] == AgentLifeStats(10, 10, True, 0, 2, "r1-l1")
 
 
 class TestEarlyStop:
