@@ -130,6 +130,14 @@ def _typed(value, kind):
     return kind(value)
 
 
+def _number(token: str, kind):
+    """``kind(token)``, but a ValueError for the ``_`` separators and non-ASCII
+    digits that ``int`` and ``float`` accept (``1_0`` as 10, ``١٢`` as 12)."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not a plain ASCII number: {token!r}")
+    return kind(token)
+
+
 # ---------------------------------------------------------------- simulate
 
 # Each simulate field's kind: BehaviorParams.constant's arguments, then
@@ -244,7 +252,7 @@ def _read_samples(path_str: str, want_int: bool) -> list:
         if not stripped:
             continue
         try:
-            value = int(stripped) if want_int else float(stripped)
+            value = _number(stripped, int if want_int else float)
         except ValueError as exc:
             raise CliError(f"non-numeric value on line {line_no}: {stripped!r}") from exc
         if not is_finite(value):
@@ -500,7 +508,7 @@ def _read_counts(path_str: str):
         try:
             if len(parts) not in (1, 2):
                 raise ValueError(stripped)
-            count = int(parts[-1])
+            count = _number(parts[-1], int)
             if not is_finite(count):
                 raise ValueError(f"{count} does not fit a float")
         except ValueError as exc:

@@ -72,26 +72,38 @@ def decode_line(s: str):
 
 
 def int_texts(values: np.ndarray, suffix: bytes, extra: Sequence[bytes] = (),
-              prefix: bytes = b"") -> np.ndarray:
-    """A text table for the integers ``values``, which are -1 or more.
+              prefix: bytes = b"") -> tuple[np.ndarray, np.ndarray]:
+    """The ``render_lines`` field ``(table, index)`` of ``values``, integers of -1 or more.
 
-    Index i holds ``prefix + b"%d" % i + suffix`` for 0 <= i <= max(values),
-    and the texts ``extra`` follow, so index -1 picks the last of them.
-    The texts are written digit by digit into one byte matrix: numpy's
-    int-to-bytes cast formats each number in Python, at about 0.3 us apiece.
+    ``table[index[k]]`` is ``prefix + b"%d" % values[k] + suffix``, or for
+    -1 the last of the texts ``extra``, which end the table.  The table
+    holds every integer up to max(values), and the index is ``values``,
+    unless that is over twice their count: then only the distinct values,
+    so the table never outgrows the column.  Below that bound the dense
+    table is the faster one, as it skips the sort that finds the distinct
+    values; the two take about equal time near a maximum of twice the
+    count.  The texts are written digit by digit into one byte matrix:
+    numpy's int-to-bytes cast formats each number in Python, at about
+    0.3 us apiece.
     """
     n = int(values.max(initial=-1)) + 1
-    width = len(str(max(n - 1, 0)))
-    chars = np.zeros((n, len(prefix) + width + len(suffix)), dtype=np.uint8)
+    if n <= 2 * len(values) + 64:
+        numbers, index = np.arange(n), values
+    else:
+        numbers = np.unique(values[values >= 0])
+        index = np.where(values < 0, -1, np.searchsorted(numbers, values))
+    width = len(str(int(numbers.max(initial=0))))
+    chars = np.zeros((len(numbers), len(prefix) + width + len(suffix)), dtype=np.uint8)
     chars[:, :len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
     for d in range(1, width + 1):
-        lo, hi = (10 ** (d - 1) if d > 1 else 0), min(10 ** d, n)
-        numbers, row = np.arange(lo, hi), chars[lo:hi, len(prefix):]
+        lo = np.searchsorted(numbers, 10 ** (d - 1)) if d > 1 else 0
+        hi = np.searchsorted(numbers, 10 ** d) if d < width else len(numbers)
+        row = chars[lo:hi, len(prefix):]
         for j in range(d):
-            row[:, j] = numbers // 10 ** (d - 1 - j) % 10 + ord("0")
+            row[:, j] = numbers[lo:hi] // 10 ** (d - 1 - j) % 10 + ord("0")
         row[:, d:d + len(suffix)] = np.frombuffer(suffix, dtype=np.uint8)
-    return np.concatenate((chars.view(f"S{chars.shape[1]}").ravel(),
-                           np.array(extra, dtype="S")))
+    return (np.concatenate((chars.view(f"S{chars.shape[1]}").ravel(),
+                            np.array(extra, dtype="S"))), index)
 
 
 def render_lines(fields: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator[bytes]:

@@ -214,7 +214,7 @@ class LifeStatsTable:
     ``column`` joins one across chunks.  ``link_index`` is -1 for agents
     without a link, otherwise the carried link is
     ``f"r{seed + run}-l{link_index}"``.  Iterating yields
-    :class:`AgentLifeStats` rows, made on the fly.
+    :class:`AgentLifeStats` rows, made on the fly, run after run.
     """
 
     def __init__(self, seed: int, chunks: list[dict[str, np.ndarray]]):
@@ -229,16 +229,13 @@ class LifeStatsTable:
         return np.concatenate([chunk[name] for chunk in self._chunks])
 
     def __iter__(self) -> Iterator[AgentLifeStats]:
-        return chain.from_iterable(map(tuple.__new__, repeat(AgentLifeStats), run)
-                                   for run in self.runs())
+        return chain.from_iterable(self.runs())
 
-    def runs(self) -> Iterator[Iterator[tuple]]:
-        """Each run's rows in turn, as plain tuples of the AgentLifeStats fields.
+    def runs(self) -> Iterator[Iterator[AgentLifeStats]]:
+        """Each run's rows in turn, as a one-pass iterator over its columns.
 
-        A run's rows come as a one-pass iterator over its columns, made on
-        the fly.  Rows pass through C-level iterators only; a generator per
-        row would cost more than making the row, and so would a NamedTuple
-        per row for a caller that only unpacks it.
+        Rows are made on the fly by C-level iterators only: a generator
+        per row would cost more than making the row.
         """
         seed = self.seed
         for chunk in self._chunks:
@@ -251,7 +248,8 @@ class LifeStatsTable:
                 links = [
                     None if i < 0 else f"r{seed}-l{i}" for i in link_index[lo:hi].tolist()
                 ] if any_links else repeat(None)
-                yield zip(range(n), *(c[lo:hi].tolist() for c in columns), links)
+                yield map(tuple.__new__, repeat(AgentLifeStats),
+                          zip(range(n), *(c[lo:hi].tolist() for c in columns), links))
                 seed += 1
                 lo = hi
 
@@ -269,13 +267,12 @@ class EventLog:
     like, repost and death, then the truncation marker.
 
     A run is rebuilt as four arrays: tick, kind code, agent id (-1 for
-    the truncation marker) and related id (-1 for none).  Iterating yields
-    every run's :class:`EventRecord`\\ s, run after run.  ``runs`` yields
-    each run's events as a one-pass iterator of plain tuples of the
-    EventRecord fields, zipped from its arrays, so only one run's are held
-    at a time.  ``events_to_jsonl`` renders the arrays of consecutive runs
-    straight to lines, a block at a time.  Without recorded events all
-    are empty.
+    the truncation marker) and related id (-1 for none).  ``runs`` yields
+    each run's :class:`EventRecord`\\ s as a one-pass iterator zipped from
+    its arrays, so only one run's are held at a time; iterating yields
+    them run after run.  ``events_to_jsonl`` renders the arrays of
+    consecutive runs straight to lines, a block at a time.  Without
+    recorded events all are empty.
     """
 
     # Kind codes 0..4, in the order _run_events gathers the kinds.
@@ -298,16 +295,16 @@ class EventLog:
                 + int(np.count_nonzero(~cols["censored"])) + int(self._truncated.sum()))
 
     def __iter__(self) -> Iterator[EventRecord]:
-        return chain.from_iterable(map(tuple.__new__, repeat(EventRecord), run)
-                                   for run in self.runs())
+        return chain.from_iterable(self.runs())
 
-    def runs(self) -> Iterator[Iterator[tuple]]:
+    def runs(self) -> Iterator[Iterator[EventRecord]]:
         """The events of each run in turn."""
         for tick, kind, agent, related in self._run_arrays():
             related_ids = related.astype(object)
             related_ids[related < 0] = None
-            yield zip(tick.tolist(), self._KIND_NAMES[kind].tolist(), agent.tolist(),
-                      related_ids.tolist())
+            yield map(tuple.__new__, repeat(EventRecord), zip(
+                tick.tolist(), self._KIND_NAMES[kind].tolist(), agent.tolist(),
+                related_ids.tolist()))
 
     def _run_arrays(self) -> Iterator[tuple[np.ndarray, ...]]:
         """Each run's events as arrays: tick, kind code, agent and related (-1 for none)."""
@@ -372,7 +369,7 @@ class EventLog:
         order = np.argsort(ticks * (4 * n + 1) + slot, kind="stable")
         return ticks[order], kinds[order], agents[order], related[order]
 
-    def _jsonl_blocks(self, run: Optional[int]) -> Iterator[bytes]:
+    def _jsonl_blocks(self, run: int) -> Iterator[bytes]:
         """``events_to_jsonl``'s lines, a block of consecutive runs at a time.
 
         Runs join a group until it holds ``jsonl.BLOCK_LINES`` events; each group
@@ -385,10 +382,10 @@ class EventLog:
             group.append(events)
             size += len(events[0])
             if size >= jsonl.BLOCK_LINES:
-                yield from _event_lines(group, None if run is None else run + first)
+                yield from _event_lines(group, run + first)
                 group, size, first = [], 0, k + 1
         if group:
-            yield from _event_lines(group, None if run is None else run + first)
+            yield from _event_lines(group, run + first)
 
 
 class _StepTables:
@@ -708,24 +705,16 @@ def _finish(blocks: Iterable[bytes], out: Optional[BinaryIO]) -> Optional[str]:
     return None
 
 
-def events_to_jsonl(events: Iterable[EventRecord], run: Optional[int] = None,
+def events_to_jsonl(events: EventLog, run: int = 0,
                     out: Optional[BinaryIO] = None) -> Optional[str]:
-    """One JSON object per event, keys tick, kind, agent_id, related_agent_id.
+    """One JSON object per event, keys run, tick, kind, agent_id, related_agent_id.
 
-    With ``run`` each line starts with ``"run": run``, as in the event
-    log ``netmon simulate`` writes.  An :class:`EventLog` is rendered from
-    its columns by ``jsonl.render_lines``, and its k-th run's lines carry
-    ``"run": run + k``.  Returns the text or, with ``out``, writes it to
-    that binary file and returns None.
+    The log's k-th run's lines carry ``"run": run + k``, as in the event
+    log ``netmon simulate`` writes.  Lines are rendered from the log's
+    columns by ``jsonl.render_lines``.  Returns the text or, with ``out``,
+    writes it to that binary file and returns None.
     """
-    if isinstance(events, EventLog):
-        return _finish(events._jsonl_blocks(run), out)
-    head = "{" if run is None else '{"run": %d, ' % run
-    return _finish(["".join([
-        f'{head}"tick": {tick}, "kind": {quote(kind)}, "agent_id": {agent_id}, '
-        f'"related_agent_id": {"null" if related is None else related}}}\n'
-        for tick, kind, agent_id, related in events
-    ]).encode("ascii")], out)
+    return _finish(events._jsonl_blocks(run), out)
 
 
 # The kind field's texts by kind code, each with the key of the next field.
@@ -733,7 +722,7 @@ _KIND_TEXTS = np.array([f', "kind": {quote(kind)}, "agent_id": '.encode("ascii")
                         for kind in EventLog._KIND_NAMES])
 
 
-def _event_lines(group: list[tuple[np.ndarray, ...]], run: Optional[int]) -> Iterator[bytes]:
+def _event_lines(group: list[tuple[np.ndarray, ...]], run: int) -> Iterator[bytes]:
     """The lines of consecutive runs' event columns; the first run is ``run``.
 
     A line is its (run, tick) head, its kind, its agent id (-1 for the
@@ -747,36 +736,25 @@ def _event_lines(group: list[tuple[np.ndarray, ...]], run: Optional[int]) -> Ite
     new = np.ones(len(tick), dtype=bool)
     new[1:] = (tick[1:] != tick[:-1]) | (which[1:] != which[:-1])
     starts = np.flatnonzero(new)
-    if run is None:
-        heads = [b'{"tick": %d' % t for t in tick[starts].tolist()]
-    else:
-        heads = [b'{"run": %d, "tick": %d' % (run + k, t)
-                 for k, t in zip(which[starts].tolist(), tick[starts].tolist())]
+    heads = [b'{"run": %d, "tick": %d' % (run + k, t)
+             for k, t in zip(which[starts].tolist(), tick[starts].tolist())]
     yield from render_lines((
         (np.array(heads), np.cumsum(new) - 1),
         (_KIND_TEXTS, kind),
-        (int_texts(agent, b', "related_agent_id": ', [b'-1, "related_agent_id": ']), agent),
-        (int_texts(related, b"}\n", [b"null}\n"]), related),
+        int_texts(agent, b', "related_agent_id": ', [b'-1, "related_agent_id": ']),
+        int_texts(related, b"}\n", [b"null}\n"]),
     ))
 
 
-def life_stats_to_jsonl(stats: Iterable[AgentLifeStats],
+def life_stats_to_jsonl(stats: LifeStatsTable,
                         out: Optional[BinaryIO] = None) -> Optional[str]:
     """One JSON object per agent, keys in AgentLifeStats field order.
 
-    A :class:`LifeStatsTable` is rendered from its columns by
-    ``jsonl.render_lines``.  Returns the text or, with ``out``, writes it
-    to that binary file and returns None.
+    Lines are rendered from the table's columns by ``jsonl.render_lines``.
+    Returns the text or, with ``out``, writes it to that binary file and
+    returns None.
     """
-    if isinstance(stats, LifeStatsTable):
-        return _finish(_life_stats_lines(stats), out)
-    return _finish(["".join([
-        f'{{"agent_id": {agent_id}, "lifetime": {lifetime}, '
-        f'"censored": {"true" if censored else "false"}, "total_likes": {likes}, '
-        f'"total_reposts": {reposts}, '
-        f'"carried_link": {"null" if link is None else quote(link)}}}\n'
-        for agent_id, lifetime, censored, likes, reposts, link in stats
-    ]).encode("ascii")], out)
+    return _finish(_life_stats_lines(stats), out)
 
 
 _CENSORED_TEXTS = np.array([b'false, "total_likes": ', b'true, "total_likes": '])
@@ -799,15 +777,14 @@ def _life_stats_lines(stats: LifeStatsTable) -> Iterator[bytes]:
         ident -= np.repeat((np.cumsum(lengths) - lengths).astype(np.int32), lengths)
         link = chunk["link_index"]
         link_run[link < 0] = -1
-        lifetime, likes, reposts = chunk["lifetime"], chunk["total_likes"], chunk["total_reposts"]
         yield from render_lines((
-            (int_texts(ident, b', "lifetime": ', prefix=b'{"agent_id": '), ident),
-            (int_texts(lifetime, b', "censored": '), lifetime),
+            int_texts(ident, b', "lifetime": ', prefix=b'{"agent_id": '),
+            int_texts(chunk["lifetime"], b', "censored": '),
             (_CENSORED_TEXTS, chunk["censored"].view(np.uint8)),
-            (int_texts(likes, b', "total_reposts": '), likes),
-            (int_texts(reposts, b', "carried_link": '), reposts),
+            int_texts(chunk["total_likes"], b', "total_reposts": '),
+            int_texts(chunk["total_reposts"], b', "carried_link": '),
             (np.array([b'"r%d-l' % (seed + r) for r in range(n_runs)] + [b"null}\n"]), link_run),
-            (int_texts(link, b'"}\n', [b""]), link),
+            int_texts(link, b'"}\n', [b""]),
         ))
         seed += n_runs
 

@@ -392,8 +392,8 @@ def reference_runs(config, n_runs: int, record_events: bool = True) -> list[Refe
 
 
 # The simulator's JSONL serializers as first written, one json.dumps or
-# json.loads per line; netmon.simulator's template-based ones must agree
-# with them byte for byte.
+# json.loads per line; netmon.simulator's column writers must agree with
+# them byte for byte, and its reader is tested on their text.
 
 def reference_events_to_jsonl(events, run=None) -> str:
     lines = []

@@ -21,7 +21,7 @@ import netmon.jsonl as jsonl_mod
 import netmon.simulator as simulator_mod
 from netmon.cli import main
 from netmon.distfit import PowerLawFit, WeibullFit
-from netmon.simulator import CHUNK_RUNS, EventRecord, life_stats_from_jsonl, run_simulation
+from netmon.simulator import CHUNK_RUNS, life_stats_from_jsonl, run_simulation
 
 from _oracles import (
     powerlaw_int_samples,
@@ -330,7 +330,7 @@ class TestSimulateOutputAgainstOracles:
         assert life_stats_from_jsonl(life_stats) == list(result.stats)
         if events:
             assert event_log == "".join(
-                reference_events_to_jsonl(map(EventRecord._make, run), run=k)
+                reference_events_to_jsonl(run, run=k)
                 for k, run in enumerate(result.events.runs()))
 
 
@@ -360,6 +360,20 @@ class TestFit:
         assert main(["fit", "weibull", "--input", str(src),
                      "--out", str(tmp_path / "f.json")]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    # int() and float() read these as 10, 12, 12 and (float() only) 1000.5.
+    @pytest.mark.parametrize("dist, token", [
+        (dist, token) for dist in ("weibull", "powerlaw")
+        for token in ("1_0", "\u0661\u0662", "\uff11\uff12")
+    ] + [("weibull", "1_000.5")])
+    def test_number_with_underscore_or_non_ascii_digit_exits_two(self, tmp_path, capsys,
+                                                                  dist, token):
+        src = tmp_path / "samples.txt"
+        src.write_text("".join(f"{i}\n" for i in range(1, 21)) + token + "\n", encoding="utf-8")
+        out = tmp_path / "f.json"
+        assert main(["fit", dist, "--input", str(src), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: non-numeric value on line 21: {token!r}\n"
+        assert not out.exists()
 
     def test_powerlaw_geometric_closed_form(self, tmp_path):
         src = tmp_path / "geo.txt"
@@ -1008,6 +1022,20 @@ class TestCompare:
                      "--baseline-fit", str(self._baseline(tmp_path)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: duplicate key 'a' on line 3 (first on line 1)\n")
+        assert not out.exists()
+
+    # int() reads these counts as 10.
+    @pytest.mark.parametrize("line", ["a 1_0", "j \u0661\u0660", "1_0", "\uff11\uff10"])
+    def test_count_with_underscore_or_non_ascii_digit_exits_two(self, tmp_path, capsys, line):
+        keyed = " " in line
+        src = tmp_path / "counts.txt"
+        src.write_text("".join(f"k{i} {i}\n" if keyed else f"{i}\n" for i in range(1, 13))
+                       + line + "\n", encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert main(["compare", "--empirical", str(src),
+                     "--baseline-fit", str(self._baseline(tmp_path)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad count on line 13: {line!r} (expected 'count' or 'key count')\n")
         assert not out.exists()
 
     def test_too_few_counts(self, tmp_path):

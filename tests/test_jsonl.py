@@ -80,6 +80,26 @@ class TestRenderLines:
 class TestIntTexts:
     @pytest.mark.parametrize("top", [-1, 0, 1, 9, 10, 99, 100, 1000, 12345])
     def test_every_integer_up_to_the_largest_then_the_extras(self, top):
-        table = int_texts(np.array([-1, top]), b", x", [b"no", b"-1"], prefix=b"{")
+        values = np.arange(-1, top + 1)
+        table, index = int_texts(values, b", x", [b"no", b"-1"], prefix=b"{")
         assert table.tolist() == [b"{%d, x" % i for i in range(top + 1)] + [b"no", b"-1"]
+        assert index is values
         assert table[-1] == b"-1"
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from([np.int32, np.int64]))
+    def test_table_never_outgrows_the_values(self, data, dtype):
+        # Large sparse values get a table of their own, not one of every
+        # integer up to the largest.
+        top = int(np.iinfo(dtype).max)
+        values = data.draw(st.lists(st.integers(-1, top) | st.integers(-1, 300), max_size=40))
+        table, index = int_texts(np.array(values, dtype=dtype), b"}", [b"null"], prefix=b"{")
+        assert [table[i] for i in index.tolist()] == [
+            b"null" if v < 0 else b"{%d}" % v for v in values]
+        assert len(table) <= 2 * len(values) + 64 + 1
+
+    def test_digit_counts_split_at_powers_of_ten(self):
+        values = np.array([-1, 0, 9, 10, 10**18 - 1, 10**18, 2**63 - 1], dtype=np.int64)
+        table, index = int_texts(values, b"", [b"-"])
+        assert [table[i] for i in index.tolist()] == [b"-"] + [
+            b"%d" % v for v in values[1:].tolist()]

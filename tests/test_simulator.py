@@ -10,6 +10,7 @@ import time
 from collections import Counter, defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from netmon.simulator import (
     EVENT_TRUNCATED,
     AgentLifeStats,
     EventRecord,
+    LifeStatsTable,
     SimulationConfig,
     TooManyAgentsError,
     calibrated_default_config,
@@ -148,7 +150,7 @@ class TestEventLogInvariants:
 
     def _runs(self):
         res = run_simulation(self.CFG, runs=4)
-        return [(list(map(EventRecord._make, events)), list(map(AgentLifeStats._make, stats)))
+        return [(list(events), list(stats))
                 for events, stats in zip(res.events.runs(), res.stats.runs())]
 
     def test_repost_conservation(self):
@@ -278,11 +280,9 @@ def assert_equals_oracle(cfg, n_runs):
     events.jsonl bytes, the life stats and the truncation ticks."""
     res = run_simulation(cfg, runs=n_runs)
     refs = reference_runs(cfg, n_runs)
-    events = [list(run) for run in res.events.runs()]
-    assert len(events) == n_runs
-    for k, (got, ref) in enumerate(zip(events, refs)):
-        assert events_to_jsonl(got, run=k) == events_to_jsonl(ref.events, run=k)
-        assert got == ref.events
+    assert [list(run) for run in res.events.runs()] == [ref.events for ref in refs]
+    assert events_to_jsonl(res.events) == "".join(
+        reference_events_to_jsonl(ref.events, run=k) for k, ref in enumerate(refs))
     assert [list(run) for run in res.stats.runs()] == [ref.stats for ref in refs]
     assert res.truncated_at == [ref.truncated_at for ref in refs]
     assert res.truncated == sum(ref.truncated_at is not None for ref in refs)
@@ -647,23 +647,61 @@ def near_template(old: str, new: str) -> str:
     return f"{TEMPLATE_LINE}\n{TEMPLATE_LINE.replace(old, new)}\n{TEMPLATE_LINE}\n"
 
 
+def life_stats_table(seed, chunks):
+    """A LifeStatsTable of these chunks, each a list of runs of rows
+    (lifetime, censored, total_likes, total_reposts, link_index), and
+    its rows as the AgentLifeStats they stand for."""
+    columns, rows, run_seed = [], [], seed
+    for chunk in chunks:
+        flat = [row for run in chunk for row in run]
+        lifetime, censored, likes, reposts, link = zip(*flat) if flat else ((),) * 5
+        columns.append({
+            "run_lengths": np.array([len(run) for run in chunk], dtype=np.int64),
+            "lifetime": np.array(lifetime, dtype=np.int32),
+            "censored": np.array(censored, dtype=bool),
+            "total_likes": np.array(likes, dtype=np.int32),
+            "total_reposts": np.array(reposts, dtype=np.int32),
+            "link_index": np.array(link, dtype=np.int32),
+        })
+        for run in chunk:
+            rows += [AgentLifeStats(i, *row[:4], None if row[4] < 0 else f"r{run_seed}-l{row[4]}")
+                     for i, row in enumerate(run)]
+            run_seed += 1
+    return LifeStatsTable(seed, columns), rows
+
+
+@st.composite
+def table_chunks(draw):
+    """Chunks of runs for ``life_stats_table``, some chunks without links."""
+    chunks, int32 = [], st.integers(0, 2**31 - 1)
+    for linked in draw(st.lists(st.booleans(), min_size=1, max_size=4)):
+        link = st.integers(-1, 2**31 - 1) if linked else st.just(-1)
+        row = st.tuples(int32, st.booleans(), int32, int32, link)
+        chunks.append(draw(st.lists(st.lists(row, max_size=6), min_size=1, max_size=4)))
+    return chunks
+
+
 class TestSerializationAgainstOracles:
-    """The template writers and scanner readers against json.dumps/json.loads."""
+    """The column writers and the reader against json.dumps/json.loads."""
 
     @settings(max_examples=200, deadline=None)
-    @given(events=st.lists(event_records, max_size=8), run=runs, blanks=blank_lines)
-    def test_events_match_json_module(self, events, run, blanks):
-        text = events_to_jsonl(events, run=run)
-        assert text == reference_events_to_jsonl(events, run=run)
-        assert reference_events_from_jsonl(text) == events
-        padded = with_blank_lines(text, blanks)
-        assert reference_events_from_jsonl(padded) == events
+    @given(seed=st.integers(0, 2**40), chunks=table_chunks(), block_lines=st.integers(1, 12))
+    def test_table_writer_matches_json_module(self, seed, chunks, block_lines):
+        table, rows = life_stats_table(seed, chunks)
+        assert list(table) == rows
+        with pytest.MonkeyPatch.context() as mp:
+            # Blocks that end inside runs and chunks.
+            mp.setattr(jsonl, "BLOCK_LINES", block_lines)
+            text = life_stats_to_jsonl(table)
+            written = io.BytesIO()
+            assert life_stats_to_jsonl(table, written) is None
+        assert text == written.getvalue().decode() == reference_life_stats_to_jsonl(rows)
+        assert life_stats_from_jsonl(text) == rows
 
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(life_stats_rows, max_size=8), blanks=blank_lines)
     def test_life_stats_match_json_module(self, rows, blanks):
-        text = life_stats_to_jsonl(rows)
-        assert text == reference_life_stats_to_jsonl(rows)
+        text = reference_life_stats_to_jsonl(rows)
         assert life_stats_from_jsonl(text) == rows
         padded = with_blank_lines(text, blanks)
         assert life_stats_from_jsonl(padded) == reference_life_stats_from_jsonl(padded) == rows
@@ -672,19 +710,20 @@ class TestSerializationAgainstOracles:
     @given(row=life_stats_rows, before=st.sampled_from(["", " ", "\t", " \r"]),
            after=st.sampled_from(["", " ", "\t\t", "\r "]))
     def test_surrounding_whitespace_decodes_as_json_loads(self, row, before, after):
-        line = before + life_stats_to_jsonl([row]).rstrip("\n") + after
+        line = before + reference_life_stats_to_jsonl([row]).rstrip("\n") + after
         assert life_stats_from_jsonl(line) == reference_life_stats_from_jsonl(line) == [row]
 
     @settings(max_examples=100, deadline=None)
     @given(row=life_stats_rows, event=event_records, run=runs,
            junk=st.sampled_from(["x", "}", ", 1", " {}", "[]", "\"", "\t0"]))
     def test_trailing_data_raises_decode_error(self, row, event, run, junk):
-        line = life_stats_to_jsonl([row]).rstrip("\n") + junk
+        line = reference_life_stats_to_jsonl([row]).rstrip("\n") + junk
         for read in (life_stats_from_jsonl, reference_life_stats_from_jsonl):
             with pytest.raises(json.JSONDecodeError):
                 read(line)
         with pytest.raises(json.JSONDecodeError):
-            reference_events_from_jsonl(events_to_jsonl([event], run=run).rstrip("\n") + junk)
+            reference_events_from_jsonl(
+                reference_events_to_jsonl([event], run=run).rstrip("\n") + junk)
 
     @pytest.mark.parametrize("line", [
         '{"agent_id": 0, "lifetime": 1',
@@ -694,7 +733,7 @@ class TestSerializationAgainstOracles:
         "\ufeff{}",
     ])
     def test_broken_line_raises_decode_error(self, line):
-        text = life_stats_to_jsonl([AgentLifeStats(0, 1, True, 0, 0)]) + line + "\n"
+        text = reference_life_stats_to_jsonl([AgentLifeStats(0, 1, True, 0, 0)]) + line + "\n"
         for read in (life_stats_from_jsonl, reference_life_stats_from_jsonl):
             with pytest.raises(json.JSONDecodeError):
                 read(text)
@@ -745,7 +784,7 @@ class TestSerializationAgainstOracles:
     @settings(max_examples=60, deadline=None)
     @given(fields=SIM_FIELDS, seed=st.integers(0, 2**40), runs=st.integers(1, 7),
            chunk_runs=st.integers(1, 3), block_lines=st.integers(1, 40),
-           run=st.none() | st.integers(0, 2**63))
+           run=st.integers(0, 2**63))
     def test_column_writers_match_json_module(self, fields, seed, runs, chunk_runs,
                                               block_lines, run):
         cfg = sim_config(fields, seed)
@@ -762,8 +801,7 @@ class TestSerializationAgainstOracles:
         assert stats_text == reference_life_stats_to_jsonl(list(table))
         assert life_stats_from_jsonl(stats_text) == list(table)
         assert events_text == written.getvalue().decode() == "".join(
-            reference_events_to_jsonl(map(EventRecord._make, events),
-                                      run=None if run is None else run + k)
+            reference_events_to_jsonl(events, run=run + k)
             for k, events in enumerate(result.events.runs()))
 
 
