@@ -30,7 +30,6 @@ import os
 import sys
 import traceback
 from contextlib import nullcontext, suppress
-from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -74,13 +73,13 @@ from .pipeline import (
     ranking_json,
 )
 from .simulator import (
-    CHUNK_RUNS,
     SimulationConfig,
     TooManyAgentsError,
     calibrated_default_config,
     events_to_jsonl,
     life_stats_to_jsonl,
-    run_simulation,
+    run_chunks,
+    run_simulation,  # unused here; perfbench's tracer binds netmon.cli.run_simulation
 )
 
 __all__ = ["main"]
@@ -185,34 +184,6 @@ def _load_sim_config(args) -> dict:
     return resolved
 
 
-def _write_simulation(config: SimulationConfig, runs: int, life_stats_path: Path,
-                      events_path: Path | None = None) -> int:
-    """Write ``runs`` runs' life stats, and events with ``events_path``; the agent count.
-
-    The runs step together a chunk at a time.  Each chunk's lines are
-    rendered from its columns a block at a time, and the chunk is freed
-    before the next one starts, so memory holds one chunk's agent columns
-    plus one block's lines whatever the number of runs.
-    """
-    n_agents = 0
-    with open(life_stats_path, "wb") as life_stats_out, (
-        nullcontext() if events_path is None else open(events_path, "wb")
-    ) as events_out:
-        for first in range(0, runs, CHUNK_RUNS):
-            try:
-                result = run_simulation(replace(config, seed=config.seed + first),
-                                        record_events=events_out is not None,
-                                        runs=min(CHUNK_RUNS, runs - first))
-            except TooManyAgentsError as exc:
-                raise CliError(str(exc)) from exc
-            n_agents += len(result.stats)
-            life_stats_to_jsonl(result.stats, life_stats_out)
-            if events_out is not None:
-                events_to_jsonl(result.events, run=first, out=events_out)
-            del result
-    return n_agents
-
-
 def cmd_simulate(args) -> int:
     resolved = _load_sim_config(args)
     if resolved["runs"] < 1:
@@ -223,18 +194,34 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
+    # Each chunk is written a block of lines at a time and freed before the
+    # next one is stepped: memory holds one chunk's agent columns plus one
+    # block's lines, whatever the number of runs.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = [out_dir / "life_stats.jsonl"]
     if not args.no_events:
         outputs.append(out_dir / "events.jsonl")
+    n_agents = 0
     try:
-        n_agents = _write_simulation(config, resolved["runs"], *outputs)
-    except BaseException:
+        with open(outputs[0], "wb") as life_stats_out, (
+            nullcontext() if args.no_events else open(outputs[1], "wb")
+        ) as events_out:
+            for result in run_chunks(config, resolved["runs"],
+                                     record_events=events_out is not None):
+                n_agents += len(result.stats)
+                life_stats_to_jsonl(result.stats, life_stats_out)
+                if events_out is not None:
+                    events_to_jsonl(result.events, run=result.stats.seed - config.seed,
+                                    out=events_out)
+                del result
+    except BaseException as exc:
         # A failed run leaves no output that could pass for a finished one.
         for path in outputs:
             with suppress(OSError):
                 path.unlink()
+        if isinstance(exc, TooManyAgentsError):
+            raise CliError(str(exc)) from exc
         raise
 
     _write_sidecar(out_dir / "run_config.json", resolved)
@@ -374,7 +361,7 @@ def cmd_pipeline(args) -> int:
     corpus_path = Path(args.corpus)
     query_lines = _read_text(queries_path, "query file").splitlines()
     try:
-        packet = load_query_packet(query_lines, name=queries_path.stem)
+        packet = load_query_packet(query_lines)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -442,7 +429,7 @@ def cmd_pipeline(args) -> int:
     citations = build_link_records(matched, extracted, resolved)
     # summary statistics, taken now so that the link occurrences can be
     # freed before ranking; the link ratios are undefined when nothing matched
-    stats = link_stats(matched, extracted, resolved) if matched else None
+    stats = link_stats(matched, extracted, resolved, citations) if matched else None
     n_links = len(extracted)
     del extracted
     ranked = rank_resources(citations, granularity=args.granularity)

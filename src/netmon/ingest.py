@@ -39,7 +39,6 @@ class QueryPacket:
     """An ordered batch of corporate search queries."""
 
     queries: tuple[str, ...]
-    name: str = "packet"
 
     def __post_init__(self) -> None:
         if not self.queries:
@@ -125,7 +124,7 @@ def canonical_timestamp(value: str) -> str:
     return format_timestamp(parse_timestamp(value))
 
 
-def load_query_packet(source: Union[IO[str], Iterable[str]], name: str = "packet") -> QueryPacket:
+def load_query_packet(source: Union[IO[str], Iterable[str]]) -> QueryPacket:
     """One query per line; blank lines and '#' comments are skipped."""
     queries = []
     for line in source:
@@ -133,7 +132,7 @@ def load_query_packet(source: Union[IO[str], Iterable[str]], name: str = "packet
         if not stripped or stripped.startswith("#"):
             continue
         queries.append(stripped)
-    return QueryPacket(queries=tuple(queries), name=name)
+    return QueryPacket(queries=tuple(queries))
 
 
 _REQUIRED_FIELDS = ("id", "author", "timestamp", "text")

@@ -132,8 +132,6 @@ class LinkStats:
     unique_links_fraction: float
     unique_links_fraction_pre_resolution: float
     per_source_counts: dict[str, int]
-    n_messages: int
-    n_links: int
 
 
 # URLs run over the RFC 3986 character set; trailing sentence
@@ -481,32 +479,27 @@ def link_stats(
     messages: Sequence[Message],
     extracted: Sequence[ExtractedLink],
     resolved: Mapping[str, ResolvedLink],
+    citations: Sequence[ResourceCitations],
 ) -> LinkStats:
-    """Corpus-level link ratios and per-source citation counts."""
+    """Corpus-level link ratios and per-source citation counts.
+
+    ``resolved`` is ``resolve_all(extracted)`` and ``citations`` is
+    ``build_link_records`` of the three: the final URLs and per-source
+    counts are read off the folds (a canonical final URL fixes its host),
+    not off the link occurrences."""
     if not messages:
         raise ValueError("link statistics are undefined for zero messages")
     with_links = {link.message_id for link in extracted}
     n_links = len(extracted)
-
-    finals = set()
-    raw_canonicals = set()
     per_source: dict[str, int] = {}
-    for link in extracted:
-        res = resolved[link.raw_url]
-        raw_canonicals.add(res.raw_canonical)
-        if res.status in _OK_STATUSES:
-            finals.add(res.final_url)
-            per_source[res.host] = per_source.get(res.host, 0) + 1
-
+    for fold in citations:
+        per_source[fold.host] = per_source.get(fold.host, 0) + fold.citations
+    raw_canonicals = {r.raw_canonical for r in resolved.values()}
     return LinkStats(
         messages_with_links_fraction=len(with_links) / len(messages),
-        unique_links_fraction=(len(finals) / n_links) if n_links else 0.0,
-        unique_links_fraction_pre_resolution=(
-            len(raw_canonicals) / n_links if n_links else 0.0
-        ),
+        unique_links_fraction=len(citations) / n_links if n_links else 0.0,
+        unique_links_fraction_pre_resolution=len(raw_canonicals) / n_links if n_links else 0.0,
         per_source_counts=per_source,
-        n_messages=len(messages),
-        n_links=n_links,
     )
 
 

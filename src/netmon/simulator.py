@@ -25,8 +25,11 @@ expressions over the concatenated active set.  Each run still owns its
 ``random.Random(seed + k)`` and reads it in the order above, so every run
 is the same as if it had been stepped alone; numpy's own generators are
 never used.  ``run_simulation`` steps a given number of runs as one
-chunk and can also record the event log; ``replicate`` pools life
-statistics over any number of runs by calling it a chunk at a time.
+chunk and can also record the event log.  ``run_chunks`` is the one
+replication loop: it splits any number of runs into chunks of
+``CHUNK_RUNS``, seeds each and steps it with ``run_simulation`` when
+asked for it.  ``replicate`` joins its chunks' life statistics, and
+``netmon simulate`` writes each chunk as it comes.
 The engine does not store events: per agent it keeps the parent, birth
 and death ticks it needs anyway, and per agent-step only the like
 outcome, one bit.  ``EventLog`` rebuilds each run's events from them
@@ -70,6 +73,7 @@ __all__ = [
     "CHUNK_RUNS",
     "TooManyAgentsError",
     "run_simulation",
+    "run_chunks",
     "replicate",
     "repost_counts_by_link",
     "events_to_jsonl",
@@ -86,9 +90,9 @@ EVENT_DEATH = "death"
 # event, its agent_id is -1.
 EVENT_TRUNCATED = "truncated"
 
-# Runs stepped together per engine call by replicate and by netmon
-# simulate; bounds the generators, draw buffers and agent columns held at
-# once, whatever the number of runs.
+# Runs stepped together per engine call by run_chunks; bounds the
+# generators, draw buffers and agent columns held at once, whatever the
+# number of runs.
 CHUNK_RUNS = 1024
 
 # A run's draws for a tick come from one getrandbits(64 * n), whose
@@ -169,7 +173,8 @@ def run_simulation(config: SimulationConfig, record_events: bool = True,
     Equal configs produce identical results, and each run is the same
     whatever else it is stepped with.  With ``record_events=False`` the
     event log is left out; the statistics are unchanged.  Memory grows
-    with ``runs``: pass at most ``CHUNK_RUNS`` or so at a time.
+    with ``runs``: for any number of runs, ``run_chunks`` calls this on
+    at most ``CHUNK_RUNS`` at a time.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -183,21 +188,32 @@ def run_simulation(config: SimulationConfig, record_events: bool = True,
     return SimulationResult(stats, events, truncated_at)
 
 
+def run_chunks(config: SimulationConfig, n_runs: int,
+               record_events: bool = False) -> Iterator[SimulationResult]:
+    """Runs seeded seed, ..., seed+n_runs-1, ``CHUNK_RUNS`` at a time.
+
+    Each chunk is a ``run_simulation`` result of consecutive seeds, its
+    first one ``result.stats.seed``, and is stepped only when the
+    iterator reaches it: a caller that drops each chunk before taking
+    the next holds one at a time.  ``CHUNK_RUNS`` is read on this module
+    when this is called and ``run_simulation`` when each chunk is stepped.
+    """
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    size = CHUNK_RUNS
+    return (run_simulation(replace(config, seed=config.seed + first),
+                           record_events=record_events, runs=min(size, n_runs - first))
+            for first in range(0, n_runs, size))
+
+
 def replicate(config: SimulationConfig, n_runs: int) -> LifeStatsTable:
     """Pool life statistics over runs seeded seed, seed+1, ..., seed+n-1.
 
     Row for row equal to the ``run_simulation(...).stats`` of those runs:
-    it calls ``run_simulation`` on ``CHUNK_RUNS`` runs at a time and joins
-    the chunks' tables.
+    the join of the tables of ``run_chunks``' chunks, stepped without events.
     """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    chunks = []
-    for first in range(0, n_runs, CHUNK_RUNS):
-        result = run_simulation(replace(config, seed=config.seed + first), record_events=False,
-                                runs=min(CHUNK_RUNS, n_runs - first))
-        chunks += result.stats._chunks
-    return LifeStatsTable(config.seed, chunks)
+    return LifeStatsTable(config.seed, [table for result in run_chunks(config, n_runs)
+                                        for table in result.stats._chunks])
 
 
 _LIFE_STATS_COLUMNS = ("run_lengths", "lifetime", "censored", "total_likes",
@@ -208,7 +224,7 @@ class LifeStatsTable:
     """Pooled life statistics of replicated runs, one array per field.
 
     Rows are ordered by run, then by agent id.  The table is held as the
-    chunks replicate stepped, consecutive seed ranges with one array per
+    chunks ``run_chunks`` stepped, consecutive seed ranges with one array per
     column: ``run_lengths`` (agents of each run), ``lifetime``,
     ``censored``, ``total_likes``, ``total_reposts`` and ``link_index``;
     ``column`` joins one across chunks.  ``link_index`` is -1 for agents

@@ -25,6 +25,7 @@ from netmon.linknet import (
     SOCIAL_HOSTS,
     ExtractedLink,
     LinkParseError,
+    LinkStats,
     _Split,
 )
 from netmon.pipeline import ExportRecord, RankedResource
@@ -578,6 +579,31 @@ def reference_link_records(messages, extracted, resolved) -> list:
             res.status, res.was_shortened, res.host.removeprefix("www.") in SOCIAL_HOSTS,
             msg.matched_queries))
     return records
+
+
+def reference_link_stats(messages, extracted, resolved) -> LinkStats:
+    """``linknet.link_stats`` as first written: one walk over the link
+    occurrences, counting each resolved or not-shortened one toward its
+    final URL and host, and every one toward its raw URL's canonical form."""
+    with_links = {link.message_id for link in extracted}
+    n_links = len(extracted)
+    finals = set()
+    raw_canonicals = set()
+    per_source: dict[str, int] = {}
+    for link in extracted:
+        res = resolved[link.raw_url]
+        raw_canonicals.add(res.raw_canonical)
+        if res.status in _OK_STATUSES:
+            finals.add(res.final_url)
+            per_source[res.host] = per_source.get(res.host, 0) + 1
+    return LinkStats(
+        messages_with_links_fraction=len(with_links) / len(messages),
+        unique_links_fraction=(len(finals) / n_links) if n_links else 0.0,
+        unique_links_fraction_pre_resolution=(
+            len(raw_canonicals) / n_links if n_links else 0.0
+        ),
+        per_source_counts=per_source,
+    )
 
 
 def reference_rank_resources(records, granularity: str = "document") -> list:

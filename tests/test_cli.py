@@ -8,6 +8,8 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
+from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 from unittest import mock
@@ -90,14 +92,14 @@ class TestSimulate:
         (RuntimeError("internal"), 1),
     ], ids=["first_chunk", "second_chunk", "internal_error"])
     def test_failed_run_leaves_no_output(self, tmp_path, monkeypatch, failure, code):
-        monkeypatch.setattr(cli_mod, "CHUNK_RUNS", 2)
+        monkeypatch.setattr(simulator_mod, "CHUNK_RUNS", 2)
         fields = {"p_like": 0.3, "p_repost": 0.1, "e0": 2, "horizon": 30}
         if failure is None:
             monkeypatch.setattr(simulator_mod, "_MAX_RUN_ACTIVE", 100)
             fields.update(p_like=0.0, p_repost=0.95, e0=3)
         else:
             chunks = []
-            real_run_simulation = cli_mod.run_simulation
+            real_run_simulation = simulator_mod.run_simulation
 
             def run_simulation(*args, **kwargs):
                 chunks.append(kwargs["runs"])
@@ -105,7 +107,7 @@ class TestSimulate:
                     raise failure
                 return real_run_simulation(*args, **kwargs)
 
-            monkeypatch.setattr(cli_mod, "run_simulation", run_simulation)
+            monkeypatch.setattr(simulator_mod, "run_simulation", run_simulation)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(fields))
         out = tmp_path / "out"
@@ -115,6 +117,23 @@ class TestSimulate:
             assert chunks == [2, 2]
         assert not any((out / name).exists()
                        for name in ("life_stats.jsonl", "events.jsonl", "run_config.json"))
+
+    def test_failed_run_without_events_leaves_an_older_event_log(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--runs", "2", "--steps", "5", "--out", str(out)]) == 0
+        events = (out / "events.jsonl").read_bytes()
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("induced failure")
+
+        monkeypatch.setattr(simulator_mod, "run_simulation", boom)
+        assert main(["simulate", "--runs", "2", "--steps", "5", "--no-events",
+                     "--out", str(out)]) == 1
+        capsys.readouterr()
+        # Only the file the failed run opened is removed.
+        assert not (out / "life_stats.jsonl").exists()
+        assert (out / "events.jsonl").read_bytes() == events
 
     # Python's json reads NaN and Infinity; a NaN boost would give every
     # link carrier NaN thresholds, and would be written back as non-JSON.
@@ -239,7 +258,7 @@ class TestSimulate:
 
     def test_chunk_boundaries_leave_output_bytes_unchanged(self, tmp_path, monkeypatch):
         # 3 and 5 runs in chunks of 2: full chunks and a last partial one
-        monkeypatch.setattr(cli_mod, "CHUNK_RUNS", 2)
+        monkeypatch.setattr(simulator_mod, "CHUNK_RUNS", 2)
         self.assert_output_bytes_pinned(tmp_path)
 
     def assert_output_bytes_pinned(self, tmp_path):
@@ -280,7 +299,7 @@ class TestSimulate:
     # 2 and 20 runs in one chunk each, and in one and ten chunks of 2.
     @pytest.mark.parametrize("chunk_runs", [CHUNK_RUNS, 2], ids=["one_chunk", "chunks_of_2"])
     def test_memory_does_not_grow_with_runs(self, tmp_path, monkeypatch, chunk_runs):
-        monkeypatch.setattr(cli_mod, "CHUNK_RUNS", chunk_runs)
+        monkeypatch.setattr(simulator_mod, "CHUNK_RUNS", chunk_runs)
         # Agents never die and one appears every tick, so every run has the
         # same 100 agents and about 5k events, whatever its seed.
         cfg = tmp_path / "steady.json"
@@ -304,6 +323,24 @@ class TestSimulate:
             (tmp_path / "runs2" / "events.jsonl").read_text().count("\n") // 2
         )
 
+    def test_each_chunk_freed_before_the_next_is_stepped(self, tmp_path, monkeypatch):
+        # The memory test above cannot see this: its chunks are small next
+        # to one block of rendered lines.
+        monkeypatch.setattr(simulator_mod, "CHUNK_RUNS", 2)
+        real_run_simulation = simulator_mod.run_simulation
+        results, alive = [], []
+
+        def run_simulation(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in results))
+            result = real_run_simulation(*args, **kwargs)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(simulator_mod, "run_simulation", run_simulation)
+        assert main(["simulate", "--runs", "7", "--steps", "20",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert alive == [0, 0, 0, 0]
+
 
 class TestSimulateOutputAgainstOracles:
     """netmon simulate's column writers against json.dumps of the row API's rows."""
@@ -314,7 +351,7 @@ class TestSimulateOutputAgainstOracles:
     def test_files_match_json_dumps(self, fields, seed, runs, chunk_runs, block_lines, events):
         # Small chunks and blocks, so that runs straddle both.
         with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(cli_mod, "CHUNK_RUNS", chunk_runs), \
+                mock.patch.object(simulator_mod, "CHUNK_RUNS", chunk_runs), \
                 mock.patch.object(jsonl_mod, "BLOCK_LINES", block_lines):
             cfg = Path(tmp) / "cfg.json"
             cfg.write_text(json.dumps(fields))
@@ -332,6 +369,16 @@ class TestSimulateOutputAgainstOracles:
             assert event_log == "".join(
                 reference_events_to_jsonl(run, run=k)
                 for k, run in enumerate(result.events.runs()))
+
+    def test_rows_equal_replicate_across_the_chunk_boundary(self, tmp_path):
+        # 1,030 runs: a full chunk of the real size and a partial one.
+        assert simulator_mod.CHUNK_RUNS < 1030 < 2 * simulator_mod.CHUNK_RUNS
+        out = tmp_path / "out"
+        assert main(["simulate", "--runs", "1030", "--steps", "30", "--no-events",
+                     "--out", str(out)]) == 0
+        config = replace(simulator_mod.calibrated_default_config(), horizon=30)
+        assert life_stats_from_jsonl((out / "life_stats.jsonl").read_text()) == list(
+            simulator_mod.replicate(config, 1030))
 
 
 class TestFit:
@@ -1169,7 +1216,7 @@ class TestExitCodesAndDeterminism:
         def boom(*args, **kwargs):
             raise RuntimeError("induced failure")
 
-        monkeypatch.setattr(cli_mod, "run_simulation", boom)
+        monkeypatch.setattr(simulator_mod, "run_simulation", boom)
         code = main(["simulate", "--runs", "1", "--out", str(tmp_path / "out")])
         assert code == 1
 
@@ -1293,7 +1340,7 @@ class TestCollectorPauseAndParser:
             def boom(*args, **kwargs):
                 raise RuntimeError("induced failure")
 
-            monkeypatch.setattr(cli_mod, "run_simulation", boom)
+            monkeypatch.setattr(simulator_mod, "run_simulation", boom)
         try:
             got = ("return", main(argv))
         except SystemExit as exc:

@@ -121,9 +121,8 @@ CORPUS_LINE = st.one_of(
 class TestQueryPacket:
     def test_loads_with_comments_and_blanks(self):
         src = io.StringIO("# business queries\n\ncentral bank\n  market rates  \n")
-        packet = load_query_packet(src, name="biz")
+        packet = load_query_packet(src)
         assert packet.queries == ("central bank", "market rates")
-        assert packet.name == "biz"
 
     def test_rejects_empty_packet(self):
         with pytest.raises(ValueError):

@@ -46,6 +46,7 @@ from netmon.linknet import (
 
 from _oracles import (
     reference_extract_links,
+    reference_link_stats,
     reference_links_jsonl,
     reference_resolved_jsonl,
     reference_split_checked,
@@ -713,7 +714,8 @@ class TestLinkRecordsAndStats:
 
     def test_fractions(self):
         messages, extracted, resolved = self._setup()
-        stats = link_stats(messages, extracted, resolved)
+        stats = link_stats(messages, extracted, resolved,
+                           build_link_records(messages, extracted, resolved))
         assert stats.messages_with_links_fraction == pytest.approx(3 / 4)
         # 4 occurrences over finals {news.test/one, youtu.be/clip}
         assert stats.unique_links_fraction == pytest.approx(2 / 4)
@@ -724,7 +726,7 @@ class TestLinkRecordsAndStats:
 
     def test_zero_messages_undefined(self):
         with pytest.raises(ValueError):
-            link_stats([], [], {})
+            link_stats([], [], {}, [])
 
     def test_ipv6_link_host_agrees(self):
         messages = [msg("m1", "local http://[::1]/x and http://[::1]:80/x")]
@@ -732,7 +734,7 @@ class TestLinkRecordsAndStats:
         resolved = resolve_all(extracted, OfflineFetcher({}))
         citations = build_link_records(messages, extracted, resolved)
         assert [(c.url, c.host, c.citations) for c in citations] == [("http://[::1]/x", "::1", 2)]
-        stats = link_stats(messages, extracted, resolved)
+        stats = link_stats(messages, extracted, resolved, citations)
         assert stats.per_source_counts == {"::1": 2}
         assert stats.unique_links_fraction == stats.unique_links_fraction_pre_resolution == 0.5
 
@@ -751,7 +753,7 @@ class TestLinkRecordsAndStats:
         assert [(c.host, c.citations) for c in citations] == [
             ("news.test", 667), ("www.youtube.com", 333)]
         # the raw URLs' canonical forms come from resolve's parses
-        stats = link_stats(messages, extracted, resolved)
+        stats = link_stats(messages, extracted, resolved, citations)
         assert parsed == []
         assert stats.per_source_counts == {"news.test": 667, "www.youtube.com": 333}
         assert stats.unique_links_fraction_pre_resolution == 3 / 1000
@@ -785,9 +787,43 @@ class TestLinkRecordsAndStats:
         messages = [msg("m1", "x http://bit.ly/dead y https://ok.test/a")]
         extracted = extract_links(messages)
         resolved = resolve_all(extracted, OfflineFetcher({"http://bit.ly/dead": None}))
-        stats = link_stats(messages, extracted, resolved)
+        stats = link_stats(messages, extracted, resolved,
+                           build_link_records(messages, extracted, resolved))
         assert stats.per_source_counts == {"ok.test": 1}
         assert sum(stats.per_source_counts.values()) == 1
+
+    # Raw URLs that resolve, fail, loop, go too deep or do not parse, IPv6
+    # hosts, and finals reached from several raw URLs (by a redirect or by
+    # canonicalization: case, default port, empty path).
+    _STATS_URLS = (
+        "http://bit.ly/a", "https://news.test/one", "https://News.test:443/one",
+        "http://bit.ly/dead", "http://bit.ly/loop", "http://bit.ly/deep",
+        "http://[::1]/x", "http://[::1]:80/x", "http://bit.ly/v6", "http://[2001:db8::1]:8080/",
+        "http://[::1", "https://www.youtube.com/v", "https://WWW.YouTube.com:443/v",
+        "http://plain.test", "http://plain.test/",
+    )
+    _STATS_REDIRECTS = {
+        "http://bit.ly/a": "https://news.test/one", "http://bit.ly/dead": None,
+        "http://bit.ly/loop": "http://ow.ly/loop", "http://ow.ly/loop": "http://bit.ly/loop",
+        "http://bit.ly/deep": "http://ow.ly/1", "http://ow.ly/1": "http://ow.ly/2",
+        "http://ow.ly/2": "http://ow.ly/3", "http://bit.ly/v6": "http://[::1]:80/x",
+    }
+
+    @given(messages=st.lists(st.builds(
+        Message,
+        id=st.sampled_from(["m1", "m2", "m3", "m4"]),
+        author=st.sampled_from(["ann", "bob"]),
+        timestamp=st.just("2016-05-04T10:00:00Z"),
+        text=st.lists(st.sampled_from(_STATS_URLS + ("word",)), max_size=5).map(" ".join),
+    ), min_size=1, max_size=10), max_depth=st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_stats_from_folds_equal_per_occurrence_walk(self, messages, max_depth):
+        extracted = extract_links(messages)
+        resolved = resolve_all(extracted, OfflineFetcher(self._STATS_REDIRECTS),
+                               max_depth=max_depth, max_in_flight=1)
+        citations = build_link_records(messages, extracted, resolved)
+        assert link_stats(messages, extracted, resolved, citations) == reference_link_stats(
+            messages, extracted, resolved)
 
 
 class TestWriters:

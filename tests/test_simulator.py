@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from collections import Counter, defaultdict
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from netmon.simulator import (
     life_stats_to_jsonl,
     replicate,
     repost_counts_by_link,
+    run_chunks,
     run_simulation,
 )
 
@@ -904,6 +906,52 @@ class TestEarlyStop:
         # Above 0: the tables still reach the kernel through this name,
         # which the benchmark's tracer counts.
         assert 0 < calls < 100
+
+
+class TestRunChunks:
+    """run_chunks is the one place runs are split into chunks and seeded."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(chunk_runs=st.integers(1, 4), n_runs=st.integers(1, 9), events=st.booleans(),
+           seed=st.integers(0, 2**40))
+    def test_chunks_follow_the_rule(self, chunk_runs, n_runs, events, seed):
+        cfg = replace(EXACTNESS_GRID["p_s=0.3 carriers=0.5"], seed=seed)
+        firsts = range(0, n_runs, chunk_runs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "CHUNK_RUNS", chunk_runs)
+            chunks = list(run_chunks(cfg, n_runs, record_events=events))
+            pooled = list(replicate(cfg, n_runs))
+        assert len(chunks) == len(firsts)
+        for chunk, first in zip(chunks, firsts):
+            size = min(chunk_runs, n_runs - first)
+            alone = run_simulation(replace(cfg, seed=seed + first), record_events=events,
+                                   runs=size)
+            assert chunk.stats.seed == seed + first
+            assert len(chunk.truncated_at) == size
+            assert list(chunk.stats) == list(alone.stats)
+            assert list(chunk.events) == list(alone.events)
+            assert chunk.truncated_at == alone.truncated_at
+        assert pooled == [row for chunk in chunks for row in chunk.stats]
+
+    def test_a_chunk_is_stepped_when_taken(self, monkeypatch):
+        calls = []
+        real = simulator.run_simulation
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["runs"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "run_simulation", counting)
+        monkeypatch.setattr(simulator, "CHUNK_RUNS", 2)
+        chunks = run_chunks(config(0.3, 0.1, e0=2), 7)
+        assert calls == []
+        next(chunks)
+        assert calls == [2]
+
+    @pytest.mark.parametrize("n_runs", [0, -1])
+    def test_rejects_fewer_than_one_run(self, n_runs):
+        with pytest.raises(ValueError, match="n_runs must be >= 1"):
+            run_chunks(config(0.5, 0.5), n_runs)
 
 
 class TestConfigValidation:
