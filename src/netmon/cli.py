@@ -7,8 +7,10 @@ curve for external plotting).
 
 Exit codes: 0 success, 2 usage or input error, 1 internal failure.
 Every run echoes its fully resolved configuration (seed included) to a
-sidecar JSON next to its outputs.  Setting NETMON_OFFLINE=1 forces the
-offline redirect fetcher no matter what flags say.
+sidecar JSON, which it publishes last, once all its outputs are in place
+(``_output_set``): a failed run leaves the earlier outputs as they were.
+Setting NETMON_OFFLINE=1 forces the offline redirect fetcher no matter
+what flags say.
 
 ``main`` builds its argument parser once per process and runs each
 command with the cyclic garbage collector paused, putting the
@@ -29,7 +31,7 @@ import math
 import os
 import sys
 import traceback
-from contextlib import nullcontext, suppress
+from contextlib import contextmanager, suppress
 from itertools import islice
 from pathlib import Path
 
@@ -89,17 +91,56 @@ class CliError(Exception):
     """Input problem; reported on stderr with exit code 2."""
 
 
-def _write_sidecar(target: Path, config: dict) -> None:
-    target.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+# The files that simulate and pipeline write beside a run_config.json, which
+# describes one run: each of them that a run does not write is stale there.
+_RUN_DIR_FILES = ("life_stats.jsonl", "events.jsonl", "rejects.jsonl", "matched.jsonl",
+                  "links.jsonl", "resolved.jsonl", "ranking.json", "manifest.txt",
+                  "export.jsonl", "stats.json")
+
+
+@contextmanager
+def _output_set(out_dir: Path, sidecar: str, config: dict, stale=()):
+    """Publish files in ``out_dir`` as one set, its sidecar last.
+
+    Makes ``out_dir`` and yields ``open_output(name, mode)``: a temporary file
+    there for the output ``name``, open until the block ends.  If it ends
+    normally, the sidecar (``config`` as JSON) is written, the ``stale`` names
+    not written are removed, and each file is moved onto its name, the sidecar
+    last, so that a sidecar marks a complete set.  On an exception the
+    temporary files are removed and the earlier outputs stay as they were.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    pending = {}  # output name -> its temporary file, until it is moved
+
+    def open_output(name: str, mode: str = "w"):
+        pending[name] = fh = open(out_dir / f".{name}.partial", mode)
+        return fh
+
+    try:
+        yield open_output
+        open_output(sidecar).write(json.dumps(config, indent=2, sort_keys=True) + "\n")
+        for fh in pending.values():
+            fh.close()
+        for name in set(stale) - pending.keys():
+            (out_dir / name).unlink(missing_ok=True)
+        for name, fh in list(pending.items()):
+            os.replace(fh.name, out_dir / name)
+            del pending[name]
+    finally:
+        for fh in pending.values():
+            with suppress(OSError):
+                fh.close()
+            with suppress(OSError):
+                os.unlink(fh.name)
 
 
 def _write_output(out: str, text: str, config: dict) -> Path:
     """Write ``text`` to the file ``out``, making its directory, and beside
     it the sidecar ``<out>.run.json``: ``config`` plus ``"out"``."""
     path = Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    _write_sidecar(Path(f"{path}.run.json"), {**config, "out": str(path)})
+    with _output_set(path.parent, f"{path.name}.run.json",
+                     {**config, "out": str(path)}) as open_output:
+        open_output(path.name).write(text)
     return path
 
 
@@ -198,33 +239,19 @@ def cmd_simulate(args) -> int:
     # next one is stepped: memory holds one chunk's agent columns plus one
     # block's lines, whatever the number of runs.
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = [out_dir / "life_stats.jsonl"]
-    if not args.no_events:
-        outputs.append(out_dir / "events.jsonl")
     n_agents = 0
-    try:
-        with open(outputs[0], "wb") as life_stats_out, (
-            nullcontext() if args.no_events else open(outputs[1], "wb")
-        ) as events_out:
-            for result in run_chunks(config, resolved["runs"],
-                                     record_events=events_out is not None):
-                n_agents += len(result.stats)
-                life_stats_to_jsonl(result.stats, life_stats_out)
-                if events_out is not None:
-                    events_to_jsonl(result.events, run=result.stats.seed - config.seed,
-                                    out=events_out)
-                del result
-    except BaseException as exc:
-        # A failed run leaves no output that could pass for a finished one.
-        for path in outputs:
-            with suppress(OSError):
-                path.unlink()
-        if isinstance(exc, TooManyAgentsError):
-            raise CliError(str(exc)) from exc
-        raise
-
-    _write_sidecar(out_dir / "run_config.json", resolved)
+    with _output_set(out_dir, "run_config.json", resolved,
+                     stale=_RUN_DIR_FILES) as open_output:
+        life_stats_out = open_output("life_stats.jsonl", "wb")
+        events_out = None if args.no_events else open_output("events.jsonl", "wb")
+        for result in run_chunks(config, resolved["runs"],
+                                 record_events=events_out is not None):
+            n_agents += len(result.stats)
+            life_stats_to_jsonl(result.stats, life_stats_out)
+            if events_out is not None:
+                events_to_jsonl(result.events, run=result.stats.seed - config.seed,
+                                out=events_out)
+            del result
     print(f"simulated {resolved['runs']} run(s), {n_agents} agents -> {out_dir}")
     return 0
 
@@ -328,22 +355,17 @@ def cmd_fit(args) -> int:
 
 # ---------------------------------------------------------------- pipeline
 
-# Lines per write call in _write_lines.
 _WRITE_BATCH = 1024
 
 
-def _write_lines(target: Path, lines) -> None:
-    """Write the text lines of the iterable ``lines`` to ``target``.
-
-    The lines are joined ``_WRITE_BATCH`` at a time and written with one
-    ``write`` call per batch, so memory holds one batch, not the file.
-    The file ends when ``lines`` is exhausted; an empty line, or a batch
-    of them, does not end it.
+def _write_lines(fh, lines) -> None:
+    """Write the text lines of the iterable ``lines`` to the open file ``fh``,
+    ``_WRITE_BATCH`` lines per ``write`` call, so that memory holds one batch,
+    not the file.  An empty line, or a batch of them, does not end the file.
     """
     lines = iter(lines)
-    with target.open("w") as fh:
-        while batch := list(islice(lines, _WRITE_BATCH)):
-            fh.write("".join(batch))
+    while batch := list(islice(lines, _WRITE_BATCH)):
+        fh.write("".join(batch))
 
 
 def cmd_pipeline(args) -> int:
@@ -407,76 +429,67 @@ def cmd_pipeline(args) -> int:
     n_messages = len(messages)
     del messages
 
-    # made only now, so that an unusable input leaves no output directory
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_lines(out_dir / "rejects.jsonl", rejects_jsonl(rejects))
-    n_rejected = len(rejects)
-    del rejects
-    _write_lines(out_dir / "matched.jsonl", matched_jsonl(matched))
-
-    # stage 3: extract hyperlinks
-    extracted = extract_links(matched)
-    _write_lines(out_dir / "links.jsonl", links_jsonl(extracted))
-
-    # stage 4: open short addresses, canonicalize, rank
-    resolved = resolve_all(
-        extracted, fetcher, registry=registry, max_depth=args.max_depth,
-        max_in_flight=args.max_in_flight,
-    )
-    _write_lines(out_dir / "resolved.jsonl", resolved_jsonl(resolved.values()))
-
-    citations = build_link_records(matched, extracted, resolved)
-    # summary statistics, taken now so that the link occurrences can be
-    # freed before ranking; the link ratios are undefined when nothing matched
-    stats = link_stats(matched, extracted, resolved, citations) if matched else None
-    n_links = len(extracted)
-    del extracted
-    ranked = rank_resources(citations, granularity=args.granularity)
-    (out_dir / "ranking.json").write_text(ranking_json(ranked))
-
-    # stage 5 boundary: manifest for the downstream crawler
-    doc_ranked = ranked if args.granularity == "document" else rank_resources(citations)
-    manifest = fetch_manifest(doc_ranked, top_n=args.top)
-    (out_dir / "manifest.txt").write_text("".join(u + "\n" for u in manifest))
-
-    # stage 6: export stream for the corporate system
-    export_records = build_export_records(citations, packet)
-    (out_dir / "export.jsonl").write_bytes(export_stream(export_records))
-
-    stats_obj = {
-        "n_messages": n_messages,
-        "n_matched": len(matched),
-        "n_rejected": n_rejected,
-        "n_links": n_links,
-        "messages_with_links_fraction": stats and stats.messages_with_links_fraction,
-        "unique_links_fraction": stats and stats.unique_links_fraction,
-        "unique_links_fraction_pre_resolution": (
-            stats and stats.unique_links_fraction_pre_resolution
-        ),
-        "per_source_counts": dict(sorted(stats.per_source_counts.items())) if stats else {},
+    run_config = {
+        "queries": str(queries_path), "corpus": str(corpus_path),
+        "online": bool(args.online and not offline_forced), "offline_forced": offline_forced,
+        **{name: getattr(args, name) for name in ("redirect_map", "granularity", "top",
+                                                  "max_depth", "max_in_flight",
+                                                  "shortener_registry")},
     }
-    (out_dir / "stats.json").write_text(json.dumps(stats_obj, indent=2) + "\n")
+    # entered only now, so that an unusable input leaves no output directory
+    out_dir = Path(args.out_dir)
+    with _output_set(out_dir, "run_config.json", run_config,
+                     stale=_RUN_DIR_FILES) as open_output:
+        _write_lines(open_output("rejects.jsonl"), rejects_jsonl(rejects))
+        n_rejected = len(rejects)
+        del rejects
+        _write_lines(open_output("matched.jsonl"), matched_jsonl(matched))
 
-    _write_sidecar(
-        out_dir / "run_config.json",
-        {
-            "queries": str(queries_path),
-            "corpus": str(corpus_path),
-            "redirect_map": args.redirect_map,
-            "online": bool(args.online and not offline_forced),
-            "offline_forced": offline_forced,
-            "granularity": args.granularity,
-            "top": args.top,
-            "max_depth": args.max_depth,
-            "max_in_flight": args.max_in_flight,
-            "shortener_registry": args.shortener_registry,
-        },
-    )
-    print(
-        f"pipeline: {n_messages} messages, {len(matched)} matched, "
-        f"{n_links} links, {len(ranked)} resources -> {out_dir}"
-    )
+        # stage 3: extract hyperlinks
+        extracted = extract_links(matched)
+        _write_lines(open_output("links.jsonl"), links_jsonl(extracted))
+
+        # stage 4: open short addresses, canonicalize, rank
+        resolved = resolve_all(
+            extracted, fetcher, registry=registry, max_depth=args.max_depth,
+            max_in_flight=args.max_in_flight,
+        )
+        _write_lines(open_output("resolved.jsonl"), resolved_jsonl(resolved.values()))
+
+        citations = build_link_records(matched, extracted, resolved)
+        # summary statistics, taken now so that the link occurrences can be
+        # freed before ranking; the link ratios are undefined when nothing matched
+        stats = link_stats(matched, extracted, resolved, citations) if matched else None
+        n_links = len(extracted)
+        del extracted
+        ranked = rank_resources(citations, granularity=args.granularity)
+        open_output("ranking.json").write(ranking_json(ranked))
+
+        # stage 5 boundary: manifest for the downstream crawler
+        doc_ranked = ranked if args.granularity == "document" else rank_resources(citations)
+        manifest = fetch_manifest(doc_ranked, top_n=args.top)
+        open_output("manifest.txt").write("".join(u + "\n" for u in manifest))
+
+        # stage 6: export stream for the corporate system
+        export_records = build_export_records(citations, packet)
+        open_output("export.jsonl", "wb").write(export_stream(export_records))
+
+        stats_obj = {
+            "n_messages": n_messages,
+            "n_matched": len(matched),
+            "n_rejected": n_rejected,
+            "n_links": n_links,
+            "messages_with_links_fraction": stats and stats.messages_with_links_fraction,
+            "unique_links_fraction": stats and stats.unique_links_fraction,
+            "unique_links_fraction_pre_resolution": (
+                stats and stats.unique_links_fraction_pre_resolution
+            ),
+            "per_source_counts": dict(sorted(stats.per_source_counts.items())) if stats else {},
+        }
+        open_output("stats.json").write(json.dumps(stats_obj, indent=2) + "\n")
+
+    print(f"pipeline: {n_messages} messages, {len(matched)} matched, "
+          f"{n_links} links, {len(ranked)} resources -> {out_dir}")
     return 0
 
 
@@ -633,13 +646,14 @@ def main(argv=None) -> int:
     with collector_paused():
         try:
             return command(args)
-        except CliError as exc:
+        except (CliError, TooManyAgentsError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except BrokenPipeError:
             return 1
         except OSError as exc:  # an unusable path: missing, a directory, under a file, ...
-            where = f"{exc.filename}: {exc.strerror}" if exc.filename and exc.strerror else exc
+            name = exc.filename2 or exc.filename  # os.replace's destination, not its source
+            where = f"{name}: {exc.strerror}" if name and exc.strerror else exc
             print(f"error: {where}", file=sys.stderr)
             return 2
         except Exception:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -11,6 +12,7 @@ import tracemalloc
 import weakref
 from dataclasses import replace
 from datetime import datetime
+from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -115,14 +117,14 @@ class TestSimulate:
                      "--out", str(out)]) == code
         if failure is not None:
             assert chunks == [2, 2]
-        assert not any((out / name).exists()
-                       for name in ("life_stats.jsonl", "events.jsonl", "run_config.json"))
+        assert os.listdir(out) == []
 
-    def test_failed_run_without_events_leaves_an_older_event_log(self, tmp_path, monkeypatch,
-                                                                 capsys):
+    def test_failed_run_without_events_leaves_the_older_output_set(self, tmp_path, monkeypatch,
+                                                                   capsys):
         out = tmp_path / "out"
         assert main(["simulate", "--runs", "2", "--steps", "5", "--out", str(out)]) == 0
-        events = (out / "events.jsonl").read_bytes()
+        before = read_tree(out)
+        assert sorted(before) == ["events.jsonl", "life_stats.jsonl", "run_config.json"]
 
         def boom(*args, **kwargs):
             raise RuntimeError("induced failure")
@@ -131,9 +133,7 @@ class TestSimulate:
         assert main(["simulate", "--runs", "2", "--steps", "5", "--no-events",
                      "--out", str(out)]) == 1
         capsys.readouterr()
-        # Only the file the failed run opened is removed.
-        assert not (out / "life_stats.jsonl").exists()
-        assert (out / "events.jsonl").read_bytes() == events
+        assert sorted(os.listdir(out)) == sorted(before) and read_tree(out) == before
 
     # Python's json reads NaN and Infinity; a NaN boost would give every
     # link carrier NaN thresholds, and would be written back as non-JSON.
@@ -233,6 +233,37 @@ class TestSimulate:
                      "--no-events", "--out", str(out)]) == 0
         assert not (out / "events.jsonl").exists()
         assert (out / "life_stats.jsonl").exists()
+
+    def test_rerun_without_events_removes_the_stale_event_log(self, tmp_path):
+        args = ["simulate", "--runs", "3", "--seed", "2", "--steps", "20", "--no-events"]
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["simulate", "--runs", "2", "--seed", "1", "--steps", "20",
+                     "--out", str(out)]) == 0
+        assert main([*args, "--out", str(out)]) == 0
+        assert main([*args, "--out", str(fresh)]) == 0
+        assert sorted(os.listdir(out)) == ["life_stats.jsonl", "run_config.json"]
+        assert read_tree(out) == read_tree(fresh)
+
+    # run_config.json holds every field _load_sim_config reads and nothing
+    # else, so it reproduces the run's files byte for byte, itself included.
+    @pytest.mark.parametrize("fields", [
+        {},
+        {"p_s": 0.2, "e0": 3, "p_like": 0.25, "p_repost": 0.15, "link_carrier_fraction": 0.5,
+         "link_boost": 1.5, "rich_get_richer_gamma": 0.4, "max_agents": 300,
+         "initial_agents": 2},
+    ], ids=["defaults", "every_field"])
+    @pytest.mark.parametrize("no_events", [False, True], ids=["events", "no_events"])
+    def test_run_config_reproduces_the_run(self, tmp_path, fields, no_events):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        flags = ["--no-events"] if no_events else []
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["simulate", "--config", str(cfg), "--runs", "3", "--seed", "11",
+                     "--steps", "25", *flags, "--out", str(first)]) == 0
+        assert main(["simulate", "--config", str(first / "run_config.json"), *flags,
+                     "--out", str(second)]) == 0
+        assert read_tree(second) == read_tree(first)
+        assert len(read_tree(first)) == 2 + (not no_events)
 
     # sha256 of the outputs written by the json.dumps-per-line serializers
     # these files were first produced with.
@@ -435,7 +466,7 @@ class TestFit:
 
 
 class TestWriteLines:
-    """_write_lines writes its lines in batches of _WRITE_BATCH."""
+    """_write_lines writes its lines to an open file in batches of _WRITE_BATCH."""
 
     N = cli_mod._WRITE_BATCH
 
@@ -443,8 +474,15 @@ class TestWriteLines:
     def test_bytes_equal_the_joined_lines(self, tmp_path, count):
         lines = [f"line {i}\n" if i % 3 else f'{{"n": {i}}}\n' for i in range(count)]
         target = tmp_path / "out.jsonl"
-        cli_mod._write_lines(target, (line for line in lines))
+        with target.open("w") as fh:
+            cli_mod._write_lines(fh, (line for line in lines))
         assert target.read_bytes() == "".join(lines).encode()
+
+    @pytest.mark.parametrize("count", [N, 2 * N + 1])
+    def test_one_write_call_per_batch(self, count):
+        fh = mock.Mock()
+        cli_mod._write_lines(fh, (f"{i}\n" for i in range(count)))
+        assert fh.write.call_count == -(-count // self.N)
 
     # A whole batch of empty lines, and empty lines across a batch boundary.
     @pytest.mark.parametrize("lines", [
@@ -454,7 +492,8 @@ class TestWriteLines:
     ], ids=["empty_batch", "empty_across_batches", "empty_at_boundary"])
     def test_empty_lines_do_not_end_the_file(self, tmp_path, lines):
         target = tmp_path / "out.jsonl"
-        cli_mod._write_lines(target, (line for line in lines))
+        with target.open("w") as fh:
+            cli_mod._write_lines(fh, (line for line in lines))
         assert target.read_text() == "".join(lines)
 
 
@@ -1283,6 +1322,98 @@ class TestUnusablePaths:
         assert main(["simulate", "--runs", "1", "--steps", "5", "--out", str(out)]) == 2
         self.assert_one_error_line(capsys, out)
         assert out.read_text() == ""
+
+    # The move onto the output, or onto its sidecar, fails: the error names
+    # that path, not the temporary file, and no temporary file is left.
+    # A fit published before its sidecar's move failed stays.
+    @pytest.mark.parametrize("blocked, left", [
+        ("w.json", ["samples.txt", "w.json"]),
+        ("w.json.run.json", ["samples.txt", "w.json", "w.json.run.json"]),
+    ], ids=["out_is_a_directory", "sidecar_is_a_directory"])
+    def test_fit_output_path_is_a_directory(self, tmp_path, capsys, blocked, left):
+        samples = tmp_path / "samples.txt"
+        samples.write_text("".join(f"{2**j}\n" for j in range(14)))
+        (tmp_path / blocked).mkdir()
+        assert main(["fit", "weibull", "--input", str(samples),
+                     "--out", str(tmp_path / "w.json")]) == 2
+        self.assert_one_error_line(capsys, f"{tmp_path / blocked}: Is a directory")
+        assert sorted(os.listdir(tmp_path)) == left
+        assert os.listdir(tmp_path / blocked) == []
+
+
+_PIPELINE = ["pipeline", "--queries", str(FIXTURES / "queries.txt"),
+             "--corpus", str(FIXTURES / "corpus_1000.jsonl"),
+             "--redirect-map", str(FIXTURES / "redirect_map.json"), "--out-dir"]
+_PIPELINE_STAGES = ("load_query_packet", "load_corpus", "dedupe", "match_queries",
+                    "rejects_jsonl", "matched_jsonl", "extract_links", "links_jsonl",
+                    "resolve_all", "resolved_jsonl", "build_link_records", "link_stats",
+                    "rank_resources", "ranking_json", "fetch_manifest",
+                    "build_export_records", "export_stream")
+# Each command, its argv up to the output directory, and the netmon.cli
+# names of the stages it calls.
+_DIR_COMMANDS = {
+    "simulate": (["simulate", "--runs", "2", "--seed", "1", "--steps", "10", "--out"],
+                 ("run_chunks", "life_stats_to_jsonl", "events_to_jsonl")),
+    "simulate_no_events": (["simulate", "--runs", "3", "--seed", "2", "--steps", "10",
+                            "--no-events", "--out"], ("run_chunks", "life_stats_to_jsonl")),
+    "pipeline": (_PIPELINE, _PIPELINE_STAGES),
+    "pipeline_host": ([*_PIPELINE[:-1], "--granularity", "host", "--top", "5", "--out-dir"],
+                      _PIPELINE_STAGES),
+}
+# A command, and the stage made to raise in it (None: none).
+_DIR_STEP = st.sampled_from(sorted(_DIR_COMMANDS)).flatmap(
+    lambda name: st.tuples(st.just(name), st.sampled_from((None, *_DIR_COMMANDS[name][1]))))
+
+
+def _listing(out: Path) -> dict:
+    """Every entry of ``out`` with its bytes; none if there is no ``out``."""
+    return {name: (out / name).read_bytes() for name in os.listdir(out)} if out.exists() else {}
+
+
+class TestOutputSets:
+    """simulate and pipeline publish their files together or not at all."""
+
+    @staticmethod
+    def run(name: str, out: Path, stage=None) -> int:
+        raising = mock.Mock(side_effect=RuntimeError("induced failure"))
+        with mock.patch.object(cli_mod, stage, raising) if stage else contextlib.nullcontext(), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return main([*_DIR_COMMANDS[name][0], str(out)])
+
+    # The earlier run read a shorter corpus, so each of its files differs.
+    @pytest.mark.parametrize("stage", ["resolve_all", "export_stream"])
+    def test_failed_pipeline_rerun_leaves_the_earlier_output_set(self, tmp_path, stage):
+        corpus = tmp_path / "corpus.jsonl"
+        with open(FIXTURES / "corpus_1000.jsonl", encoding="utf-8") as fh:
+            corpus.write_text("".join(islice(fh, 300)), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [*_PIPELINE, str(out)]
+        argv[argv.index("--corpus") + 1] = str(corpus)
+        assert main(argv) == 0
+        before = _listing(out)
+        assert len(before) == 9  # eight outputs and run_config.json
+        assert self.run("pipeline", out, stage) == 1
+        assert _listing(out) == before
+
+    # After every step the directory holds what a fresh run of the last
+    # command that succeeded writes: no file of an earlier or a failed run,
+    # and no temporary file.
+    @given(steps=st.lists(_DIR_STEP, min_size=1, max_size=4))
+    @settings(max_examples=50, deadline=None)
+    def test_directory_equals_a_fresh_run_of_the_last_success(self, steps):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            fresh = {}
+            for name in {name for name, _ in steps}:
+                assert self.run(name, root / name) == 0
+                fresh[name] = _listing(root / name)
+            out, expected = root / "out", {}
+            for name, stage in steps:
+                assert self.run(name, out, stage) == (0 if stage is None else 1)
+                if stage is None:
+                    expected = fresh[name]
+                assert _listing(out) == expected, (name, stage)
 
 
 class TestEntryPoint:
