@@ -136,7 +136,13 @@ def _output_set(out_dir: Path, sidecar: str, config: dict, stale=()):
 
 def _write_output(out: str, text: str, config: dict) -> Path:
     """Write ``text`` to the file ``out``, making its directory, and beside
-    it the sidecar ``<out>.run.json``: ``config`` plus ``"out"``."""
+    it the sidecar ``<out>.run.json``: ``config`` plus ``"out"``.
+
+    An ``out`` that names a directory (an existing one, or a final name
+    that is empty, ``.`` or ``..``) is refused before any file is opened.
+    """
+    if os.path.basename(out) in ("", ".", "..") or os.path.isdir(out):
+        raise CliError(f"{out}: Is a directory")
     path = Path(out)
     with _output_set(path.parent, f"{path.name}.run.json",
                      {**config, "out": str(path)}) as open_output:
@@ -259,22 +265,36 @@ def cmd_simulate(args) -> int:
 # --------------------------------------------------------------------- fit
 
 def _read_samples(path_str: str, want_int: bool) -> list:
+    """The numbers of a samples file, one per non-blank line: ints, or floats.
+
+    Valid text is read in C-level passes: the lines stripped, the blank
+    ones dropped, the rest converted by ``int`` or ``float``, after one
+    check of the joined tokens for the ``_`` separators and non-ASCII
+    digits those accept, then one finiteness check.  Only text that fails
+    them is read again line by line, to name its first bad line.
+    """
     path = Path(path_str)
-    samples = []
-    for line_no, line in enumerate(_read_text(path, "input file").splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            value = _number(stripped, int if want_int else float)
-        except ValueError as exc:
-            raise CliError(f"non-numeric value on line {line_no}: {stripped!r}") from exc
-        if not is_finite(value):
-            raise CliError(f"value out of range on line {line_no}: {stripped!r}")
-        samples.append(value)
-    if not samples:
+    kind = int if want_int else float
+    lines = _read_text(path, "input file").splitlines()
+    tokens = list(filter(None, map(str.strip, lines)))
+    if not tokens:
         raise CliError(f"no samples in {path}")
-    return samples
+    joined = "".join(tokens)
+    with suppress(ValueError, OverflowError):  # OverflowError: an int past any float
+        if joined.isascii() and "_" not in joined:
+            samples = list(map(kind, tokens))
+            if all(map(math.isfinite, samples)):
+                return samples
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if stripped:
+            try:
+                value = _number(stripped, kind)
+            except ValueError as exc:
+                raise CliError(f"non-numeric value on line {line_no}: {stripped!r}") from exc
+            if not is_finite(value):
+                raise CliError(f"value out of range on line {line_no}: {stripped!r}")
+    raise AssertionError(f"{path}: samples rejected in bulk, but on no line")
 
 
 # Each fit type's distribution name, its range check, and its fields in

@@ -9,8 +9,10 @@ fill the template with an f-string per line, which costs about half what
 :func:`render_lines`: a line is the concatenation of one text per field,
 each picked from that field's table by an index column, so the per-line
 work is numpy gathers and copies, and one boolean compress drops the
-NUL pads.  Readers decode each line with :func:`decode_line`; a reader
-that builds many rows does so under :func:`collector_paused`.
+NUL pads.  Readers decode each line with :func:`decode_line`, unless,
+as ``simulator.life_stats_from_jsonl`` does, they parse their writer's
+template in blocks first; a reader that builds many rows does so under
+:func:`collector_paused`.
 """
 
 from __future__ import annotations

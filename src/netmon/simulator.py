@@ -355,11 +355,13 @@ class EventLog:
         stepping = np.cumsum(np.bincount(birth + 1, minlength=n_ticks)[:n_ticks]
                              - np.bincount(last + 1, minlength=n_ticks)[:n_ticks])
         # Every step as (tick, agent), ordered by tick, then id: the order of
-        # this run's like bits within each tick.
+        # this run's like bits within each tick.  An agent steps at most once
+        # per tick, so the keys are distinct and any sort gives this order;
+        # the default one is faster than a stable one here.
         agent = np.repeat(np.arange(n), n_steps)
         tick = np.arange(len(agent)) + np.repeat(birth + 1 - (np.cumsum(n_steps) - n_steps),
                                                  n_steps)
-        order = np.argsort(tick * n + agent, kind="stable")
+        order = np.argsort(tick * n + agent)
         tick, agent = tick[order], agent[order]
         bit = (tick_start[tick] + before[tick]
                + np.arange(len(tick)) - (np.cumsum(stepping) - stepping)[tick])
@@ -379,10 +381,12 @@ class EventLog:
         kinds = np.repeat(np.arange(5), (len(roots), len(like_tick), len(children),
                                          len(dead), len(halt)))
         # Within a tick: self-generations by id, then per agent its like,
-        # repost and death, then the truncation marker.
+        # repost and death, then the truncation marker.  The keys are
+        # distinct, as each agent is born once, likes, reposts and dies at
+        # most once per tick, and a run halts once: any sort gives one order.
         slot = np.concatenate((roots, n + 3 * like_agent, n + 3 * parents + 1,
                                n + 3 * dead + 2, np.full(len(halt), 4 * n)))
-        order = np.argsort(ticks * (4 * n + 1) + slot, kind="stable")
+        order = np.argsort(ticks * (4 * n + 1) + slot)
         return ticks[order], kinds[order], agents[order], related[order]
 
     def _jsonl_blocks(self, run: int) -> Iterator[bytes]:
@@ -805,13 +809,25 @@ def _life_stats_lines(stats: LifeStatsTable) -> Iterator[bytes]:
         seed += n_runs
 
 
-# One life_stats_to_jsonl line with every value a JSON integer below 10**18,
-# a boolean, null or a string of printable ASCII without quote or backslash.
-_UINT = "(0|[1-9][0-9]{0,17})"
-_LIFE_STATS_LINE = re.compile(
-    r'^\{"agent_id": %s, "lifetime": %s, "censored": (true|false), "total_likes": %s, '
-    r'"total_reposts": %s, "carried_link": (null|"[ !#-\[\]-~]*")\}$' % ((_UINT,) * 4),
-    re.M)
+# One or more life_stats_to_jsonl lines, each ended by "\n", with every value
+# a JSON integer below 10**18, a boolean, null or a string of printable ASCII
+# without quote or backslash.  The repeats are possessive, which changes no
+# match, as what follows a repeat never matches what it repeats; so a match
+# keeps no backtracking state, and holds no memory per line.
+_UINT = "(?:0|[1-9][0-9]{0,17}+)"
+_LIFE_STATS_LINES = re.compile(
+    r'(?:\{"agent_id": %s, "lifetime": %s, "censored": (?:true|false), "total_likes": %s, '
+    r'"total_reposts": %s, "carried_link": (?:null|"[ !#-\[\]-~]*+")\}\n)++' % ((_UINT,) * 4))
+
+# Characters of text that life_stats_from_jsonl parses at once, rounded up to
+# a whole line: bounds what a read holds beyond its rows.
+_READ_BLOCK_CHARS = 1 << 18
+
+# The integer fields' indices among a line's six '": ' separators, and how
+# far each one's value ends before the colon of the separator that follows.
+_INT_FIELDS = np.array([0, 1, 3, 4])
+_INT_ENDS = np.array([len(', "lifetime"'), len(', "censored"'), len(', "total_reposts"'),
+                      len(', "carried_link"')])
 
 
 def life_stats_from_jsonl(text: str) -> list[AgentLifeStats]:
@@ -822,13 +838,15 @@ def life_stats_from_jsonl(text: str) -> list[AgentLifeStats]:
     same way.  Rows are made by tuple.__new__, which skips the keyword
     handling of the generated __new__.
 
-    Text whose every line, each ended by ``\\n``, fills the writer's
-    template with values ``_LIFE_STATS_LINE`` admits is read by one
-    ``findall``: such a line holds no blank line, nor any other character
-    ``splitlines`` splits on, and ``json.loads`` decodes it to exactly
-    the matched values.  Its rows are built column by column, the match
-    tuples freed first, and equal links share one string.  Any other
-    text is decoded line by line.
+    The text is scanned in blocks of whole lines, each about
+    ``_READ_BLOCK_CHARS`` characters.  A block whose every line fills the
+    writer's template with values ``_LIFE_STATS_LINES`` admits is parsed
+    from its ASCII bytes by numpy (``_template_rows``): such a line holds
+    no blank line, nor any other character ``splitlines`` splits on, and
+    ``json.loads`` decodes it to exactly the parsed values.  So what a
+    read holds beyond its rows is one block's bytes and columns, and one
+    dict entry per distinct link.  If any block is not such text, the
+    whole text is decoded line by line instead.
 
     The rows are built under :func:`jsonl.collector_paused`: the
     collector never untracks tuple subclasses, so each of its passes
@@ -836,15 +854,17 @@ def life_stats_from_jsonl(text: str) -> list[AgentLifeStats]:
     and None hold no cycle for it to free.
     """
     with collector_paused():
-        matches = _LIFE_STATS_LINE.findall(text)
-        if matches and len(matches) == text.count("\n") and text.endswith("\n"):
-            ids, lifetimes, censored, likes, reposts, links = zip(*matches)
-            del matches
-            flags = {"true": True, "false": False}
-            texts = {link: None if link == "null" else link[1:-1] for link in set(links)}
-            return list(map(tuple.__new__, repeat(AgentLifeStats), zip(
-                map(int, ids), map(int, lifetimes), map(flags.__getitem__, censored),
-                map(int, likes), map(int, reposts), map(texts.__getitem__, links))))
+        rows: list[AgentLifeStats] = []
+        links: dict[str, str] = {}
+        lo = 0
+        while lo < len(text):
+            hi = text.find("\n", lo + _READ_BLOCK_CHARS - 1) + 1 or len(text)
+            if not _LIFE_STATS_LINES.fullmatch(text, lo, hi):
+                break
+            rows += _template_rows(text[lo:hi], links)
+            lo = hi
+        else:
+            return rows
         rows = []
         for line in text.splitlines():
             if line.strip():
@@ -855,6 +875,55 @@ def life_stats_from_jsonl(text: str) -> list[AgentLifeStats]:
                     d["agent_id"], d["lifetime"], d["censored"], d["total_likes"],
                     d["total_reposts"], d.get("carried_link"))))
         return rows
+
+
+def _template_rows(block: str, links: dict[str, str]) -> Iterator[AgentLifeStats]:
+    """The rows of template lines, located by their ``": "`` separators.
+
+    Each integer field is read digit by digit into int64, most
+    significant place first, from the places that end at its value's
+    end: a place before the value reads its leading space, which ``& 15``
+    makes 0.  At most 18 digits, so the sums are exact.  Equal links share
+    one string, the first of them that ``links`` met; only a link that
+    differs from the one before it is sliced and looked up.
+    """
+    chars = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    colon = np.flatnonzero(chars == ord(":"))
+    # Six '":' end a line's keys.  A link holds no '"', and a link that
+    # starts with ':' makes the only other '":', whose quote follows a space.
+    colon = colon[(chars[colon - 1] == ord('"')) & (chars[colon - 2] != ord(" "))]
+    colon = colon.reshape(-1, 6)
+    # Per integer field and line: where its value ends, and the space before it.
+    end = (colon[:, _INT_FIELDS + 1] - _INT_ENDS).T
+    space = (colon[:, _INT_FIELDS] + 1).T
+    values = np.zeros(end.shape, dtype=np.int64)
+    for back in range(int((end - space).max()) - 1, 0, -1):
+        values *= 10
+        values += chars[np.maximum(end - back, space)] & 15
+    censored = (chars[colon[:, 2] + 2] == ord("t")).tolist()
+
+    start = colon[:, 5] + 3
+    linked = chars[start - 1] == ord('"')
+    if linked.any():
+        # A line ends '"}\n' before the next one's '{"agent_id":'.
+        stop = np.append(colon[1:, 0] - 14, len(chars) - 3)[linked]
+        start = start[linked]
+        # Each link padded with the quote that follows it, to compare them.
+        span = int((stop - start).max()) + 1
+        padded = chars[np.minimum(start[:, None] + np.arange(span), stop[:, None])]
+        padded = padded.view(f"S{span}").ravel()
+        new = np.ones(len(padded), dtype=bool)
+        new[1:] = padded[1:] != padded[:-1]
+        texts = [links.setdefault(t, t) for t in map(
+            block.__getitem__, map(slice, start[new].tolist(), stop[new].tolist()))]
+        column = np.full(len(colon), None, dtype=object)
+        column[linked] = np.array(texts, dtype=object)[np.cumsum(new) - 1]
+        link_column = column.tolist()
+    else:
+        link_column = repeat(None)
+    ids, lifetimes, likes, reposts = values.tolist()
+    return map(tuple.__new__, repeat(AgentLifeStats),
+               zip(ids, lifetimes, censored, likes, reposts, link_column))
 
 
 # Default configuration, calibrated once: pooled repost counts of the

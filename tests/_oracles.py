@@ -13,11 +13,14 @@ import random
 import string
 from datetime import timezone
 from decimal import Decimal, getcontext
+from pathlib import Path
 from typing import NamedTuple, Optional
 from urllib.parse import urlsplit
 
 import numpy as np
 
+from netmon.cli import CliError, _number, _read_text
+from netmon.diffusion import is_finite
 from netmon.ingest import Message, format_timestamp, parse_timestamp
 from netmon.linknet import (
     _OK_STATUSES,
@@ -440,12 +443,15 @@ def reference_life_stats_to_jsonl(stats) -> str:
 
 
 def reference_life_stats_from_jsonl(text: str) -> list[tuple]:
-    """The AgentLifeStats fields, in order, per non-blank line."""
+    """The AgentLifeStats fields, in order, per non-blank line; a line
+    whose value is not an object is a ``json.JSONDecodeError``."""
     out = []
     for line in text.splitlines():
         if not line.strip():
             continue
         d = json.loads(line)
+        if not isinstance(d, dict):
+            raise json.JSONDecodeError("Expecting a JSON object", line, 0)
         out.append((
             d["agent_id"],
             d["lifetime"],
@@ -455,6 +461,28 @@ def reference_life_stats_from_jsonl(text: str) -> list[tuple]:
             d.get("carried_link"),
         ))
     return out
+
+
+def reference_read_samples(path_str: str, want_int: bool) -> list:
+    """``netmon fit``'s samples file as first read: one number per
+    non-blank stripped line, each checked as it is read, so the error
+    names the first bad line."""
+    path = Path(path_str)
+    samples = []
+    for line_no, line in enumerate(_read_text(path, "input file").splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            value = _number(stripped, int if want_int else float)
+        except ValueError as exc:
+            raise CliError(f"non-numeric value on line {line_no}: {stripped!r}") from exc
+        if not is_finite(value):
+            raise CliError(f"value out of range on line {line_no}: {stripped!r}")
+        samples.append(value)
+    if not samples:
+        raise CliError(f"no samples in {path}")
+    return samples
 
 
 # The pipeline's line writers and corpus reader as first written, one

@@ -31,6 +31,7 @@ from _oracles import (
     powerlaw_int_samples,
     reference_events_to_jsonl,
     reference_life_stats_to_jsonl,
+    reference_read_samples,
     weibull_samples,
 )
 from _strategies import SIM_FIELDS, sim_config
@@ -463,6 +464,38 @@ class TestFit:
         assert obj["alpha"] == pytest.approx(expected)
         assert obj["distribution"] == "powerlaw"
         assert obj["xmin"] == 1
+
+
+# Sample lines around the edges of the bulk read: blank and whitespace-only
+# lines, a separator and NBSP around or inside a number, tokens that int()
+# or float() read but netmon refuses, non-finite floats, two numbers on one
+# line, integers past the float range, and ends of line that splitlines
+# (or the universal-newline read) splits on.
+_SAMPLE_TOKENS = st.sampled_from([
+    "", " ", "\t", "\x1f", "1", "-3", "2.5", "0.1e2", "007", " 4 ", "\xa05\xa0", "6\x1f7",
+    "1_0", "\u0661\u0662", "\uff11", "inf", "-inf", "nan", "1e999", "1 2", "x",
+    "9" * 400, "-1" + "0" * 309, "1" + "0" * 308,
+])
+_SAMPLE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028", ""])
+
+
+class TestReadSamples:
+    """_read_samples against reference_read_samples, the line-by-line read."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(lines=st.lists(st.tuples(_SAMPLE_TOKENS, _SAMPLE_ENDS), max_size=8),
+           want_int=st.booleans())
+    def test_same_samples_or_same_error(self, lines, want_int):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "samples.txt"
+            path.write_text("".join(token + end for token, end in lines), encoding="utf-8")
+
+            def outcome(read):
+                try:
+                    return [(type(v), repr(v)) for v in read(str(path), want_int)]
+                except cli_mod.CliError as exc:
+                    return f"CliError: {exc}"
+            assert outcome(cli_mod._read_samples) == outcome(reference_read_samples)
 
 
 class TestWriteLines:
@@ -1339,6 +1372,25 @@ class TestUnusablePaths:
         self.assert_one_error_line(capsys, f"{tmp_path / blocked}: Is a directory")
         assert sorted(os.listdir(tmp_path)) == left
         assert os.listdir(tmp_path / blocked) == []
+
+    # An --out that names a directory is refused before any file is opened,
+    # with one line naming it, for every command that writes one file.
+    @pytest.mark.parametrize("out", [".", "", "..", "sub", "sub/", "sub/.", "missing/"])
+    @pytest.mark.parametrize("command", ["fit", "compare", "plot-points"])
+    def test_output_path_naming_a_directory(self, tmp_path, monkeypatch, capsys, command, out):
+        samples = tmp_path / "samples.txt"
+        samples.write_text("".join(f"{2**j}\n" for j in range(14)))
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps({"distribution": "weibull", "k": 1.9, "lambda": 180.0}))
+        (tmp_path / "work" / "sub").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path / "work")
+        before = sorted(tmp_path.rglob("*"))
+        argv = {"fit": ["fit", "weibull", "--input", str(samples)],
+                "compare": ["compare", "--empirical", str(samples), "--baseline-fit", str(fit)],
+                "plot-points": ["plot-points", "--fit", str(fit), "--x-max", "10"]}[command]
+        assert main([*argv, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {out}: Is a directory\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 _PIPELINE = ["pipeline", "--queries", str(FIXTURES / "queries.txt"),

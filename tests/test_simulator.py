@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import replace
 from pathlib import Path
@@ -745,8 +746,8 @@ class TestSerializationAgainstOracles:
         with pytest.raises(json.JSONDecodeError):
             life_stats_from_jsonl(line + "\n")
 
-    # Text close to what life_stats_to_jsonl writes, which the one-findall
-    # fast path must leave to the line-by-line decoder.
+    # Text close to what life_stats_to_jsonl writes, which the template
+    # path must leave to the line-by-line decoder.
     @pytest.mark.parametrize("text", [
         near_template('"lifetime": 3', '"lifetime": 03'),
         near_template('"lifetime": 3', '"lifetime": -0'),
@@ -805,6 +806,97 @@ class TestSerializationAgainstOracles:
         assert events_text == written.getvalue().decode() == "".join(
             reference_events_to_jsonl(events, run=run + k)
             for k, events in enumerate(result.events.runs()))
+
+
+# Rows whose text fills the reader's template: values up to its 18 digits,
+# and links of printable ASCII without quote or backslash.  And rows whose
+# text does not: a value one past 18 digits (10**18), a negative one, a link
+# that json escapes.
+template_ints = st.integers(0, 10**18 - 1) | st.sampled_from([0, 9, 10**17, 10**18 - 1])
+template_rows = st.builds(
+    AgentLifeStats, template_ints, template_ints, st.booleans(), template_ints, template_ints,
+    st.none() | st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                                      blacklist_characters='"\\'), max_size=6))
+outside_rows = st.builds(AgentLifeStats, st.just(10**18) | json_int, json_int, st.booleans(),
+                         json_int, json_int, st.none() | tricky_text)
+# What one edit of such text inserts or puts in place of a byte.
+EDIT_CHARS = ['"', "\\", "\n", "\r", " ", ",", ":", "{", "}", *"0123456789", "t", "n", "\xe9"]
+
+
+def read_outcome(read, text):
+    """The rows ``read`` makes of ``text``, with each value's type, or its error."""
+    try:
+        return [tuple((type(v), v) for v in row) for row in read(text)]
+    except (json.JSONDecodeError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+class TestTemplateReader:
+    """life_stats_from_jsonl's block scan against json.loads, line by line."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rows=st.lists(template_rows, min_size=1, max_size=10),
+           outside=st.none() | st.tuples(st.integers(0, 10), outside_rows),
+           edit=st.sampled_from(["none", "insert", "delete", "replace"]),
+           where=st.floats(0, 1, exclude_max=True), char=st.sampled_from(EDIT_CHARS),
+           block_chars=st.integers(1, 5 * 110))
+    def test_one_edit_reads_as_json_loads(self, rows, outside, edit, where, char, block_chars):
+        if outside is not None:
+            rows.insert(*outside)
+        text = reference_life_stats_to_jsonl(rows)
+        at = int(where * (len(text) + (edit == "insert")))
+        text = {"none": text, "insert": text[:at] + char + text[at:],
+                "delete": text[:at] + text[at + 1:],
+                "replace": text[:at] + char + text[at + 1:]}[edit]
+        decoded = []
+
+        def decode_line(line):
+            decoded.append(line)
+            return jsonl.decode_line(line)
+
+        with pytest.MonkeyPatch.context() as mp:
+            # Blocks of one to about five lines, so the edit can fall in a later one.
+            mp.setattr(simulator, "_READ_BLOCK_CHARS", block_chars)
+            mp.setattr(simulator, "decode_line", decode_line)
+            got = read_outcome(life_stats_from_jsonl, text)
+        assert got == read_outcome(reference_life_stats_from_jsonl, text)
+        if simulator._LIFE_STATS_LINES.fullmatch(text):
+            assert not decoded  # template text never reaches the line decoder
+
+    @pytest.mark.parametrize("block_chars", [1, 300, simulator._READ_BLOCK_CHARS])
+    def test_equal_links_are_one_string(self, monkeypatch, block_chars):
+        res = run_simulation(config(0.3, 0.1, e0=2, p_s=0.3, horizon=40, seed=2,
+                                    link_carrier_fraction=0.5), runs=3)
+        text = life_stats_to_jsonl(res.stats)
+        monkeypatch.setattr(simulator, "_READ_BLOCK_CHARS", block_chars)
+        links = [row.carried_link for row in life_stats_from_jsonl(text)
+                 if row.carried_link is not None]
+        first = {}
+        assert all(first.setdefault(link, link) is link for link in links)
+        assert len(links) > 2 * len(first) > 2
+
+    def test_read_holds_a_bounded_excess_over_its_rows(self):
+        # 120,000 writer lines.  Read a block at a time, they take about
+        # 1 MiB beyond the rows at the peak; a match tuple per line, 38 MiB.
+        rng = np.random.default_rng(3)
+        n = 120_000
+        table = LifeStatsTable(1, [{
+            "run_lengths": np.full(300, n // 300),
+            "lifetime": rng.integers(0, 100, n, dtype=np.int32),
+            "censored": rng.random(n) < 0.2,
+            "total_likes": rng.integers(0, 50, n, dtype=np.int32),
+            "total_reposts": rng.integers(0, 10, n, dtype=np.int32),
+            "link_index": np.where(rng.random(n) < 0.5, rng.integers(0, 40, n), -1).astype(np.int32),
+        }])
+        text = life_stats_to_jsonl(table)
+        tracemalloc.start()
+        try:
+            rows = life_stats_from_jsonl(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows == list(table)
+        assert peak - held < 8 * 2**20
 
 
 def collections() -> int:
