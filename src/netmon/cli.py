@@ -270,31 +270,34 @@ def _read_samples(path_str: str, want_int: bool) -> list:
     Valid text is read in C-level passes: the lines stripped, the blank
     ones dropped, the rest converted by ``int`` or ``float``, after one
     check of the joined tokens for the ``_`` separators and non-ASCII
-    digits those accept, then one finiteness check.  Only text that fails
-    them is read again line by line, to name its first bad line.
+    digits those accept, then one finiteness check.  Any other text is
+    read line by line, which names its first bad line.
     """
     path = Path(path_str)
     kind = int if want_int else float
     lines = _read_text(path, "input file").splitlines()
     tokens = list(filter(None, map(str.strip, lines)))
-    if not tokens:
-        raise CliError(f"no samples in {path}")
     joined = "".join(tokens)
     with suppress(ValueError, OverflowError):  # OverflowError: an int past any float
-        if joined.isascii() and "_" not in joined:
+        if tokens and joined.isascii() and "_" not in joined:
             samples = list(map(kind, tokens))
             if all(map(math.isfinite, samples)):
                 return samples
+    samples = []
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
-        if stripped:
-            try:
-                value = _number(stripped, kind)
-            except ValueError as exc:
-                raise CliError(f"non-numeric value on line {line_no}: {stripped!r}") from exc
-            if not is_finite(value):
-                raise CliError(f"value out of range on line {line_no}: {stripped!r}")
-    raise AssertionError(f"{path}: samples rejected in bulk, but on no line")
+        if not stripped:
+            continue
+        try:
+            value = _number(stripped, kind)
+        except ValueError as exc:
+            raise CliError(f"non-numeric value on line {line_no}: {stripped!r}") from exc
+        if not is_finite(value):
+            raise CliError(f"value out of range on line {line_no}: {stripped!r}")
+        samples.append(value)
+    if not samples:
+        raise CliError(f"no samples in {path}")
+    return samples
 
 
 # Each fit type's distribution name, its range check, and its fields in

@@ -777,7 +777,12 @@ def life_stats_to_jsonl(stats: LifeStatsTable,
     return _finish(_life_stats_lines(stats), out)
 
 
-_CENSORED_TEXTS = np.array([b'false, "total_likes": ', b'true, "total_likes": '])
+# The text before each value of a life_stats_to_jsonl line, one per
+# AgentLifeStats field in order: '{"agent_id": ', ', "lifetime": ', and so on.
+# The writer's tables and the reader's pattern and offsets are built from it.
+_LIFE_STATS_KEYS = tuple(b'%s"%s": ' % (b", " if i else b"{", name.encode())
+                         for i, name in enumerate(AgentLifeStats._fields))
+_CENSORED_TEXTS = np.array([b"false" + _LIFE_STATS_KEYS[3], b"true" + _LIFE_STATS_KEYS[3]])
 
 
 def _life_stats_lines(stats: LifeStatsTable) -> Iterator[bytes]:
@@ -797,12 +802,13 @@ def _life_stats_lines(stats: LifeStatsTable) -> Iterator[bytes]:
         ident -= np.repeat((np.cumsum(lengths) - lengths).astype(np.int32), lengths)
         link = chunk["link_index"]
         link_run[link < 0] = -1
+        keys = _LIFE_STATS_KEYS
         yield from render_lines((
-            int_texts(ident, b', "lifetime": ', prefix=b'{"agent_id": '),
-            int_texts(chunk["lifetime"], b', "censored": '),
+            int_texts(ident, keys[1], prefix=keys[0]),
+            int_texts(chunk["lifetime"], keys[2]),
             (_CENSORED_TEXTS, chunk["censored"].view(np.uint8)),
-            int_texts(chunk["total_likes"], b', "total_reposts": '),
-            int_texts(chunk["total_reposts"], b', "carried_link": '),
+            int_texts(chunk["total_likes"], keys[4]),
+            int_texts(chunk["total_reposts"], keys[5]),
             (np.array([b'"r%d-l' % (seed + r) for r in range(n_runs)] + [b"null}\n"]), link_run),
             int_texts(link, b'"}\n', [b""]),
         ))
@@ -811,23 +817,27 @@ def _life_stats_lines(stats: LifeStatsTable) -> Iterator[bytes]:
 
 # One or more life_stats_to_jsonl lines, each ended by "\n", with every value
 # a JSON integer below 10**18, a boolean, null or a string of printable ASCII
-# without quote or backslash.  The repeats are possessive, which changes no
-# match, as what follows a repeat never matches what it repeats; so a match
-# keeps no backtracking state, and holds no memory per line.
-_UINT = "(?:0|[1-9][0-9]{0,17}+)"
-_LIFE_STATS_LINES = re.compile(
-    r'(?:\{"agent_id": %s, "lifetime": %s, "censored": (?:true|false), "total_likes": %s, '
-    r'"total_reposts": %s, "carried_link": (?:null|"[ !#-\[\]-~]*+")\}\n)++' % ((_UINT,) * 4))
+# without quote or backslash.  The fields that this table leaves out are the
+# integers.
+_LIFE_STATS_VALUES = {"censored": "(?:true|false)", "carried_link": r'(?:null|"[ !#-\[\]-~]*")'}
+_LIFE_STATS_LINES = re.compile("(?:%s\\}\n)+" % "".join(
+    re.escape(key.decode()) + _LIFE_STATS_VALUES.get(name, "(?:0|[1-9][0-9]{0,17})")
+    for name, key in zip(AgentLifeStats._fields, _LIFE_STATS_KEYS)))
 
 # Characters of text that life_stats_from_jsonl parses at once, rounded up to
-# a whole line: bounds what a read holds beyond its rows.
+# a whole line: bounds what a read holds beyond its rows, the matcher's
+# backtracking state included.
 _READ_BLOCK_CHARS = 1 << 18
 
-# The integer fields' indices among a line's six '": ' separators, and how
-# far each one's value ends before the colon of the separator that follows.
-_INT_FIELDS = np.array([0, 1, 3, 4])
-_INT_ENDS = np.array([len(', "lifetime"'), len(', "censored"'), len(', "total_reposts"'),
-                      len(', "carried_link"')])
+# Where _template_rows finds a line's values, from the colon of each key's
+# '": ': the colon's index within its key; the indices of the integer
+# fields, and of the flag; and how far before the next key's colon each
+# integer ends.  The link is the last field.
+_KEY_COLONS = [len(key) - 2 for key in _LIFE_STATS_KEYS]
+_INT_FIELDS = np.array([i for i, name in enumerate(AgentLifeStats._fields)
+                        if name not in _LIFE_STATS_VALUES])
+_CENSORED_FIELD = AgentLifeStats._fields.index("censored")
+_INT_ENDS = np.array(_KEY_COLONS[1:])[_INT_FIELDS]
 
 
 def life_stats_from_jsonl(text: str) -> list[AgentLifeStats]:
@@ -889,10 +899,11 @@ def _template_rows(block: str, links: dict[str, str]) -> Iterator[AgentLifeStats
     """
     chars = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
     colon = np.flatnonzero(chars == ord(":"))
-    # Six '":' end a line's keys.  A link holds no '"', and a link that
-    # starts with ':' makes the only other '":', whose quote follows a space.
+    # A '":' ends each of a line's keys.  A link holds no '"', and a link
+    # that starts with ':' makes the only other '":', whose quote follows a
+    # space.
     colon = colon[(chars[colon - 1] == ord('"')) & (chars[colon - 2] != ord(" "))]
-    colon = colon.reshape(-1, 6)
+    colon = colon.reshape(-1, len(_LIFE_STATS_KEYS))
     # Per integer field and line: where its value ends, and the space before it.
     end = (colon[:, _INT_FIELDS + 1] - _INT_ENDS).T
     space = (colon[:, _INT_FIELDS] + 1).T
@@ -900,13 +911,15 @@ def _template_rows(block: str, links: dict[str, str]) -> Iterator[AgentLifeStats
     for back in range(int((end - space).max()) - 1, 0, -1):
         values *= 10
         values += chars[np.maximum(end - back, space)] & 15
-    censored = (chars[colon[:, 2] + 2] == ord("t")).tolist()
+    # A value starts two past its key's colon, after ': '.
+    censored = (chars[colon[:, _CENSORED_FIELD] + 2] == ord("t")).tolist()
 
-    start = colon[:, 5] + 3
+    start = colon[:, -1] + 3
     linked = chars[start - 1] == ord('"')
     if linked.any():
-        # A line ends '"}\n' before the next one's '{"agent_id":'.
-        stop = np.append(colon[1:, 0] - 14, len(chars) - 3)[linked]
+        # A link ends '"}\n', and the next line starts with its first key.
+        stop = np.append(colon[1:, 0] - _KEY_COLONS[0], len(chars)) - len('"}\n')
+        stop = stop[linked]
         start = start[linked]
         # Each link padded with the quote that follows it, to compare them.
         span = int((stop - start).max()) + 1

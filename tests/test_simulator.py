@@ -877,7 +877,8 @@ class TestTemplateReader:
 
     def test_read_holds_a_bounded_excess_over_its_rows(self):
         # 120,000 writer lines.  Read a block at a time, they take about
-        # 1 MiB beyond the rows at the peak; a match tuple per line, 38 MiB.
+        # 2 MiB beyond the rows at the peak, the matcher's backtracking state
+        # for one block included; a match tuple per line, 38 MiB.
         rng = np.random.default_rng(3)
         n = 120_000
         table = LifeStatsTable(1, [{
