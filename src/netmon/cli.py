@@ -198,15 +198,7 @@ _SIM_CONFIG_FIELDS = {**_PARAM_FIELDS, **_RUN_FIELDS, "runs": int}
 def _default_sim_config() -> dict:
     """Every simulate field at its value in the calibrated default config."""
     config = calibrated_default_config()
-    params = config.params
-    values = {
-        **vars(params),
-        **vars(config),
-        # The calibrated probabilities do not depend on energy.
-        "p_like": params.like_prob(params.e0),
-        "p_repost": params.repost_prob(params.e0),
-        "runs": 1,
-    }
+    values = {**vars(config.params), **vars(config), "runs": 1}
     return {name: values[name] for name in _SIM_CONFIG_FIELDS}
 
 
@@ -265,31 +257,15 @@ def cmd_simulate(args) -> int:
 # --------------------------------------------------------------------- fit
 
 def _read_samples(path_str: str, want_int: bool) -> list:
-    """The numbers of a samples file, one per non-blank line: ints, or floats.
-
-    Valid text is read in C-level passes: the lines stripped, the blank
-    ones dropped, the rest converted by ``int`` or ``float``, after one
-    check of the joined tokens for the ``_`` separators and non-ASCII
-    digits those accept, then one finiteness check.  Any other text is
-    read line by line, which names its first bad line.
-    """
+    """The numbers of a samples file, one per non-blank line: ints, or floats."""
     path = Path(path_str)
-    kind = int if want_int else float
-    lines = _read_text(path, "input file").splitlines()
-    tokens = list(filter(None, map(str.strip, lines)))
-    joined = "".join(tokens)
-    with suppress(ValueError, OverflowError):  # OverflowError: an int past any float
-        if tokens and joined.isascii() and "_" not in joined:
-            samples = list(map(kind, tokens))
-            if all(map(math.isfinite, samples)):
-                return samples
     samples = []
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(_read_text(path, "input file").splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
         try:
-            value = _number(stripped, kind)
+            value = _number(stripped, int if want_int else float)
         except ValueError as exc:
             raise CliError(f"non-numeric value on line {line_no}: {stripped!r}") from exc
         if not is_finite(value):
@@ -361,18 +337,19 @@ def cmd_fit(args) -> int:
             fit = fit_weibull_mle(samples)
         except (ValueError, ConvergenceError) as exc:
             raise CliError(f"weibull fit failed: {exc}") from exc
-        print(f"k={fit.k:.6g} lambda={fit.lam:.6g}")
+        summary = f"k={fit.k:.6g} lambda={fit.lam:.6g}"
     else:
         samples = _read_samples(args.input, want_int=True)
         try:
             fit = fit_powerlaw_mle(samples, xmin=args.xmin)
         except ValueError as exc:
             raise CliError(f"power-law fit failed: {exc}") from exc
-        print(f"alpha={fit.alpha:.6g} xmin={fit.xmin}")
+        summary = f"alpha={fit.alpha:.6g} xmin={fit.xmin}"
 
     _write_output(args.out, json.dumps(_fit_to_dict(fit), indent=2) + "\n",
                   {"distribution": args.distribution, "input": args.input,
                    "xmin": args.xmin if args.distribution == "powerlaw" else None})
+    print(summary)
     return 0
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,6 +25,7 @@ __all__ = [
     "BehaviorParams",
     "effective_repost_prob",
     "is_finite",
+    "prob_at",
     "repost_probs",
     "step_thresholds",
 ]
@@ -39,23 +39,24 @@ def is_finite(value) -> bool:
         return False
 
 
-@dataclass
+@dataclass(frozen=True)
 class BehaviorParams:
-    """All model probabilities.
+    """All model probabilities, as plain data.
 
-    ``like_prob`` and ``repost_prob`` map an energy value E > 0 to a
-    probability; they are pluggable so energy-dependent behavior can be
-    modeled, but the shipped default is constant in E (use
-    :meth:`constant`).  ``link_boost`` multiplies the repost probability
-    of link-carrying agents and ``rich_get_richer_gamma`` adds a
-    preferential term growing with the agent's repost tally; boosted
-    values are clamped to 1.
+    ``p_like`` and ``p_repost`` are each a float, or a tuple of per-energy
+    floats from energy 1 on whose last value holds above its end (a list
+    is stored as a tuple); ``prob_at`` reads them, clamped to [0, 1].
+    ``link_boost`` multiplies the repost probability of link-carrying
+    agents and ``rich_get_richer_gamma`` adds a preferential term growing
+    with the agent's repost tally; boosted values are clamped to 1.
+    Equal params compare and hash equal, and survive pickle and a JSON
+    round trip of ``dataclasses.asdict``.
     """
 
     p_s: float
     e0: int
-    like_prob: Callable[[int], float]
-    repost_prob: Callable[[int], float]
+    p_like: float | tuple[float, ...]
+    p_repost: float | tuple[float, ...]
     link_carrier_fraction: float = 0.0
     link_boost: float = 1.0
     rich_get_richer_gamma: float = 0.0
@@ -65,6 +66,14 @@ class BehaviorParams:
             raise ValueError(f"p_s must be in [0, 1], got {self.p_s}")
         if self.e0 < 1:
             raise ValueError(f"e0 must be >= 1, got {self.e0}")
+        for name in ("p_like", "p_repost"):
+            value = getattr(self, name)
+            table = isinstance(value, (list, tuple))
+            probs = tuple(map(float, value)) if table else (float(value),)
+            if not probs or any(map(math.isnan, probs)):
+                raise ValueError(f"{name} must be a number or a non-empty table of "
+                                 f"numbers, none NaN, got {value!r}")
+            object.__setattr__(self, name, probs if table else probs[0])
         if not 0.0 <= self.link_carrier_fraction <= 1.0:
             raise ValueError(
                 f"link_carrier_fraction must be in [0, 1], got {self.link_carrier_fraction}"
@@ -87,29 +96,28 @@ class BehaviorParams:
         link_boost: float = 1.0,
         rich_get_richer_gamma: float = 0.0,
     ) -> "BehaviorParams":
-        """Params whose like/repost probabilities do not depend on energy."""
+        """Params whose like/repost probabilities, each in [0, 1], do not depend on energy."""
         if not 0.0 <= p_like <= 1.0:
             raise ValueError(f"p_like must be in [0, 1], got {p_like}")
         if not 0.0 <= p_repost <= 1.0:
             raise ValueError(f"p_repost must be in [0, 1], got {p_repost}")
-        return cls(
-            p_s=p_s,
-            e0=e0,
-            like_prob=lambda _e, _p=p_like: _p,
-            repost_prob=lambda _e, _p=p_repost: _p,
-            link_carrier_fraction=link_carrier_fraction,
-            link_boost=link_boost,
-            rich_get_richer_gamma=rich_get_richer_gamma,
-        )
+        return cls(p_s, e0, p_like, p_repost, link_carrier_fraction, link_boost,
+                   rich_get_richer_gamma)
 
 
-def _clamp01(p: float) -> float:
+def prob_at(probs: float | tuple[float, ...], energy: int) -> float:
+    """The probability ``probs`` gives at ``energy`` >= 1, clamped to [0, 1].
+
+    A float holds at every energy; a table holds its entry ``energy - 1``,
+    or its last one past its end.
+    """
+    p = probs if isinstance(probs, float) else probs[min(energy, len(probs)) - 1]
     return 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
 
 
 def effective_repost_prob(energy: int, params: BehaviorParams) -> float:
     """The base repost probability at ``energy``, clamped to [0, 1]."""
-    return _clamp01(params.repost_prob(energy))
+    return prob_at(params.p_repost, energy)
 
 
 def repost_probs(p_repost, params: BehaviorParams, linked, reposts):

@@ -54,7 +54,7 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from . import jsonl
-from .diffusion import (BehaviorParams, _clamp01, effective_repost_prob, repost_probs,
+from .diffusion import (BehaviorParams, effective_repost_prob, prob_at, repost_probs,
                         step_thresholds)
 from .jsonl import collector_paused, decode_line, int_texts, quote, render_lines
 
@@ -437,7 +437,7 @@ class _StepTables:
             return
         top = min(max(energy, 2 * self.top - self.low + 1), self.max_energy)
         energies = range(self.top + 1, top + 1)
-        p_like = np.array([_clamp01(self.params.like_prob(e)) for e in energies])
+        p_like = np.array([prob_at(self.params.p_like, e) for e in energies])
         p_repost = np.array([effective_repost_prob(e, self.params) for e in energies])
         for name, new in (("p_like", p_like), ("p_repost", p_repost),
                           *zip(("c2", "c21", "c210"), step_thresholds(p_like, p_repost))):

@@ -325,9 +325,12 @@ def reference_run(config, record_events: bool = True) -> ReferenceRun:
         survivors: list[int] = []
         for aid in active:
             e = energy[aid]
-            p_like = params.like_prob(e)
+            # A probability is a float, or a table from energy 1 whose last
+            # value holds above its end; either is clamped to [0, 1].
+            p_like, p_repost = (
+                p if isinstance(p, float) else p[e - 1] if e <= len(p) else p[-1]
+                for p in (params.p_like, params.p_repost))
             p_like = 0.0 if p_like < 0.0 else 1.0 if p_like > 1.0 else p_like
-            p_repost = params.repost_prob(e)
             p_repost = 0.0 if p_repost < 0.0 else 1.0 if p_repost > 1.0 else p_repost
             if link[aid] is not None:
                 # link carriers: boost * p * (1 + gamma * reposts so far), clamped

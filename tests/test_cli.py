@@ -1373,6 +1373,21 @@ class TestUnusablePaths:
         assert sorted(os.listdir(tmp_path)) == left
         assert os.listdir(tmp_path / blocked) == []
 
+    # A fit that cannot be written prints no result: the summary line
+    # follows the write, as with compare and plot-points.
+    @pytest.mark.parametrize("distribution", ["weibull", "powerlaw"])
+    def test_fit_out_under_a_file_prints_nothing(self, tmp_path, capsys, distribution):
+        samples = tmp_path / "samples.txt"
+        samples.write_text("".join(f"{2**j}\n" for j in range(14)))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert main(["fit", distribution, "--input", str(samples),
+                     "--out", str(blocker / "fit.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and str(blocker) in captured.err
+        assert sorted(os.listdir(tmp_path)) == ["blocker", "samples.txt"]
+
     # An --out that names a directory is refused before any file is opened,
     # with one line naming it, for every command that writes one file.
     @pytest.mark.parametrize("out", [".", "", "..", "sub", "sub/", "sub/.", "missing/"])

@@ -88,7 +88,7 @@ class TestDeltaDistribution:
     def test_matches_product_form_oracle(self):
         for p_like, p_repost in [(0.1, 0.9), (0.33, 0.41), (0.0, 1.0)]:
             params = const_params(p_like, p_repost)
-            got = row(step_thresholds(params.like_prob(5), effective_repost_prob(5, params)))
+            got = row(step_thresholds(params.p_like, effective_repost_prob(5, params)))
             expected = delta_probs(p_like, p_repost)
             assert got == pytest.approx(tuple(expected[d] for d in (2, 1, 0, -1)))
 
@@ -109,7 +109,7 @@ class TestDeltaDistribution:
             p_like, p_repost, link_boost=boost, rich_get_richer_gamma=gamma
         )
         p = repost_probs(effective_repost_prob(energy, params), params, has_link, n_reposts)
-        probs = row(step_thresholds(params.like_prob(energy), p))
+        probs = row(step_thresholds(params.p_like, p))
         for q in probs:
             assert 0.0 <= q <= 1.0
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
@@ -119,10 +119,12 @@ class TestDeltaDistribution:
             const_params(1.2, 0.5)
         with pytest.raises(ValueError):
             const_params(0.5, -0.2)
-        # Pluggable probabilities out of [0, 1] are clamped before use.
-        params = BehaviorParams(p_s=0.0, e0=1, like_prob=lambda _e: 1.5,
-                                repost_prob=lambda _e: -0.2)
-        assert table_rows(params, 3).tolist() == [[0.0, 0.0, 1.0, 0.0]] * 3
+        # Probabilities out of [0, 1], a float or a table's last value
+        # holding above its end, are clamped before use.
+        params = BehaviorParams(p_s=0.0, e0=1, p_like=1.5, p_repost=[0.5, -0.2])
+        assert params.p_repost == (0.5, -0.2)
+        assert table_rows(params, 4).tolist() == [
+            [0.5, 0.0, 0.5, 0.0], *[[0.0, 0.0, 1.0, 0.0]] * 3]
 
 
 class TestTransitionProbability:

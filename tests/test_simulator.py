@@ -1,8 +1,11 @@
+import dataclasses
 import gc
 import io
 import json
 import math
+import multiprocessing
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -316,9 +319,12 @@ class TestReplicate:
 
 
 def _energy_dependent(p_s, **kw):
-    # Values leave [0, 1] on both sides, so the clamps matter.
-    return BehaviorParams(p_s=p_s, e0=3, like_prob=lambda e: 1.3 - 0.25 * e,
-                          repost_prob=lambda e: 0.45 - 0.1 * e, **kw)
+    # Values leave [0, 1] on both sides, so the clamps matter.  The tables
+    # end at energy 8, where both are already below 0: the last values,
+    # which hold above it, clamp to what the formulas would give there.
+    energies = range(1, 9)
+    return BehaviorParams(p_s=p_s, e0=3, p_like=tuple(1.3 - 0.25 * e for e in energies),
+                          p_repost=tuple(0.45 - 0.1 * e for e in energies), **kw)
 
 
 EXACTNESS_GRID = {
@@ -361,7 +367,7 @@ class TestBatchedReplicate:
         truncating = EXACTNESS_GRID["rich-get-richer truncates"]
         assert 0 < run_simulation(truncating, record_events=False, runs=25).truncated < 25
         params = EXACTNESS_GRID["energy-dependent, clamped"].params
-        assert params.like_prob(1) > 1.0 and params.repost_prob(5) < 0.0
+        assert params.p_like[0] > 1.0 and params.p_repost[4] < 0.0
 
     def test_batch_companions_do_not_matter(self):
         # A run's events and rows are the same whatever it is stepped with.
@@ -385,16 +391,23 @@ class TestBatchedReplicate:
         ]
 
     def test_tables_start_at_the_lowest_reachable_energy(self):
-        # Tables indexed from energy 1 would hold about 10**9 entries.  Likes
-        # grow likelier as energy falls, so a lookup below the tables' start
-        # would read another energy's thresholds.
-        e0 = 10**9
-        params = BehaviorParams(p_s=0.5, e0=e0, like_prob=lambda e: 0.05 + 0.3 * (e0 - e),
-                                repost_prob=lambda e: 0.05)
+        # Tables indexed from energy 1 would hold about 10**9 entries.
+        params = BehaviorParams.constant(p_s=0.5, e0=10**9, p_like=0.3, p_repost=0.05)
         cfg = SimulationConfig(params=params, horizon=5, seed=3, initial_agents=3)
         start = time.perf_counter()
         assert_equals_oracle(cfg, 5)
         assert time.perf_counter() - start < 1.0
+
+    def test_tables_are_indexed_from_their_start(self):
+        # Likes grow likelier as energy falls, so a lookup off the tables'
+        # start, max(1, e0 - horizon) = 35, would read another energy's
+        # thresholds.
+        e0, horizon = 40, 5
+        p_like = tuple(0.05 + 0.3 * (e0 - e) for e in range(1, e0 + 2 * horizon + 1))
+        params = BehaviorParams(p_s=0.5, e0=e0, p_like=p_like, p_repost=0.05)
+        cfg = SimulationConfig(params=params, horizon=horizon, seed=3, initial_agents=3)
+        assert simulator._StepTables(params, horizon).low == 35
+        assert_equals_oracle(cfg, 5)
 
     def test_chunks_join_seamlessly(self, monkeypatch):
         cfg = EXACTNESS_GRID["p_s=0.3 carriers=0.5"]
@@ -1072,3 +1085,56 @@ class TestConfigValidation:
         SimulationConfig(params=params, horizon=4, seed=1)
         with pytest.raises(ValueError, match="horizon"):
             SimulationConfig(params=params, horizon=5, seed=1)
+
+    @pytest.mark.parametrize("probs", [(), [], float("nan"), (0.5, float("nan"))])
+    def test_probabilities_need_a_number_or_a_table_of_them(self, probs):
+        with pytest.raises(ValueError, match="p_repost must be a number"):
+            BehaviorParams(p_s=0.0, e0=1, p_like=0.5, p_repost=probs)
+
+
+def _from_dict(fields: dict) -> SimulationConfig:
+    """The config whose ``dataclasses.asdict`` is ``fields``."""
+    fields = dict(fields)
+    return SimulationConfig(BehaviorParams(**fields.pop("params")), **fields)
+
+
+# A probability: a float, or a table of them from energy 1, out of [0, 1]
+# and infinite values included.
+PROBS = st.floats(allow_nan=False) | st.lists(st.floats(allow_nan=False), min_size=1,
+                                              max_size=6)
+
+
+class TestConfigsAreData:
+    """Configs are plain values: equal, hashable and serializable."""
+
+    def test_calibrated_default_equals_itself(self):
+        assert calibrated_default_config() == calibrated_default_config()
+        assert hash(calibrated_default_config()) == hash(calibrated_default_config())
+
+    @settings(max_examples=100, deadline=None)
+    @given(p_like=PROBS, p_repost=PROBS, e0=st.integers(1, 100), horizon=st.integers(1, 100),
+           seed=st.integers(0, 2**64), max_agents=st.none() | st.integers(1, 100),
+           fraction=st.floats(0.0, 1.0), boost=st.floats(1.0, 10.0),
+           gamma=st.floats(0.0, 2.0))
+    def test_pickle_and_json_round_trips(self, p_like, p_repost, e0, horizon, seed,
+                                         max_agents, fraction, boost, gamma):
+        params = BehaviorParams(p_s=0.3, e0=e0, p_like=p_like, p_repost=p_repost,
+                                link_carrier_fraction=fraction, link_boost=boost,
+                                rich_get_richer_gamma=gamma)
+        assert all(isinstance(p, (float, tuple)) for p in (params.p_like, params.p_repost))
+        cfg = SimulationConfig(params, horizon=horizon, seed=seed, max_agents=max_agents)
+        for copy in (pickle.loads(pickle.dumps(cfg)),
+                     _from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))):
+            assert copy == cfg and hash(copy) == hash(cfg)
+
+    def test_spawned_worker_replicates_a_pickled_config(self):
+        cfg = EXACTNESS_GRID["energy-dependent, clamped"]
+        pool = multiprocessing.get_context("spawn").Pool(1)
+        try:
+            table = pool.apply(replicate, (cfg, 25))
+        finally:
+            pool.close()
+            pool.join()
+        here = replicate(cfg, 25)
+        for name in simulator._LIFE_STATS_COLUMNS:
+            assert table.column(name).tolist() == here.column(name).tolist()
