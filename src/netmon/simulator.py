@@ -14,7 +14,7 @@ Every uniform draw comes from one ``random.Random(seed)`` stream: one
 draw per tick for self-generation, one per created non-repost agent for
 link carriage, one per agent step.
 
-One engine follows this protocol, ``_run_chunk``.  In the model each
+One engine follows this protocol, ``run_simulation``.  In the model each
 message's energy is a Markov chain and its reposts are independent
 copies, so runs never interact and a chunk of them steps together with
 numpy: agent state lives in int32 columns (so ``SimulationConfig``
@@ -25,11 +25,12 @@ expressions over the concatenated active set.  Each run still owns its
 ``random.Random(seed + k)`` and reads it in the order above, so every run
 is the same as if it had been stepped alone; numpy's own generators are
 never used.  ``run_simulation`` steps a given number of runs as one
-chunk and can also record the event log.  ``run_chunks`` is the one
-replication loop: it splits any number of runs into chunks of
-``CHUNK_RUNS``, seeds each and steps it with ``run_simulation`` when
-asked for it.  ``replicate`` joins its chunks' life statistics, and
-``netmon simulate`` writes each chunk as it comes.
+chunk, can also record the event log, and returns the chunk's
+``SimulationResult``.  ``run_chunks`` is the one replication loop: it
+splits any number of runs into chunks of ``CHUNK_RUNS``, seeds each and
+steps it with ``run_simulation`` when asked for it.  ``replicate`` joins
+its chunks' life statistics, and ``netmon simulate`` writes each chunk
+as it comes.
 The engine does not store events: per agent it keeps the parent, birth
 and death ticks it needs anyway, and per agent-step only the like
 outcome, one bit.  ``EventLog`` rebuilds each run's events from them
@@ -123,6 +124,11 @@ class SimulationConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.initial_agents < 1:
             raise ValueError(f"initial_agents must be >= 1, got {self.initial_agents}")
+        # Initial agents all step at tick 1, so more than one run can step
+        # could never run: refuse them before the engine allocates each one.
+        if self.initial_agents > _MAX_RUN_ACTIVE:
+            raise ValueError(f"initial_agents must be <= {_MAX_RUN_ACTIVE}, the active agents "
+                             f"one run can step, got {self.initial_agents}")
         if self.max_agents is not None and self.max_agents < 1:
             raise ValueError(f"max_agents must be >= 1, got {self.max_agents}")
         # The engine's int32 columns hold energies up to e0 + 2 * horizon.
@@ -164,28 +170,6 @@ class SimulationResult:
     def truncated(self) -> int:
         """The number of runs max_agents halted."""
         return sum(tick is not None for tick in self.truncated_at)
-
-
-def run_simulation(config: SimulationConfig, record_events: bool = True,
-                   runs: int = 1) -> SimulationResult:
-    """Runs seeded seed, ..., seed+runs-1, stepped together as one chunk.
-
-    Equal configs produce identical results, and each run is the same
-    whatever else it is stepped with.  With ``record_events=False`` the
-    event log is left out; the statistics are unchanged.  Memory grows
-    with ``runs``: for any number of runs, ``run_chunks`` calls this on
-    at most ``CHUNK_RUNS`` at a time.
-    """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    tables = _StepTables(config.params, config.horizon)
-    chunk = _run_chunk(config, tables, runs, record_events)
-    columns = chunk.agents.by_run(chunk.censor)
-    events = EventLog(columns, chunk.censor, chunk.truncated, chunk.likes)
-    stats = LifeStatsTable(config.seed, [{name: columns[name] for name in _LIFE_STATS_COLUMNS}])
-    truncated_at = [c - 1 if t else None
-                    for c, t in zip(chunk.censor.tolist(), chunk.truncated.tolist())]
-    return SimulationResult(stats, events, truncated_at)
 
 
 def run_chunks(config: SimulationConfig, n_runs: int,
@@ -607,32 +591,32 @@ class _LikeLog:
         self.bits += np.packbits(liked, bitorder="little").tobytes()
 
 
-class _Chunk(NamedTuple):
-    agents: _AgentColumns
-    censor: np.ndarray         # per run, the tick its live agents are censored at
-    truncated: np.ndarray      # per run, whether max_agents halted it
-    likes: Optional[_LikeLog]  # only when events are recorded
+def run_simulation(config: SimulationConfig, record_events: bool = True,
+                   runs: int = 1) -> SimulationResult:
+    """Runs seeded seed, ..., seed+runs-1, stepped together as one chunk.
 
-
-def _run_chunk(config: SimulationConfig, tables: _StepTables, n_runs: int,
-               record_events: bool) -> _Chunk:
-    """Runs seeded config.seed.. stepped together under the tick protocol.
-
-    Each run reads its own ``random.Random(seed)`` in the protocol's
-    order: per tick the self-generation draw, the carrier draw of a root
-    it creates, then one draw per stepping agent in ascending id.  The
-    active set is kept grouped by run and ascending within a run, so the
-    concatenated draws line up with it.  ``record_events`` keeps parents
-    and like bits for the event log.
+    Equal configs produce identical results, and each run is the same
+    whatever else it is stepped with: it reads its own
+    ``random.Random(seed)`` in the protocol's order, per tick the
+    self-generation draw, the carrier draw of a root it creates, then one
+    draw per stepping agent in ascending id.  The active set is kept
+    grouped by run and ascending within a run, so the concatenated draws
+    line up with it.  With ``record_events=False`` the parents and like
+    bits the event log needs are not kept and the log is empty; the
+    statistics are unchanged.  Memory grows with ``runs``: for any number
+    of runs, ``run_chunks`` calls this on at most ``CHUNK_RUNS`` at a time.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     params = config.params
     p_s = params.p_s
     carrier_frac = params.link_carrier_fraction
     horizon = config.horizon
     max_agents = config.max_agents
-    rngs = [random.Random(config.seed + r) for r in range(n_runs)]
-    next_link = [0] * n_runs
-    agents = _AgentColumns(max(64 * n_runs, 1024), params.e0, parents=record_events)
+    tables = _StepTables(params, horizon)
+    rngs = [random.Random(config.seed + r) for r in range(runs)]
+    next_link = [0] * runs
+    agents = _AgentColumns(max(64 * runs, 1024), params.e0, parents=record_events)
     likes = _LikeLog() if record_events else None
 
     def carrier_draw(r: int) -> int:
@@ -643,19 +627,19 @@ def _run_chunk(config: SimulationConfig, tables: _StepTables, n_runs: int,
         return -1
 
     # Initial agents are run r's tick-0 self-generations, ids 0.. in order.
-    init_runs = [r for r in range(n_runs) for _ in range(config.initial_agents)]
+    init_runs = [r for r in range(runs) for _ in range(config.initial_agents)]
     agents.append(init_runs, 0, [carrier_draw(r) for r in init_runs])
-    size = np.zeros(n_runs, dtype=np.int64)
-    censor = np.full(n_runs, horizon, dtype=np.int32)
-    running = np.ones(n_runs, dtype=bool)
-    live = list(range(n_runs))
+    size = np.zeros(runs, dtype=np.int64)
+    censor = np.full(runs, horizon, dtype=np.int32)
+    running = np.ones(runs, dtype=bool)
+    live = list(range(runs))
     if max_agents is not None and config.initial_agents > max_agents:
         censor[:] = 1
         running[:] = False
         live = []
 
     active = active_run = np.zeros(0, dtype=np.int64)
-    n_active = [0] * n_runs
+    n_active = [0] * runs
     first_new = 0    # agents from here on were born this tick (tick 0: the initial ones too)
     for tick in range(horizon):
         if not live:
@@ -688,7 +672,7 @@ def _run_chunk(config: SimulationConfig, tables: _StepTables, n_runs: int,
 
         if max_agents is not None:
             # Runs whose agent count passed the cap end with this tick.
-            size += np.bincount(agents.run[first_new:agents.n], minlength=n_runs)
+            size += np.bincount(agents.run[first_new:agents.n], minlength=runs)
             over = running & (size > max_agents)
             if over.any():
                 censor[over] = tick + 1
@@ -698,12 +682,19 @@ def _run_chunk(config: SimulationConfig, tables: _StepTables, n_runs: int,
                 stopped = over.tolist()
                 live = [r for r in live if not stopped[r]]
         first_new = agents.n
-        n_active = np.bincount(active_run, minlength=n_runs).tolist()
+        n_active = np.bincount(active_run, minlength=runs).tolist()
         if p_s == 0.0:
             # Without self-generation a run with no agent left is over.
             live = [r for r in live if n_active[r]]
 
-    return _Chunk(agents, censor, ~running, likes)
+    # The last tick's active set and draws, and the generators, go before the
+    # columns are sorted: at 1,024 calibrated runs they hold about 16 MB.
+    active = active_run = words = u = liked = rngs = None
+    truncated = ~running
+    columns = agents.by_run(censor)
+    stats = LifeStatsTable(config.seed, [{name: columns[name] for name in _LIFE_STATS_COLUMNS}])
+    truncated_at = [c - 1 if t else None for c, t in zip(censor.tolist(), truncated.tolist())]
+    return SimulationResult(stats, EventLog(columns, censor, truncated, likes), truncated_at)
 
 
 def repost_counts_by_link(stats: Iterable[AgentLifeStats]) -> dict[str, int]:
@@ -716,65 +707,49 @@ def repost_counts_by_link(stats: Iterable[AgentLifeStats]) -> dict[str, int]:
     return counts
 
 
-def _finish(blocks: Iterable[bytes], out: Optional[BinaryIO]) -> Optional[str]:
-    """The text of ``blocks``, or, with ``out``, None once they are written to it."""
-    if out is None:
-        return b"".join(blocks).decode("ascii")
-    for block in blocks:
-        out.write(block)
-    return None
+def events_to_jsonl(events: EventLog, out: BinaryIO, run: int = 0) -> None:
+    """Write one JSON object per event to the binary file ``out``.
 
-
-def events_to_jsonl(events: EventLog, run: int = 0,
-                    out: Optional[BinaryIO] = None) -> Optional[str]:
-    """One JSON object per event, keys run, tick, kind, agent_id, related_agent_id.
-
-    The log's k-th run's lines carry ``"run": run + k``, as in the event
-    log ``netmon simulate`` writes.  Lines are rendered from the log's
-    columns by ``jsonl.render_lines``.  Returns the text or, with ``out``,
-    writes it to that binary file and returns None.
+    Keys are run, tick, kind, agent_id and related_agent_id.  The log's
+    k-th run's lines carry ``"run": run + k``, as in the event log
+    ``netmon simulate`` writes.  Lines are rendered from the log's columns
+    by ``jsonl.render_lines``.
     """
-    return _finish(events._jsonl_blocks(run), out)
+    out.writelines(events._jsonl_blocks(run))
 
 
 # The kind field's texts by kind code, each with the key of the next field.
-_KIND_TEXTS = np.array([f', "kind": {quote(kind)}, "agent_id": '.encode("ascii")
+_KIND_TEXTS = np.array([f'{quote(kind)}, "agent_id": '.encode("ascii")
                         for kind in EventLog._KIND_NAMES])
 
 
 def _event_lines(group: list[tuple[np.ndarray, ...]], run: int) -> Iterator[bytes]:
     """The lines of consecutive runs' event columns; the first run is ``run``.
 
-    A line is its (run, tick) head, its kind, its agent id (-1 for the
-    truncation marker) and its related id (``null`` for -1).
+    A line is its run's ``{"run": N, "tick": `` prefix, its tick, its
+    kind, its agent id (-1 for the truncation marker) and its related id
+    (``null`` for -1).
     """
     tick, kind, agent, related = (np.concatenate(column) for column in zip(*group))
     if not len(tick):
         return
     which = np.repeat(np.arange(len(group)), [len(events[0]) for events in group])
-    # Lines are ordered by run, then tick: a head starts at each change.
-    new = np.ones(len(tick), dtype=bool)
-    new[1:] = (tick[1:] != tick[:-1]) | (which[1:] != which[:-1])
-    starts = np.flatnonzero(new)
-    heads = [b'{"run": %d, "tick": %d' % (run + k, t)
-             for k, t in zip(which[starts].tolist(), tick[starts].tolist())]
     yield from render_lines((
-        (np.array(heads), np.cumsum(new) - 1),
+        (np.array([b'{"run": %d, "tick": ' % (run + k) for k in range(len(group))]), which),
+        int_texts(tick, b', "kind": '),
         (_KIND_TEXTS, kind),
         int_texts(agent, b', "related_agent_id": ', [b'-1, "related_agent_id": ']),
         int_texts(related, b"}\n", [b"null}\n"]),
     ))
 
 
-def life_stats_to_jsonl(stats: LifeStatsTable,
-                        out: Optional[BinaryIO] = None) -> Optional[str]:
-    """One JSON object per agent, keys in AgentLifeStats field order.
+def life_stats_to_jsonl(stats: LifeStatsTable, out: BinaryIO) -> None:
+    """Write one JSON object per agent to the binary file ``out``.
 
-    Lines are rendered from the table's columns by ``jsonl.render_lines``.
-    Returns the text or, with ``out``, writes it to that binary file and
-    returns None.
+    Keys come in AgentLifeStats field order.  Lines are rendered from the
+    table's columns by ``jsonl.render_lines``.
     """
-    return _finish(_life_stats_lines(stats), out)
+    out.writelines(_life_stats_lines(stats))
 
 
 # The text before each value of a life_stats_to_jsonl line, one per

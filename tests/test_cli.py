@@ -214,6 +214,22 @@ class TestSimulate:
         assert err.count("\n") == 1 and err.startswith("error: ") and "horizon" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("initial_agents", [2**25, 10**23])
+    def test_more_initial_agents_than_one_run_can_step_exits_two(
+            self, tmp_path, capsys, monkeypatch, initial_agents):
+        def run_chunks(*args, **kwargs):
+            raise AssertionError("the engine was reached")
+
+        monkeypatch.setattr(cli_mod, "run_chunks", run_chunks)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"initial_agents": initial_agents, "horizon": 5}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: initial_agents must be <= 33554431, the active agents "
+                       f"one run can step, got {initial_agents}\n")
+        assert not out.exists()
+
     def test_config_file_with_flag_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"p_s": 0.2, "e0": 2, "p_like": 0.3, "p_repost": 0.1,

@@ -65,6 +65,13 @@ def config(p_like, p_repost, e0=1, p_s=0.0, horizon=50, seed=1, **kw):
     return SimulationConfig(params=params, horizon=horizon, seed=seed, **sim_kw)
 
 
+def text_of(write, data, **kw) -> str:
+    """What the file writer ``write`` writes of ``data``, as text."""
+    out = io.BytesIO()
+    write(data, out, **kw)
+    return out.getvalue().decode("ascii")
+
+
 class TestSingleAgentWalks:
     def test_pure_decay_dies_at_tick_e0(self):
         res = run_simulation(config(0.0, 0.0, e0=3, horizon=10))
@@ -98,14 +105,14 @@ class TestDeterminism:
                      link_carrier_fraction=0.5, link_boost=1.5)
         a = run_simulation(cfg, runs=3)
         b = run_simulation(cfg, runs=3)
-        assert events_to_jsonl(a.events) == events_to_jsonl(b.events)
+        assert text_of(events_to_jsonl, a.events) == text_of(events_to_jsonl, b.events)
         assert list(a.stats) == list(b.stats)
         assert a.truncated_at == b.truncated_at
 
     def test_different_seeds_differ(self):
         a = run_simulation(config(0.3, 0.1, e0=2, p_s=0.2, horizon=80, seed=1))
         b = run_simulation(config(0.3, 0.1, e0=2, p_s=0.2, horizon=80, seed=2))
-        assert events_to_jsonl(a.events) != events_to_jsonl(b.events)
+        assert text_of(events_to_jsonl, a.events) != text_of(events_to_jsonl, b.events)
 
     def test_event_recording_does_not_disturb_stream(self):
         cfg = config(0.3, 0.1, e0=2, p_s=0.2, horizon=80, seed=5)
@@ -287,7 +294,7 @@ def assert_equals_oracle(cfg, n_runs):
     res = run_simulation(cfg, runs=n_runs)
     refs = reference_runs(cfg, n_runs)
     assert [list(run) for run in res.events.runs()] == [ref.events for ref in refs]
-    assert events_to_jsonl(res.events) == "".join(
+    assert text_of(events_to_jsonl, res.events) == "".join(
         reference_events_to_jsonl(ref.events, run=k) for k, ref in enumerate(refs))
     assert [list(run) for run in res.stats.runs()] == [ref.stats for ref in refs]
     assert res.truncated_at == [ref.truncated_at for ref in refs]
@@ -615,7 +622,7 @@ class TestActiveAgentLimit:
 class TestSerialization:
     def test_events_round_trip(self):
         res = run_simulation(config(0.3, 0.1, e0=2, p_s=0.3, horizon=40, seed=2))
-        text = events_to_jsonl(res.events)
+        text = text_of(events_to_jsonl, res.events)
         assert reference_events_from_jsonl(text) == list(res.events)
         first = text.splitlines()[0]
         assert '"tick": 0' in first and '"kind": "self_generate"' in first
@@ -623,12 +630,12 @@ class TestSerialization:
     def test_life_stats_round_trip(self):
         res = run_simulation(config(0.3, 0.1, e0=2, p_s=0.3, horizon=40, seed=2,
                                     link_carrier_fraction=0.5))
-        text = life_stats_to_jsonl(res.stats)
+        text = text_of(life_stats_to_jsonl, res.stats)
         assert life_stats_from_jsonl(text) == list(res.stats)
 
     def test_integers_unquoted(self):
         res = run_simulation(config(0.0, 0.0, e0=2, horizon=10))
-        line = life_stats_to_jsonl(res.stats).splitlines()[0]
+        line = text_of(life_stats_to_jsonl, res.stats).splitlines()[0]
         assert '"lifetime": 2' in line
 
 
@@ -708,10 +715,8 @@ class TestSerializationAgainstOracles:
         with pytest.MonkeyPatch.context() as mp:
             # Blocks that end inside runs and chunks.
             mp.setattr(jsonl, "BLOCK_LINES", block_lines)
-            text = life_stats_to_jsonl(table)
-            written = io.BytesIO()
-            assert life_stats_to_jsonl(table, written) is None
-        assert text == written.getvalue().decode() == reference_life_stats_to_jsonl(rows)
+            text = text_of(life_stats_to_jsonl, table)
+        assert text == reference_life_stats_to_jsonl(rows)
         assert life_stats_from_jsonl(text) == rows
 
     @settings(max_examples=200, deadline=None)
@@ -789,7 +794,7 @@ class TestSerializationAgainstOracles:
     def test_writer_output_read_without_the_line_decoder(self, monkeypatch):
         res = run_simulation(config(0.3, 0.1, e0=2, p_s=0.3, horizon=40, seed=2,
                                     link_carrier_fraction=0.5), runs=3)
-        text = life_stats_to_jsonl(res.stats)
+        text = text_of(life_stats_to_jsonl, res.stats)
 
         def decode_line(line):
             raise AssertionError("decoded line by line")
@@ -798,7 +803,7 @@ class TestSerializationAgainstOracles:
         assert life_stats_from_jsonl(text) == list(res.stats)
 
     @settings(max_examples=60, deadline=None)
-    @given(fields=SIM_FIELDS, seed=st.integers(0, 2**40), runs=st.integers(1, 7),
+    @given(fields=SIM_FIELDS, seed=st.integers(0, 2**64), runs=st.integers(1, 7),
            chunk_runs=st.integers(1, 3), block_lines=st.integers(1, 40),
            run=st.integers(0, 2**63))
     def test_column_writers_match_json_module(self, fields, seed, runs, chunk_runs,
@@ -810,13 +815,11 @@ class TestSerializationAgainstOracles:
             mp.setattr(jsonl, "BLOCK_LINES", block_lines)
             table = replicate(cfg, runs)
             result = run_simulation(cfg, runs=runs)
-            stats_text = life_stats_to_jsonl(table)
-            events_text = events_to_jsonl(result.events, run=run)
-            written = io.BytesIO()
-            assert events_to_jsonl(result.events, run=run, out=written) is None
+            stats_text = text_of(life_stats_to_jsonl, table)
+            events_text = text_of(events_to_jsonl, result.events, run=run)
         assert stats_text == reference_life_stats_to_jsonl(list(table))
         assert life_stats_from_jsonl(stats_text) == list(table)
-        assert events_text == written.getvalue().decode() == "".join(
+        assert events_text == "".join(
             reference_events_to_jsonl(events, run=run + k)
             for k, events in enumerate(result.events.runs()))
 
@@ -880,7 +883,7 @@ class TestTemplateReader:
     def test_equal_links_are_one_string(self, monkeypatch, block_chars):
         res = run_simulation(config(0.3, 0.1, e0=2, p_s=0.3, horizon=40, seed=2,
                                     link_carrier_fraction=0.5), runs=3)
-        text = life_stats_to_jsonl(res.stats)
+        text = text_of(life_stats_to_jsonl, res.stats)
         monkeypatch.setattr(simulator, "_READ_BLOCK_CHARS", block_chars)
         links = [row.carried_link for row in life_stats_from_jsonl(text)
                  if row.carried_link is not None]
@@ -902,7 +905,7 @@ class TestTemplateReader:
             "total_reposts": rng.integers(0, 10, n, dtype=np.int32),
             "link_index": np.where(rng.random(n) < 0.5, rng.integers(0, 40, n), -1).astype(np.int32),
         }])
-        text = life_stats_to_jsonl(table)
+        text = text_of(life_stats_to_jsonl, table)
         tracemalloc.start()
         try:
             rows = life_stats_from_jsonl(text)
@@ -1070,6 +1073,15 @@ class TestConfigValidation:
         params = BehaviorParams.constant(p_s=0.0, e0=1, p_like=0.5, p_repost=0.5)
         with pytest.raises(ValueError):
             SimulationConfig(params=params, horizon=5, seed=1, initial_agents=0)
+
+    def test_more_initial_agents_than_one_run_can_step(self):
+        # All of them step at tick 1; the config is refused before the
+        # engine builds one of them.
+        params = BehaviorParams.constant(p_s=0.0, e0=1, p_like=0.5, p_repost=0.5)
+        SimulationConfig(params=params, horizon=5, seed=1, initial_agents=2**25 - 1)
+        for n in (2**25, 10**23):
+            with pytest.raises(ValueError, match=r"^initial_agents must be <= 33554431, "):
+                SimulationConfig(params=params, horizon=5, seed=1, initial_agents=n)
 
     # random.Random seeds from abs(seed): run -k would repeat run k.
     @pytest.mark.parametrize("seed", [-1, -3, -2**40])
