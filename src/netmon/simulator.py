@@ -17,14 +17,15 @@ link carriage, one per agent step.
 One engine follows this protocol, ``run_simulation``.  In the model each
 message's energy is a Markov chain and its reposts are independent
 copies, so runs never interact and a chunk of them steps together with
-numpy: agent state lives in int32 columns (so ``SimulationConfig``
-caps e0 + 2 * horizon, the highest reachable energy, at 2**31 - 1), step
-thresholds come from per-energy tables spanning the energies the
-horizon can reach, and outcomes, deaths and spawns are plain numpy
-expressions over the concatenated active set.  Each run still owns its
-``random.Random(seed + k)`` and reads it in the order above, so every run
-is the same as if it had been stepped alone; numpy's own generators are
-never used.  ``run_simulation`` steps a given number of runs as one
+numpy: agent state lives in int32 columns (so ``SimulationConfig`` caps
+e0 + 2 * horizon, the highest reachable energy, at 2**31 - 1), the
+active set is one sorted array of keys run << 32 | row, energy e steps
+by the thresholds of min(e, K) for tables of up to K values (three
+scalars for floats), and outcomes, deaths and spawns are numpy
+expressions over the active set.  Each run still owns its
+``random.Random(seed + k)`` and reads it in the order above, so every
+run is the same as if it had been stepped alone; numpy's own generators
+are never used.  ``run_simulation`` steps a given number of runs as one
 chunk, can also record the event log, and returns the chunk's
 ``SimulationResult``.  ``run_chunks`` is the one replication loop: it
 splits any number of runs into chunks of ``CHUNK_RUNS``, seeds each and
@@ -393,40 +394,29 @@ class EventLog:
 
 
 class _StepTables:
-    """Per-energy step probabilities and thresholds of one config.
+    """Step probabilities and thresholds of one config, ``rows`` energies of them.
 
-    Index e - ``low`` holds energy e, for ``low`` <= e <= ``top``.  An
-    agent loses at most 1 per tick, so no stepping agent falls below
-    ``low`` = max(1, e0 - horizon), and the tables grow with the horizon,
-    not with e0.  They start empty and ``cover`` grows them, by doubling,
-    as ticks pass: an agent gains at most 2 per tick, so energies stay
-    within e0 + 2 * (tick + 1) and one check per tick keeps every lookup
-    inside them.  Growth stops at ``max_energy``, the bound over the whole
-    horizon.  Under a link boost or rich-get-richer term, thresholds are
+    A table's last value holds above its end and a float holds at every
+    energy, so energy e steps as min(e, ``rows``) does, where ``rows`` is
+    the length of the longer table (1 for two floats).  ``probs`` holds
+    the clamped (p_like, p_repost) and ``thresholds`` (c2, c21, c210), row
+    e - 1 for energy e; with one row each is a scalar and lookups take no
+    index.  Under a link boost or rich-get-richer term, thresholds are
     computed per agent from the same clamped base probabilities.
     """
 
-    def __init__(self, params: BehaviorParams, horizon: int):
+    def __init__(self, params: BehaviorParams):
         self.params = params
-        self.low = max(1, params.e0 - horizon)
-        self.max_energy = params.e0 + 2 * horizon
-        self.top = self.low - 1
-        self.p_like = self.p_repost = self.c2 = self.c21 = self.c210 = np.zeros(0)
+        self.rows = max(1 if isinstance(p, float) else len(p)
+                        for p in (params.p_like, params.p_repost))
+        energies = range(1, self.rows + 1)
+        self.probs = (np.array([prob_at(params.p_like, e) for e in energies]),
+                      np.array([effective_repost_prob(e, params) for e in energies]))
+        if self.rows == 1:
+            self.probs = tuple(p.item() for p in self.probs)
+        self.thresholds = step_thresholds(*self.probs)
         # With boost 1 and gamma 0 the linked formula reduces to the base one.
         self.boosted = params.link_boost != 1.0 or params.rich_get_richer_gamma != 0.0
-
-    def cover(self, energy: int) -> None:
-        """Grow the tables, if needed, to hold every energy up to ``energy``."""
-        if energy <= self.top:
-            return
-        top = min(max(energy, 2 * self.top - self.low + 1), self.max_energy)
-        energies = range(self.top + 1, top + 1)
-        p_like = np.array([prob_at(self.params.p_like, e) for e in energies])
-        p_repost = np.array([effective_repost_prob(e, self.params) for e in energies])
-        for name, new in (("p_like", p_like), ("p_repost", p_repost),
-                          *zip(("c2", "c21", "c210"), step_thresholds(p_like, p_repost))):
-            setattr(self, name, np.concatenate((getattr(self, name), new)))
-        self.top = top
 
     def outcomes(self, u, energy, linked=None, reposts=None):
         """Masks u < c2, u < c21 and u < c210 against each agent's thresholds.
@@ -434,11 +424,15 @@ class _StepTables:
         ``linked`` marks the link carriers and ``reposts`` holds the
         repost tallies; both are needed only when ``boosted``.
         """
-        index = energy - self.low
-        if linked is None:
-            return u < self.c2[index], u < self.c21[index], u < self.c210[index]
-        p_repost = repost_probs(self.p_repost[index], self.params, linked, reposts)
-        return tuple(u < c for c in step_thresholds(self.p_like[index], p_repost))
+        fields = self.thresholds if linked is None else self.probs
+        if self.rows > 1:
+            index = np.minimum(energy, self.rows) - 1
+            fields = [field[index] for field in fields]
+        if linked is not None:
+            p_like, p_repost = fields
+            fields = step_thresholds(p_like, repost_probs(p_repost, self.params, linked, reposts))
+        c2, c21, c210 = fields
+        return u < c2, u < c21, u < c210
 
 
 def _draw_words(rng: random.Random, n: int) -> bytes:
@@ -465,42 +459,49 @@ class _AgentColumns:
     """Growable per-agent state of one chunk of runs, in creation order.
 
     With ``parents`` each agent also records its parent's row (-1 for a
-    root), which the event log needs.
+    root), which the event log needs.  Energy, likes, reposts and death
+    are preset to what every agent is born with, e0, 0, 0 and -1, as
+    columns are allocated or grown, so ``append`` writes only the rest.
     """
 
     def __init__(self, capacity: int, e0: int, parents: bool = False):
         self.n = 0
-        self.e0 = e0
-        self._fields = ("run", "birth", "energy", "likes", "reposts", "death", "link",
-                        *(("parent",) if parents else ()))
-        for name in self._fields:
-            setattr(self, name, np.empty(capacity, dtype=np.int32))
+        # Each field's birth value, or None where ``append`` writes it.
+        self._fields = dict(run=None, birth=None, link=None, energy=e0, likes=0, reposts=0,
+                            death=-1, **({"parent": None} if parents else {}))
+        self._grow(capacity)
+
+    def _grow(self, capacity: int) -> None:
+        """Columns of ``capacity`` rows, holding the agents so far."""
+        n = self.n
+        for name, born in self._fields.items():
+            column = np.empty(capacity, dtype=np.int32)
+            if n:
+                column[:n] = getattr(self, name)[:n]
+            if born is not None:
+                column[n:] = born
+            setattr(self, name, column)
 
     def append(self, run, tick: int, link, parent=-1) -> None:
         """Add agents born at ``tick`` to the given runs, with these links."""
         lo, hi = self.n, self.n + len(run)
+        if lo == hi:
+            return
         if hi > len(self.run):
-            capacity = max(hi, 2 * len(self.run))
-            for name in self._fields:
-                grown = np.empty(capacity, dtype=np.int32)
-                grown[:lo] = getattr(self, name)[:lo]
-                setattr(self, name, grown)
+            self._grow(max(hi, 2 * len(self.run)))
         self.run[lo:hi] = run
         self.birth[lo:hi] = tick
-        self.energy[lo:hi] = self.e0
-        self.likes[lo:hi] = 0
-        self.reposts[lo:hi] = 0
-        self.death[lo:hi] = -1
         self.link[lo:hi] = link
         if "parent" in self._fields:
             self.parent[lo:hi] = parent
         self.n = hi
 
-    def step(self, active, active_run, u, tables: _StepTables, tick: int):
+    def step(self, keys, active, u, tables: _StepTables, tick: int):
         """One energy step of each active agent, children appended.
 
-        Returns the survivors and their runs, in active-set order, and
-        which active agents were liked.
+        ``keys`` are the active set's keys and ``active`` their rows.
+        Returns the survivors' keys, in active-set order, and which
+        active agents were liked.
         """
         energy = self.energy[active]
         if tables.boosted:
@@ -521,21 +522,22 @@ class _AgentColumns:
         alive = energy != 0
         self.death[active[~alive]] = tick
         self.append(self.run[parents], tick, self.link[parents], parents)
-        return active[alive], active_run[alive], liked
+        return keys[alive], liked
 
-    def next_active(self, survivors, survivor_runs, first_new: int):
-        """Survivors and the agents born since ``first_new``, grouped by run.
+    def next_active(self, survivors, first_new: int):
+        """The keys of the survivors and the agents born since ``first_new``.
 
-        Within a run ids ascend, as in run_simulation, because every id
-        is its index and newborns have the highest.  Sorting the keys
-        run << 32 | index does both; the keys are unique, and a stable
-        sort (timsort) handles the two presorted stretches in linear time.
+        An active agent's key is run << 32 | row: sorted keys group the
+        active set by run, ids ascending within a run as in
+        run_simulation, because every id is its row and newborns have the
+        highest.  The keys are unique, and a stable sort (timsort) merges
+        the presorted survivors and newborns in linear time.
         """
-        key = np.concatenate((survivor_runs, self.run[first_new:self.n]), dtype=np.int64)
-        key <<= 32
-        key |= np.concatenate((survivors, np.arange(first_new, self.n)))
-        key.sort(kind="stable")
-        return key & 0xFFFFFFFF, key >> 32
+        born = self.run[first_new:self.n].astype(np.int64) << 32
+        born |= np.arange(first_new, self.n)
+        keys = np.concatenate((survivors, born))
+        keys.sort(kind="stable")
+        return keys
 
     def by_run(self, censor: np.ndarray) -> dict[str, np.ndarray]:
         """Columns of a LifeStatsTable, rows ordered by run, then id.
@@ -613,38 +615,34 @@ def run_simulation(config: SimulationConfig, record_events: bool = True,
     carrier_frac = params.link_carrier_fraction
     horizon = config.horizon
     max_agents = config.max_agents
-    tables = _StepTables(params, horizon)
+    tables = _StepTables(params)
     rngs = [random.Random(config.seed + r) for r in range(runs)]
-    next_link = [0] * runs
     agents = _AgentColumns(max(64 * runs, 1024), params.e0, parents=record_events)
     likes = _LikeLog() if record_events else None
 
-    def carrier_draw(r: int) -> int:
-        """Link index of a new root of run r, or -1."""
-        if rngs[r].random() < carrier_frac:
-            next_link[r] += 1
-            return next_link[r] - 1
-        return -1
-
-    # Initial agents are run r's tick-0 self-generations, ids 0.. in order.
-    init_runs = [r for r in range(runs) for _ in range(config.initial_agents)]
-    agents.append(init_runs, 0, [carrier_draw(r) for r in init_runs])
+    # Initial agents are run r's tick-0 self-generations, ids 0.. in order,
+    # each with its carrier draw: run r's first initial_agents draws.
+    n0 = config.initial_agents
+    carrier = _uniforms(b"".join(_draw_words(rng, n0) for rng in rngs)) < carrier_frac
+    carrier = carrier.reshape(runs, n0)
+    next_link = carrier.sum(axis=1).tolist()
+    agents.append(np.repeat(np.arange(runs), n0), 0,
+                  np.where(carrier, carrier.cumsum(axis=1) - 1, -1).ravel())
     size = np.zeros(runs, dtype=np.int64)
     censor = np.full(runs, horizon, dtype=np.int32)
     running = np.ones(runs, dtype=bool)
     live = list(range(runs))
-    if max_agents is not None and config.initial_agents > max_agents:
+    if max_agents is not None and n0 > max_agents:
         censor[:] = 1
         running[:] = False
         live = []
 
-    active = active_run = np.zeros(0, dtype=np.int64)
+    keys = active = np.zeros(0, dtype=np.int64)  # the active set's keys (see next_active), rows
     n_active = [0] * runs
     first_new = 0    # agents from here on were born this tick (tick 0: the initial ones too)
     for tick in range(horizon):
         if not live:
             break
-        tables.cover(params.e0 + 2 * (tick + 1))
         if len(active) > _MAX_RUN_ACTIVE:  # no run can pass it unless the chunk has
             for r in live:
                 if n_active[r] > _MAX_RUN_ACTIVE:
@@ -657,18 +655,20 @@ def run_simulation(config: SimulationConfig, record_events: bool = True,
         for r in live:
             rng = rngs[r]
             if rng.random() < p_s:
+                carries = rng.random() < carrier_frac
                 root_runs.append(r)
-                root_links.append(carrier_draw(r))
+                root_links.append(next_link[r] if carries else -1)
+                next_link[r] += carries
             if n_active[r]:
                 words.append(_draw_words(rng, n_active[r]))
         agents.append(np.frombuffer(root_runs, dtype=np.intc), tick,
                       np.frombuffer(root_links, dtype=np.intc))
         if len(active):
             u = _uniforms(b"".join(words))
-            active, active_run, liked = agents.step(active, active_run, u, tables, tick)
+            keys, liked = agents.step(keys, active, u, tables, tick)
             if likes is not None:
                 likes.add(tick, liked)
-        active, active_run = agents.next_active(active, active_run, first_new)
+        keys = agents.next_active(keys, first_new)
 
         if max_agents is not None:
             # Runs whose agent count passed the cap end with this tick.
@@ -677,19 +677,19 @@ def run_simulation(config: SimulationConfig, record_events: bool = True,
             if over.any():
                 censor[over] = tick + 1
                 running &= ~over
-                keep = running[active_run]
-                active, active_run = active[keep], active_run[keep]
+                keys = keys[running[keys >> 32]]
                 stopped = over.tolist()
                 live = [r for r in live if not stopped[r]]
         first_new = agents.n
-        n_active = np.bincount(active_run, minlength=runs).tolist()
+        active = keys & 0xFFFFFFFF
+        n_active = np.bincount(keys >> 32, minlength=runs).tolist()
         if p_s == 0.0:
             # Without self-generation a run with no agent left is over.
             live = [r for r in live if n_active[r]]
 
     # The last tick's active set and draws, and the generators, go before the
     # columns are sorted: at 1,024 calibrated runs they hold about 16 MB.
-    active = active_run = words = u = liked = rngs = None
+    keys = active = carrier = words = u = liked = rngs = None
     truncated = ~running
     columns = agents.by_run(censor)
     stats = LifeStatsTable(config.seed, [{name: columns[name] for name in _LIFE_STATS_COLUMNS}])

@@ -90,8 +90,7 @@ def test_a3_kernel_fidelity():
     worst_z = 0.0
     for energy, pkw, linked, p_repost in settings:
         params = BehaviorParams.constant(p_s=0.0, e0=energy, **pkw)
-        tables = _StepTables(params, horizon=1)
-        tables.cover(energy)
+        tables = _StepTables(params)
         # the engine's uniforms: one random.Random stream, read in bulk
         u = _uniforms(_draw_words(random.Random(97 + energy), n))
         energies = np.full(n, energy, dtype=np.int32)
@@ -117,11 +116,12 @@ def test_a4_absorbing_death():
     has none; no events after death in 10^3 runs."""
     t0 = time.perf_counter()
     params = BehaviorParams.constant(p_s=0.3, e0=2, p_like=0.35, p_repost=0.12)
-    tables = _StepTables(params, horizon=100)
-    tables.cover(100)
-    c2, c21, c210 = tables.c2[:100], tables.c21[:100], tables.c210[:100]
+    tables = _StepTables(params)
+    # Energy e reads row min(e, rows) - 1; the rows start at energy 1.
+    index = np.minimum(np.arange(1, 101), tables.rows) - 1
+    c2, c21, c210 = (np.atleast_1d(c)[index] for c in tables.thresholds)
     rows = np.column_stack((c2, c21 - c2, c210 - c21, 1.0 - c210))
-    ok_chain = (tables.low == 1 and bool((rows >= 0.0).all())
+    ok_chain = (tables.rows == 1 and bool((rows >= 0.0).all())
                 and float(np.abs(rows.sum(axis=1) - 1.0).max()) < 1e-12)
 
     # Seeds 0..999, stepped together as one batch.

@@ -34,17 +34,19 @@ def row(thresholds):
 
 
 def table_rows(params, top):
-    """The engine's step-table rows for energies 1..top."""
-    tables = _StepTables(params, horizon=top)
-    tables.cover(top)
-    assert tables.low == 1
-    return np.column_stack(row((tables.c2[:top], tables.c21[:top], tables.c210[:top])))
+    """The engine's step-table rows for energies 1..top.
+
+    Energy e reads row min(e, rows) - 1: a table's last value holds above
+    its end, and a float's one row holds at every energy.
+    """
+    tables = _StepTables(params)
+    index = np.minimum(np.arange(1, top + 1), tables.rows) - 1
+    return np.column_stack(row(np.atleast_1d(c)[index] for c in tables.thresholds))
 
 
 def engine_deltas(params, energy, u, linked=None, reposts=None):
     """The energy moves the engine makes from draws ``u`` at ``energy``."""
-    tables = _StepTables(params, horizon=energy)
-    tables.cover(energy)
+    tables = _StepTables(params)
     both, reposted, kept = tables.outcomes(u, np.full(len(u), energy, dtype=np.int32),
                                            linked, reposts)
     # the engine adds the three masks and subtracts 1
@@ -78,12 +80,25 @@ class TestDeltaDistribution:
         p = repost_probs(0.1, params, np.array([True, False]), np.array([3, 3]))
         assert p == pytest.approx([0.5, 0.1])
 
-    def test_dead_agent_has_no_distribution(self):
-        # An agent loses at most 1 per tick, so the tables start at
-        # max(1, e0 - horizon) and hold no row for energy 0 or below.
+    def test_dead_agent_has_no_distribution(self, monkeypatch):
+        # The tables hold rows for energies 1..rows only, and an agent whose
+        # energy reached 0 leaves the active set before the next lookup: no
+        # lookup is made below energy 1, which would read the last row.
+        lowest = []
+        outcomes = _StepTables.outcomes
+
+        def checked(self, u, energy, *args):
+            lowest.append(int(energy.min()))
+            return outcomes(self, u, energy, *args)
+
+        monkeypatch.setattr(_StepTables, "outcomes", checked)
         for e0, horizon in [(1, 1), (1, 50), (3, 2), (3, 3), (3, 10), (10, 4)]:
-            params = BehaviorParams.constant(p_s=0.0, e0=e0, p_like=0.5, p_repost=0.5)
-            assert _StepTables(params, horizon).low == max(1, e0 - horizon) >= 1
+            for p_like in (0.5, (0.9, 0.5, 0.2)):
+                params = BehaviorParams(p_s=0.3, e0=e0, p_like=p_like, p_repost=0.1)
+                assert _StepTables(params).rows == (1 if p_like == 0.5 else 3)
+                run_simulation(SimulationConfig(params, horizon, seed=e0, max_agents=300),
+                               runs=3)
+        assert min(lowest) == 1
 
     def test_matches_product_form_oracle(self):
         for p_like, p_repost in [(0.1, 0.9), (0.33, 0.41), (0.0, 1.0)]:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import io
 import json
 import math
@@ -397,8 +398,9 @@ class TestBatchedReplicate:
             (i, 1, True) for _ in range(4) for i in range(3)
         ]
 
-    def test_tables_start_at_the_lowest_reachable_energy(self):
-        # Tables indexed from energy 1 would hold about 10**9 entries.
+    def test_tables_do_not_grow_with_e0(self):
+        # Float probabilities take one row whatever e0: tables over the
+        # energies 1..e0 would hold about 10**9 entries.
         params = BehaviorParams.constant(p_s=0.5, e0=10**9, p_like=0.3, p_repost=0.05)
         cfg = SimulationConfig(params=params, horizon=5, seed=3, initial_agents=3)
         start = time.perf_counter()
@@ -407,14 +409,74 @@ class TestBatchedReplicate:
 
     def test_tables_are_indexed_from_their_start(self):
         # Likes grow likelier as energy falls, so a lookup off the tables'
-        # start, max(1, e0 - horizon) = 35, would read another energy's
+        # start, row e - 1 for energy e, would read another energy's
         # thresholds.
         e0, horizon = 40, 5
         p_like = tuple(0.05 + 0.3 * (e0 - e) for e in range(1, e0 + 2 * horizon + 1))
         params = BehaviorParams(p_s=0.5, e0=e0, p_like=p_like, p_repost=0.05)
         cfg = SimulationConfig(params=params, horizon=horizon, seed=3, initial_agents=3)
-        assert simulator._StepTables(params, horizon).low == 35
+        assert simulator._StepTables(params).rows == 50
         assert_equals_oracle(cfg, 5)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p_s=st.sampled_from([0.0, 0.3]),
+        e0=st.integers(1, 40),
+        p_like=st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=60),
+        p_repost=st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=60),
+        carriers=st.sampled_from([0.0, 0.5, 1.0]),
+        boost=st.sampled_from([1.0, 1.7]),
+        gamma=st.sampled_from([0.0, 0.5]),
+        horizon=st.integers(1, 40),
+        seed=st.integers(0, 2**40),
+        max_agents=st.integers(1, 300),
+        n_runs=st.integers(1, 4),
+    )
+    def test_property_tables_equal_oracle(self, p_s, e0, p_like, p_repost, carriers, boost,
+                                          gamma, horizon, seed, max_agents, n_runs):
+        # Tables of independent lengths, values out of [0, 1] on both sides,
+        # and runs that reach energies below, at and above the longer one's end.
+        params = BehaviorParams(p_s=p_s, e0=e0, p_like=p_like, p_repost=p_repost,
+                                link_carrier_fraction=carriers, link_boost=boost,
+                                rich_get_richer_gamma=gamma)
+        assert_equals_oracle(SimulationConfig(params=params, horizon=horizon, seed=seed,
+                                              max_agents=max_agents), n_runs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(p_like=st.floats(-0.2, 1.2), p_repost=st.floats(-0.2, 1.2), k=st.integers(2, 30),
+           e0=st.integers(1, 20), boost=st.sampled_from([1.0, 1.7]),
+           seed=st.integers(0, 2**40))
+    def test_float_and_constant_tables_step_alike(self, p_like, p_repost, k, e0, boost, seed):
+        def output(p_like, p_repost):
+            params = BehaviorParams(p_s=0.3, e0=e0, p_like=p_like, p_repost=p_repost,
+                                    link_carrier_fraction=0.5, link_boost=boost)
+            res = run_simulation(SimulationConfig(params, horizon=30, seed=seed,
+                                                  max_agents=200), runs=3)
+            return text_of(life_stats_to_jsonl, res.stats) + text_of(events_to_jsonl, res.events)
+
+        scalar = output(p_like, p_repost)
+        assert output((p_like,), (p_repost,)) == scalar
+        assert output((p_like,) * k, (p_repost,) * k) == scalar
+        assert output(p_like, (p_repost,) * k) == scalar
+
+    # sha256 of life_stats_to_jsonl then events_to_jsonl output of 5 runs,
+    # as the per-energy engine wrote them.  The CLI builds only float
+    # probabilities, so its pinned digests never reach tuple tables.
+    PINNED_DIGESTS = {
+        "energy-dependent, clamped":
+            "797b0cd486f444628b3df6dee6268c4764ba9236fe3d678cf71598e8fc5942c1",
+        "a6": "e4bf64b77255910df65495b99d71f7a2808dda49b22d0490fec554269a6048f0",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_output_bytes_pinned(self, name):
+        a6 = config(0.3, 0.1, e0=3, p_s=0.3, horizon=60, seed=300, link_carrier_fraction=0.5,
+                    link_boost=1.5, rich_get_richer_gamma=0.4, max_agents=800)
+        res = run_simulation(a6 if name == "a6" else EXACTNESS_GRID[name], runs=5)
+        out = io.BytesIO()
+        life_stats_to_jsonl(res.stats, out)
+        events_to_jsonl(res.events, out)
+        assert hashlib.sha256(out.getvalue()).hexdigest() == self.PINNED_DIGESTS[name]
 
     def test_chunks_join_seamlessly(self, monkeypatch):
         cfg = EXACTNESS_GRID["p_s=0.3 carriers=0.5"]
@@ -448,7 +510,7 @@ class TestBatchedReplicate:
         horizon=st.integers(1, 12),
         seed=st.integers(0, 2**40),
         max_agents=st.none() | st.integers(1, 200),
-        initial_agents=st.integers(1, 3),
+        initial_agents=st.integers(1, 50),
         n_runs=st.integers(1, 5),
     )
     def test_property_equals_run_by_run(self, p_s, e0, p_like, p_repost, carriers, boost,
@@ -474,7 +536,7 @@ class TestBatchedReplicate:
         horizon=st.integers(1, 12),
         seed=st.integers(0, 2**40),
         max_agents=st.none() | st.integers(1, 200),
-        initial_agents=st.integers(1, 3),
+        initial_agents=st.integers(1, 50),
         n_runs=st.integers(1, 5),
     )
     def test_property_events_equal_oracle(self, p_s, e0, p_like, p_repost, carriers, boost,
@@ -999,7 +1061,7 @@ class TestEarlyStop:
         assert list(long_run.events) == list(short_run.events)
         assert [s.lifetime for s in long_run.stats] == [1]
 
-    def test_replicate_tables_grow_only_as_ticks_pass(self, monkeypatch):
+    def test_replicate_builds_tables_once_per_chunk(self, monkeypatch):
         calls = 0
         kernel = simulator.effective_repost_prob
 
@@ -1009,12 +1071,16 @@ class TestEarlyStop:
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(simulator, "effective_repost_prob", counting_kernel)
-        cfg = config(0.0, 0.0, e0=1, horizon=10**6)
-        # Eagerly the tables would cover energies 1..2 * 10**6 + 1.
-        assert list(replicate(cfg, 1)) == list(run_simulation(cfg, record_events=False).stats)
-        # Above 0: the tables still reach the kernel through this name,
-        # which the benchmark's tracer counts.
-        assert 0 < calls < 100
+        monkeypatch.setattr(simulator, "CHUNK_RUNS", 2)
+        # Tables over the reachable energies would cover 1..2 * 10**6 + 1.
+        # The tables reach the kernel through this name, which the
+        # benchmark's tracer counts: once per row, K rows per chunk.
+        floats = config(0.0, 0.0, e0=1, horizon=10**6)
+        seven = replace(floats, params=replace(floats.params, p_repost=(0.0,) * 7))
+        for cfg, rows in ((floats, 1), (seven, 7)):
+            calls = 0
+            assert list(replicate(cfg, 5)) == run_by_run(cfg, 5)
+            assert calls == 3 * rows
 
 
 class TestRunChunks:
