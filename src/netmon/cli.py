@@ -17,9 +17,8 @@ command with the cyclic garbage collector paused, putting the
 collector's state back on every exit.  A command's data is acyclic, and
 the cyclic garbage a command leaves (argparse's and the JSON encoder's)
 does not grow with its input, so a collector pass would only walk live
-objects.  Library entry points such as ``replicate`` and ``load_corpus``
-leave the collector alone; ``life_stats_from_jsonl`` alone pauses it
-while it builds its rows, and then restores it.
+objects.  Library entry points such as ``replicate``, ``load_corpus``
+and ``life_stats_from_jsonl`` leave the collector alone.
 """
 
 from __future__ import annotations
@@ -169,8 +168,14 @@ def _read_json(path: Path, what: str):
 
 def _typed(value, kind):
     """A JSON field's ``value`` as ``kind``: an int field takes a JSON integer,
-    a float field any JSON number (OverflowError past the float range).  A
-    boolean is neither, no string is converted, and anything else is a TypeError."""
+    a float field any JSON number (OverflowError past the float range), and a
+    tuple field a float field's value or a non-empty array of them, as a list
+    of floats.  A boolean is none of these, no string is converted, and
+    anything else is a TypeError."""
+    if kind is tuple:
+        if isinstance(value, list) and value:
+            return [_typed(v, float) for v in value]
+        kind = float
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
         raise TypeError(f"not a JSON {kind.__name__}: {value!r}")
     return kind(value)
@@ -186,9 +191,10 @@ def _number(token: str, kind):
 
 # ---------------------------------------------------------------- simulate
 
-# Each simulate field's kind: BehaviorParams.constant's arguments, then
-# SimulationConfig's, then the number of runs.
-_PARAM_FIELDS = {"p_s": float, "e0": int, "p_like": float, "p_repost": float,
+# Each simulate field's kind: BehaviorParams' fields, then SimulationConfig's,
+# then the number of runs.  A tuple field is a probability or a per-energy
+# table of them.
+_PARAM_FIELDS = {"p_s": float, "e0": int, "p_like": tuple, "p_repost": tuple,
                  "link_carrier_fraction": float, "link_boost": float,
                  "rich_get_richer_gamma": float}
 _RUN_FIELDS = {"horizon": int, "seed": int, "max_agents": int, "initial_agents": int}
@@ -227,8 +233,15 @@ def cmd_simulate(args) -> int:
     resolved = _load_sim_config(args)
     if resolved["runs"] < 1:
         raise CliError(f"runs must be >= 1, got {resolved['runs']}")
+    # BehaviorParams clamps a probability outside [0, 1] when it reads it; the
+    # command refuses one, in either form.
+    for name, kind in _PARAM_FIELDS.items():
+        value = resolved[name]
+        if kind is tuple and not all(0.0 <= p <= 1.0 for p in (
+                value if isinstance(value, list) else [value])):
+            raise CliError(f"{name} must be in [0, 1], got {value}")
     try:
-        params = BehaviorParams.constant(**{name: resolved[name] for name in _PARAM_FIELDS})
+        params = BehaviorParams(**{name: resolved[name] for name in _PARAM_FIELDS})
         config = SimulationConfig(params, **{name: resolved[name] for name in _RUN_FIELDS})
     except ValueError as exc:
         raise CliError(str(exc)) from exc

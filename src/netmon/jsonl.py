@@ -11,7 +11,7 @@ each picked from that field's table by an index column, so the per-line
 work is numpy gathers and copies, and one boolean compress drops the
 NUL pads.  Readers decode each line with :func:`decode_line`, unless,
 as ``simulator.life_stats_from_jsonl`` does, they parse their writer's
-template in blocks first; a reader that builds many rows does so under
+template in blocks first.  ``cli.main`` runs each command under
 :func:`collector_paused`.
 """
 

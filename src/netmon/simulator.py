@@ -50,15 +50,14 @@ import re
 from array import array
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
-from operator import itemgetter
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional
+from typing import BinaryIO, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from . import jsonl
 from .diffusion import (BehaviorParams, effective_repost_prob, prob_at, repost_probs,
                         step_thresholds)
-from .jsonl import collector_paused, decode_line, int_texts, quote, render_lines
+from .jsonl import decode_line, int_texts, quote, render_lines
 
 __all__ = [
     "SimulationConfig",
@@ -202,23 +201,26 @@ def replicate(config: SimulationConfig, n_runs: int) -> LifeStatsTable:
 
 
 _LIFE_STATS_COLUMNS = ("run_lengths", "lifetime", "censored", "total_likes",
-                       "total_reposts", "link_index")
+                       "total_reposts", "link_code", "links")
 
 
 class LifeStatsTable:
-    """Pooled life statistics of replicated runs, one array per field.
+    """Pooled life statistics of runs, one array per field.
 
-    Rows are ordered by run, then by agent id.  The table is held as the
-    chunks ``run_chunks`` stepped, consecutive seed ranges with one array per
-    column: ``run_lengths`` (agents of each run), ``lifetime``,
-    ``censored``, ``total_likes``, ``total_reposts`` and ``link_index``;
-    ``column`` joins one across chunks.  ``link_index`` is -1 for agents
-    without a link, otherwise the carried link is
-    ``f"r{seed + run}-l{link_index}"``.  Iterating yields
-    :class:`AgentLifeStats` rows, made on the fly, run after run.
+    Rows are ordered by run, then by agent id.  The table is held as
+    chunks, each a dict of ``run_lengths`` (agents of each run),
+    ``lifetime``, ``censored``, ``total_likes``, ``total_reposts``,
+    ``link_code`` and ``links``: a carried link is an int32 code into the
+    chunk's tuple of distinct link texts ``links``, -1 for none.  A
+    table of runs stepped by ``run_chunks`` holds its chunks, consecutive
+    seed ranges from ``seed`` on, whose links are ``r{seed + run}-l{i}``;
+    ``life_stats_from_jsonl`` gives one chunk and no seed.  ``column``
+    joins one field across chunks, and ``links`` the texts its joined
+    ``link_code`` indexes.  Iterating yields :class:`AgentLifeStats`
+    rows, made on the fly, run after run.
     """
 
-    def __init__(self, seed: int, chunks: list[dict[str, np.ndarray]]):
+    def __init__(self, seed: Optional[int], chunks: list[dict]):
         self.seed = seed
         self._chunks = chunks
 
@@ -227,7 +229,20 @@ class LifeStatsTable:
 
     def column(self, name: str) -> np.ndarray:
         """One field of every row (every run, for ``run_lengths``)."""
-        return np.concatenate([chunk[name] for chunk in self._chunks])
+        if name != "link_code":
+            return np.concatenate([chunk[name] for chunk in self._chunks])
+        # Each chunk's codes index its own texts: shift them past the texts before.
+        codes, base = [], 0
+        for chunk in self._chunks:
+            code = chunk["link_code"]
+            codes.append(np.where(code < 0, -1, code + base) if base else code)
+            base += len(chunk["links"])
+        return np.concatenate(codes)
+
+    @property
+    def links(self) -> tuple[str, ...]:
+        """The link texts that ``column("link_code")`` indexes."""
+        return tuple(chain.from_iterable(chunk["links"] for chunk in self._chunks))
 
     def __iter__(self) -> Iterator[AgentLifeStats]:
         return chain.from_iterable(self.runs())
@@ -238,20 +253,17 @@ class LifeStatsTable:
         Rows are made on the fly by C-level iterators only: a generator
         per row would cost more than making the row.
         """
-        seed = self.seed
         for chunk in self._chunks:
-            columns = [chunk[name] for name in _LIFE_STATS_COLUMNS[1:-1]]
-            link_index = chunk["link_index"]
-            any_links = len(link_index) > 0 and link_index.max() >= 0
+            columns = [chunk[name] for name in _LIFE_STATS_COLUMNS[1:5]]
+            code = chunk["link_code"]
+            # Code -1 picks the None at the end.
+            texts = np.array([*chunk["links"], None], dtype=object) if chunk["links"] else None
             lo = 0
             for n in chunk["run_lengths"].tolist():
                 hi = lo + n
-                links = [
-                    None if i < 0 else f"r{seed}-l{i}" for i in link_index[lo:hi].tolist()
-                ] if any_links else repeat(None)
+                links = repeat(None) if texts is None else texts[code[lo:hi]].tolist()
                 yield map(tuple.__new__, repeat(AgentLifeStats),
                           zip(range(n), *(c[lo:hi].tolist() for c in columns), links))
-                seed += 1
                 lo = hi
 
 
@@ -539,12 +551,14 @@ class _AgentColumns:
         keys.sort(kind="stable")
         return keys
 
-    def by_run(self, censor: np.ndarray) -> dict[str, np.ndarray]:
-        """Columns of a LifeStatsTable, rows ordered by run, then id.
+    def by_run(self, censor: np.ndarray, seed: int, n_links: list[int]) -> dict:
+        """Columns of a LifeStatsTable chunk, rows ordered by run, then id.
 
-        ``censor`` holds each run's censoring tick.  With parents, the
-        columns ``birth``, ``death`` (-1 while alive) and ``parent`` (the
-        parent's id within the run, -1 for a root) come too.
+        ``censor`` holds each run's censoring tick and ``n_links`` how many
+        links it numbered; run k's links are ``r{seed + k}-l{i}``, and
+        their codes count them run after run.  With parents, the columns
+        ``birth``, ``death`` (-1 while alive) and ``parent`` (the parent's
+        id within the run, -1 for a root) come too.
         """
         n = self.n
         order = np.argsort(self.run[:n], kind="stable")
@@ -556,13 +570,18 @@ class _AgentColumns:
         # Lifetime ends at death, or at the run's censoring tick.
         lifetime = np.where(alive, censor[run], death)
         lifetime -= birth
+        code = self.link[:n][order]
+        if any(n_links):
+            first = np.cumsum(n_links) - n_links
+            code = np.where(code < 0, -1, code + first[run]).astype(np.int32)
         columns = {
             "run_lengths": run_lengths,
             "lifetime": lifetime,
             "censored": alive,
             "total_likes": self.likes[:n][order],
             "total_reposts": self.reposts[:n][order],
-            "link_index": self.link[:n][order],
+            "link_code": code,
+            "links": tuple(f"r{seed + k}-l{i}" for k, m in enumerate(n_links) for i in range(m)),
         }
         if "parent" in self._fields:
             # A row's id is its place among its run's rows.
@@ -691,19 +710,34 @@ def run_simulation(config: SimulationConfig, record_events: bool = True,
     # columns are sorted: at 1,024 calibrated runs they hold about 16 MB.
     keys = active = carrier = words = u = liked = rngs = None
     truncated = ~running
-    columns = agents.by_run(censor)
+    columns = agents.by_run(censor, config.seed, next_link)
     stats = LifeStatsTable(config.seed, [{name: columns[name] for name in _LIFE_STATS_COLUMNS}])
     truncated_at = [c - 1 if t else None for c, t in zip(censor.tolist(), truncated.tolist())]
     return SimulationResult(stats, EventLog(columns, censor, truncated, likes), truncated_at)
 
 
-def repost_counts_by_link(stats: Iterable[AgentLifeStats]) -> dict[str, int]:
-    """Total reposts per carried link; agents without links are skipped."""
+def repost_counts_by_link(stats: LifeStatsTable) -> dict[str, int]:
+    """Total reposts per carried link, in the order of each link's first row.
+
+    Agents without links are skipped.  The sums are one ``np.bincount``
+    over the link codes, exact in float64 while no sum can pass 2**53,
+    otherwise Python ints; a text that two chunks both hold sums over both.
+    """
+    code = stats.column("link_code")
+    linked = code >= 0
+    code = code[linked]
+    reposts = stats.column("total_reposts")[linked]
+    texts = stats.links
+    if max(-int(reposts.min(initial=0)), int(reposts.max(initial=0))) * len(code) < 2**53:
+        sums = np.bincount(code, weights=reposts, minlength=len(texts)).astype(np.int64).tolist()
+    else:
+        sums = [0] * len(texts)
+        for c, r in zip(code.tolist(), reposts.tolist()):
+            sums[c] += r
+    used, first = np.unique(code, return_index=True)
     counts: dict[str, int] = {}
-    get = counts.get
-    for link, reposts in map(itemgetter(5, 4), stats):
-        if link is not None:
-            counts[link] = get(link, 0) + reposts
+    for c in used[np.argsort(first)].tolist():
+        counts[texts[c]] = counts.get(texts[c], 0) + sums[c]
     return counts
 
 
@@ -747,7 +781,8 @@ def life_stats_to_jsonl(stats: LifeStatsTable, out: BinaryIO) -> None:
     """Write one JSON object per agent to the binary file ``out``.
 
     Keys come in AgentLifeStats field order.  Lines are rendered from the
-    table's columns by ``jsonl.render_lines``.
+    table's columns by ``jsonl.render_lines``; a negative count or
+    lifetime, which a table read back can hold, is a ``ValueError``.
     """
     out.writelines(_life_stats_lines(stats))
 
@@ -758,54 +793,56 @@ def life_stats_to_jsonl(stats: LifeStatsTable, out: BinaryIO) -> None:
 _LIFE_STATS_KEYS = tuple(b'%s"%s": ' % (b", " if i else b"{", name.encode())
                          for i, name in enumerate(AgentLifeStats._fields))
 _CENSORED_TEXTS = np.array([b"false" + _LIFE_STATS_KEYS[3], b"true" + _LIFE_STATS_KEYS[3]])
+# The count fields, the lifetime included: int64 columns in a table read
+# back, rendered by int_texts, which takes no value below -1.
+_COUNT_FIELDS = ("lifetime", "total_likes", "total_reposts")
 
 
 def _life_stats_lines(stats: LifeStatsTable) -> Iterator[bytes]:
     """The lines of a table's columns, chunk by chunk.
 
-    A carried link is two fields: its run's ``"r{seed}-l`` and its
-    ``{link_index}"}``; a row without a link takes ``null}`` and an empty
-    text.
+    The link field is picked from the chunk's link texts, each quoted and
+    ending the line, and ``null}`` for code -1.
     """
-    seed = stats.seed
+    keys = _LIFE_STATS_KEYS
     for chunk in stats._chunks:
+        for name in _COUNT_FIELDS:
+            if chunk[name].min(initial=0) < 0:
+                raise ValueError(f"{name} {chunk[name].min()} is below 0, which the "
+                                 f"writer does not render")
         lengths = chunk["run_lengths"]
-        n_runs = len(lengths)
-        # Each row's run, -1 where it carries no link, and its id within the run.
-        link_run = np.repeat(np.arange(n_runs, dtype=np.int32), lengths)
-        ident = np.arange(len(link_run), dtype=np.int32)
+        # Each row's id within its run.
+        ident = np.arange(len(chunk["lifetime"]), dtype=np.int32)
         ident -= np.repeat((np.cumsum(lengths) - lengths).astype(np.int32), lengths)
-        link = chunk["link_index"]
-        link_run[link < 0] = -1
-        keys = _LIFE_STATS_KEYS
+        links = [quote(text).encode("ascii") + b"}\n" for text in chunk["links"]]
         yield from render_lines((
             int_texts(ident, keys[1], prefix=keys[0]),
             int_texts(chunk["lifetime"], keys[2]),
             (_CENSORED_TEXTS, chunk["censored"].view(np.uint8)),
             int_texts(chunk["total_likes"], keys[4]),
             int_texts(chunk["total_reposts"], keys[5]),
-            (np.array([b'"r%d-l' % (seed + r) for r in range(n_runs)] + [b"null}\n"]), link_run),
-            int_texts(link, b'"}\n', [b""]),
+            (np.array(links + [b"null}\n"]), chunk["link_code"]),
         ))
-        seed += n_runs
 
 
 # One or more life_stats_to_jsonl lines, each ended by "\n", with every value
 # a JSON integer below 10**18, a boolean, null or a string of printable ASCII
 # without quote or backslash.  The fields that this table leaves out are the
-# integers.
-_LIFE_STATS_VALUES = {"censored": "(?:true|false)", "carried_link": r'(?:null|"[ !#-\[\]-~]*")'}
-_LIFE_STATS_LINES = re.compile("(?:%s\\}\n)+" % "".join(
-    re.escape(key.decode()) + _LIFE_STATS_VALUES.get(name, "(?:0|[1-9][0-9]{0,17})")
+# integers.  The quantifiers are possessive: what follows a run of digits,
+# link characters or lines cannot start another, so giving one back never
+# makes a match, and the matcher keeps no state to try it (a fifth less time).
+_LIFE_STATS_VALUES = {"censored": "(?:true|false)", "carried_link": r'(?:null|"[ !#-\[\]-~]*+")'}
+_LIFE_STATS_LINES = re.compile("(?:%s\\}\n)++" % "".join(
+    re.escape(key.decode()) + _LIFE_STATS_VALUES.get(name, "(?:0|[1-9][0-9]{0,17}+)")
     for name, key in zip(AgentLifeStats._fields, _LIFE_STATS_KEYS)))
 
 # Characters of text that life_stats_from_jsonl parses at once, rounded up to
-# a whole line: bounds what a read holds beyond its rows, the matcher's
+# a whole line: bounds what a read holds beyond its table, the matcher's
 # backtracking state included.
 _READ_BLOCK_CHARS = 1 << 18
 
-# Where _template_rows finds a line's values, from the colon of each key's
-# '": ': the colon's index within its key; the indices of the integer
+# Where _ReadColumns.add_block finds a line's values, from the colon of each
+# key's '": ': the colon's index within its key; the indices of the integer
 # fields, and of the flag; and how far before the next key's colon each
 # integer ends.  The link is the last field.
 _KEY_COLONS = [len(key) - 2 for key in _LIFE_STATS_KEYS]
@@ -814,104 +851,201 @@ _INT_FIELDS = np.array([i for i, name in enumerate(AgentLifeStats._fields)
 _CENSORED_FIELD = AgentLifeStats._fields.index("censored")
 _INT_ENDS = np.array(_KEY_COLONS[1:])[_INT_FIELDS]
 
+# The length of the shortest template line, of one-digit integers, true and
+# an empty link: a text holds at most len(text) // _MIN_LINE_CHARS of them.
+_MIN_LINE_CHARS = sum(map(len, _LIFE_STATS_KEYS)) + 4 + len("true") + len('""}\n')
 
-def life_stats_from_jsonl(text: str) -> list[AgentLifeStats]:
-    """The rows of ``life_stats_to_jsonl`` text; blank lines are skipped.
+# Why a line's value cannot go in a table read back, by field.
+_REFUSALS = {
+    "agent_id": "is neither 0, which starts a run, nor one past the agent_id before it",
+    "lifetime": "is not a JSON integer within int64",
+    "censored": "is not a JSON boolean",
+    "total_likes": "is not a JSON integer within int64",
+    "total_reposts": "is not a JSON integer within int64",
+    "carried_link": "is neither a JSON string nor null",
+}
+
+
+def life_stats_from_jsonl(text: str) -> LifeStatsTable:
+    """The table of ``life_stats_to_jsonl`` text, as one chunk; blank lines are skipped.
 
     Lines decode, and fail with ``json.JSONDecodeError``, exactly as
     ``json.loads`` has them; a value that is not an object fails the
-    same way.  Rows are made by tuple.__new__, which skips the keyword
-    handling of the generated __new__.
+    same way, and a missing key other than ``carried_link`` (None) is a
+    ``KeyError``.  A run starts wherever ``agent_id`` is 0.  A line
+    whose values the table cannot hold exactly is a ``ValueError`` that
+    names it: an ``agent_id`` that is neither 0 nor one past the one
+    before it, a lifetime or count that is not a JSON integer within
+    int64, a ``censored`` that is not a boolean, or a link that is
+    neither a string nor null.  Integer columns are int64, and links are
+    coded in the order of their first line.  The table holds no seed.
 
     The text is scanned in blocks of whole lines, each about
     ``_READ_BLOCK_CHARS`` characters.  A block whose every line fills the
     writer's template with values ``_LIFE_STATS_LINES`` admits is parsed
-    from its ASCII bytes by numpy (``_template_rows``): such a line holds
-    no blank line, nor any other character ``splitlines`` splits on, and
-    ``json.loads`` decodes it to exactly the parsed values.  So what a
-    read holds beyond its rows is one block's bytes and columns, and one
-    dict entry per distinct link.  If any block is not such text, the
-    whole text is decoded line by line instead.
-
-    The rows are built under :func:`jsonl.collector_paused`: the
-    collector never untracks tuple subclasses, so each of its passes
-    would walk every row read so far, and rows of ints, bools, strings
-    and None hold no cycle for it to free.
+    from its ASCII bytes by numpy (``_ReadColumns.add_block``): such a
+    line holds no blank line, nor any other character ``splitlines``
+    splits on, and ``json.loads`` decodes it to exactly the parsed
+    values.  The columns are allocated once, for as many lines as the
+    text has room for (``_MIN_LINE_CHARS`` each), and cut to the rows
+    read in place, so a read holds its table, one block's bytes and
+    columns, a flag per row and one dict entry per distinct link.  If
+    any block is not such text, the whole text is decoded line by line
+    into columns allocated anew, one row per line.
     """
-    with collector_paused():
-        rows: list[AgentLifeStats] = []
-        links: dict[str, str] = {}
-        lo = 0
-        while lo < len(text):
-            hi = text.find("\n", lo + _READ_BLOCK_CHARS - 1) + 1 or len(text)
-            if not _LIFE_STATS_LINES.fullmatch(text, lo, hi):
-                break
-            rows += _template_rows(text[lo:hi], links)
-            lo = hi
-        else:
-            return rows
-        rows = []
-        for line in text.splitlines():
-            if line.strip():
-                d = decode_line(line)
-                if type(d) is not dict:
-                    raise json.JSONDecodeError("Expecting a JSON object", line, 0)
-                rows.append(tuple.__new__(AgentLifeStats, (
-                    d["agent_id"], d["lifetime"], d["censored"], d["total_likes"],
-                    d["total_reposts"], d.get("carried_link"))))
-        return rows
-
-
-def _template_rows(block: str, links: dict[str, str]) -> Iterator[AgentLifeStats]:
-    """The rows of template lines, located by their ``": "`` separators.
-
-    Each integer field is read digit by digit into int64, most
-    significant place first, from the places that end at its value's
-    end: a place before the value reads its leading space, which ``& 15``
-    makes 0.  At most 18 digits, so the sums are exact.  Equal links share
-    one string, the first of them that ``links`` met; only a link that
-    differs from the one before it is sliced and looked up.
-    """
-    chars = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
-    colon = np.flatnonzero(chars == ord(":"))
-    # A '":' ends each of a line's keys.  A link holds no '"', and a link
-    # that starts with ':' makes the only other '":', whose quote follows a
-    # space.
-    colon = colon[(chars[colon - 1] == ord('"')) & (chars[colon - 2] != ord(" "))]
-    colon = colon.reshape(-1, len(_LIFE_STATS_KEYS))
-    # Per integer field and line: where its value ends, and the space before it.
-    end = (colon[:, _INT_FIELDS + 1] - _INT_ENDS).T
-    space = (colon[:, _INT_FIELDS] + 1).T
-    values = np.zeros(end.shape, dtype=np.int64)
-    for back in range(int((end - space).max()) - 1, 0, -1):
-        values *= 10
-        values += chars[np.maximum(end - back, space)] & 15
-    # A value starts two past its key's colon, after ': '.
-    censored = (chars[colon[:, _CENSORED_FIELD] + 2] == ord("t")).tolist()
-
-    start = colon[:, -1] + 3
-    linked = chars[start - 1] == ord('"')
-    if linked.any():
-        # A link ends '"}\n', and the next line starts with its first key.
-        stop = np.append(colon[1:, 0] - _KEY_COLONS[0], len(chars)) - len('"}\n')
-        stop = stop[linked]
-        start = start[linked]
-        # Each link padded with the quote that follows it, to compare them.
-        span = int((stop - start).max()) + 1
-        padded = chars[np.minimum(start[:, None] + np.arange(span), stop[:, None])]
-        padded = padded.view(f"S{span}").ravel()
-        new = np.ones(len(padded), dtype=bool)
-        new[1:] = padded[1:] != padded[:-1]
-        texts = [links.setdefault(t, t) for t in map(
-            block.__getitem__, map(slice, start[new].tolist(), stop[new].tolist()))]
-        column = np.full(len(colon), None, dtype=object)
-        column[linked] = np.array(texts, dtype=object)[np.cumsum(new) - 1]
-        link_column = column.tolist()
+    read = _ReadColumns(len(text) // _MIN_LINE_CHARS)
+    lo = 0
+    while lo < len(text):
+        hi = text.find("\n", lo + _READ_BLOCK_CHARS - 1) + 1 or len(text)
+        if not _LIFE_STATS_LINES.fullmatch(text, lo, hi):
+            break
+        read.add_block(text[lo:hi])
+        lo = hi
     else:
-        link_column = repeat(None)
-    ids, lifetimes, likes, reposts = values.tolist()
-    return map(tuple.__new__, repeat(AgentLifeStats),
-               zip(ids, lifetimes, censored, likes, reposts, link_column))
+        return read.table()
+    del read
+    lines = text.splitlines()
+    read = _ReadColumns(len(lines))
+    read.add_lines(lines)
+    return read.table()
+
+
+class _ReadColumns:
+    """The columns ``life_stats_from_jsonl`` fills, for up to ``n`` rows, in order."""
+
+    def __init__(self, n: int):
+        self.n = 0
+        self.columns = {name: np.empty(n, dtype=np.int64) for name in _COUNT_FIELDS}
+        self.columns.update(censored=np.empty(n, dtype=bool), link_code=np.empty(n, dtype=np.int32))
+        self.run_start = np.empty(n, dtype=bool)
+        self.last_id = -1
+        self.links: dict[str, int] = {}  # each text's code
+
+    def table(self) -> LifeStatsTable:
+        """The rows filled, as one chunk; the columns are cut to them in place."""
+        n = self.n
+        for column in self.columns.values():
+            column.resize(n, refcheck=False)  # nothing else refers to it
+        return LifeStatsTable(None, [{
+            "run_lengths": np.diff(np.flatnonzero(self.run_start[:n]), append=n),
+            **self.columns,
+            "links": tuple(self.links),
+        }])
+
+    def add_lines(self, lines: list[str]) -> None:
+        """The values of every non-blank line, decoded as ``json.loads`` has it."""
+        # Memoryviews take an item in less time than the arrays do.
+        columns = self.columns
+        run_start, lifetime_column, likes_column, reposts_column, censored_column, code = map(
+            memoryview, (self.run_start, *(columns[name] for name in (
+                *_COUNT_FIELDS, "censored", "link_code"))))
+        links = self.links
+        row, last_id = self.n, self.last_id
+        for number, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            d = decode_line(line)
+            if type(d) is not dict:
+                raise json.JSONDecodeError("Expecting a JSON object", line, 0)
+            agent_id, lifetime, censored, likes, reposts, link = (
+                d["agent_id"], d["lifetime"], d["censored"], d["total_likes"],
+                d["total_reposts"], d.get("carried_link"))
+            if not (type(agent_id) is int and (agent_id == 0 or agent_id == last_id + 1)
+                    and type(lifetime) is int and -2**63 <= lifetime < 2**63
+                    and type(censored) is bool
+                    and type(likes) is int and -2**63 <= likes < 2**63
+                    and type(reposts) is int and -2**63 <= reposts < 2**63
+                    and (link is None or type(link) is str)):
+                self._refuse(number, last_id, d)
+            run_start[row] = agent_id == 0
+            last_id = agent_id
+            lifetime_column[row] = lifetime
+            likes_column[row] = likes
+            reposts_column[row] = reposts
+            censored_column[row] = censored
+            code[row] = -1 if link is None else links.setdefault(link, len(links))
+            row += 1
+        self.n, self.last_id = row, last_id
+
+    @staticmethod
+    def _refuse(number: int, last_id: int, d: dict) -> None:
+        """The ``ValueError`` of line ``number``, whose value is ``d``, for its first bad field."""
+        for name in AgentLifeStats._fields:
+            value = d.get(name)
+            if name == "agent_id":
+                held = type(value) is int and value in (0, last_id + 1)
+            elif name == "censored":
+                held = type(value) is bool
+            elif name == "carried_link":
+                held = value is None or type(value) is str
+            else:
+                held = type(value) is int and -2**63 <= value < 2**63
+            if not held:
+                raise ValueError(f"line {number}: {name} {value!r} {_REFUSALS[name]}")
+
+    def add_block(self, block: str) -> None:
+        """The rows of template lines, located by their ``": "`` separators.
+
+        Each integer field is read digit by digit into int64, most
+        significant place first, from the places that end at its value's
+        end: a place before the value reads its leading space, which
+        ``& 15`` makes 0.  At most 18 digits, so the sums are exact.
+        Links are told apart by numpy, so only the block's distinct links
+        are sliced and looked up in ``links``.
+        """
+        chars = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+        colon = np.flatnonzero(chars == ord(":"))
+        # A '":' ends each of a line's keys.  A link holds no '"', and a link
+        # that starts with ':' makes the only other '":', whose quote follows a
+        # space.
+        colon = colon[(chars[colon - 1] == ord('"')) & (chars[colon - 2] != ord(" "))]
+        colon = colon.reshape(-1, len(_LIFE_STATS_KEYS))
+        # Per integer field and line: where its value ends, and the space before it.
+        end = (colon[:, _INT_FIELDS + 1] - _INT_ENDS).T
+        space = (colon[:, _INT_FIELDS] + 1).T
+        values = np.zeros(end.shape, dtype=np.int64)
+        for back in range(int((end - space).max()) - 1, 0, -1):
+            values *= 10
+            values += chars[np.maximum(end - back, space)] & 15
+        lo, hi = self.n, self.n + len(colon)
+        ids = values[0]
+        after = np.append(self.last_id, ids[:-1]) + 1
+        bad = (ids != 0) & (ids != after)
+        if bad.any():
+            at = int(bad.argmax())
+            raise ValueError(
+                f"line {lo + at + 1}: agent_id {int(ids[at])} {_REFUSALS['agent_id']}")
+        self.run_start[lo:hi] = ids == 0
+        self.last_id = int(ids[-1])
+        columns = self.columns
+        for name, column in zip(_COUNT_FIELDS, values[1:]):
+            columns[name][lo:hi] = column
+        # A value starts two past its key's colon, after ': '.
+        columns["censored"][lo:hi] = chars[colon[:, _CENSORED_FIELD] + 2] == ord("t")
+
+        code = columns["link_code"][lo:hi]
+        start = colon[:, -1] + 3
+        linked = chars[start - 1] == ord('"')
+        code[~linked] = -1
+        if linked.any():
+            # A link ends '"}\n', and the next line starts with its first key.
+            stop = np.append(colon[1:, 0] - _KEY_COLONS[0], len(chars)) - len('"}\n')
+            stop = stop[linked]
+            start = start[linked]
+            # Each link padded with the quote that follows it, to compare them.
+            span = int((stop - start).max()) + 1
+            padded = chars[np.minimum(start[:, None] + np.arange(span), stop[:, None])]
+            padded = padded.view(f"S{span}").ravel()
+            # Each distinct link is sliced and coded once, in order of first line.
+            _, first, distinct = np.unique(padded, return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            first = first[order]
+            links = self.links
+            codes = np.empty(len(first), dtype=np.int32)
+            codes[order] = [links.setdefault(t, len(links)) for t in map(
+                block.__getitem__, map(slice, start[first].tolist(), stop[first].tolist()))]
+            code[linked] = codes[distinct]
+        self.n = hi
 
 
 # Default configuration, calibrated once: pooled repost counts of the

@@ -446,24 +446,54 @@ def reference_life_stats_to_jsonl(stats) -> str:
 
 
 def reference_life_stats_from_jsonl(text: str) -> list[tuple]:
-    """The AgentLifeStats fields, in order, per non-blank line; a line
-    whose value is not an object is a ``json.JSONDecodeError``."""
+    """The AgentLifeStats fields, in order, per non-blank line, each line
+    checked as it is read: a value that is not an object is a
+    ``json.JSONDecodeError``, and a line with a value that a table read back
+    cannot hold is a ``ValueError`` that starts ``line <number>: <field> ``.
+    A table holds agent ids that count 0, 1, ... within each run (a run
+    starts at each 0), integers within int64 for the other counts,
+    booleans for ``censored`` and strings or None for links."""
     out = []
-    for line in text.splitlines():
+    last_id = -1
+    for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         d = json.loads(line)
         if not isinstance(d, dict):
             raise json.JSONDecodeError("Expecting a JSON object", line, 0)
-        out.append((
+        row = (
             d["agent_id"],
             d["lifetime"],
             d["censored"],
             d["total_likes"],
             d["total_reposts"],
             d.get("carried_link"),
-        ))
+        )
+        for name, value in zip(("agent_id", "lifetime", "censored", "total_likes",
+                                "total_reposts", "carried_link"), row):
+            is_int = isinstance(value, int) and not isinstance(value, bool)
+            held = {
+                "agent_id": is_int and (value == 0 or value == last_id + 1),
+                "censored": isinstance(value, bool),
+                "carried_link": value is None or isinstance(value, str),
+            }.get(name, is_int and -(2**63) <= value <= 2**63 - 1)
+            if not held:
+                raise ValueError(f"line {number}: {name} {value!r} cannot be held")
+        last_id = row[0]
+        out.append(row)
     return out
+
+
+def table_columns(table) -> dict:
+    """A LifeStatsTable's joined columns as lists, its link codes, and
+    each row's link text."""
+    columns = {name: table.column(name).tolist()
+               for name in ("run_lengths", "lifetime", "censored", "total_likes",
+                            "total_reposts", "link_code")}
+    columns["links"] = table.links
+    columns["carried_link"] = [None if code < 0 else table.links[code]
+                               for code in columns["link_code"]]
+    return columns
 
 
 def reference_read_samples(path_str: str, want_int: bool) -> list:

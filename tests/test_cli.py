@@ -25,13 +25,16 @@ import netmon.jsonl as jsonl_mod
 import netmon.simulator as simulator_mod
 from netmon.cli import main
 from netmon.distfit import PowerLawFit, WeibullFit
-from netmon.simulator import CHUNK_RUNS, life_stats_from_jsonl, run_simulation
+from netmon.diffusion import BehaviorParams
+from netmon.simulator import (CHUNK_RUNS, SimulationConfig, events_to_jsonl,
+                              life_stats_from_jsonl, life_stats_to_jsonl, run_simulation)
 
 from _oracles import (
     powerlaw_int_samples,
     reference_events_to_jsonl,
     reference_life_stats_to_jsonl,
     reference_read_samples,
+    table_columns,
     weibull_samples,
 )
 from _strategies import SIM_FIELDS, sim_config
@@ -163,6 +166,8 @@ class TestSimulate:
         ("max_agents", True), ("initial_agents", "1"),
         ("p_s", True), ("p_like", "0.5"), ("p_repost", None), ("link_boost", False),
         ("rich_get_richer_gamma", [0.4]), ("link_carrier_fraction", {}), ("p_s", 10**400),
+        ("p_like", []), ("p_like", [[0.3]]), ("p_repost", [0.1, True]), ("p_like", ["0.5"]),
+        ("p_repost", [0.1, None]), ("p_like", True), ("p_repost", [10**400]),
     ])
     def test_config_value_of_the_wrong_type_exits_two(self, tmp_path, capsys, field, value):
         cfg = tmp_path / "cfg.json"
@@ -268,7 +273,9 @@ class TestSimulate:
         {"p_s": 0.2, "e0": 3, "p_like": 0.25, "p_repost": 0.15, "link_carrier_fraction": 0.5,
          "link_boost": 1.5, "rich_get_richer_gamma": 0.4, "max_agents": 300,
          "initial_agents": 2},
-    ], ids=["defaults", "every_field"])
+        {"e0": 3, "p_like": [0.6, 0.4, 0.2], "p_repost": [0.3, 0.15, 0.05, 0.0, 0.1],
+         "link_carrier_fraction": 0.5, "link_boost": 1.5},
+    ], ids=["defaults", "every_field", "tables"])
     @pytest.mark.parametrize("no_events", [False, True], ids=["events", "no_events"])
     def test_run_config_reproduces_the_run(self, tmp_path, fields, no_events):
         cfg = tmp_path / "cfg.json"
@@ -323,6 +330,45 @@ class TestSimulate:
                 for f in ("events.jsonl", "life_stats.jsonl")
             }
             assert digests == self.PINNED_DIGESTS[name], name
+
+    # Per-energy tables of six entries, each in [0, 1], with carriers, boost,
+    # gamma and truncation: the engine's table path, K = 6.
+    TABLE_CONFIG = {
+        "p_s": 0.25, "e0": 3, "p_like": [1.0, 0.8, 0.5, 0.35, 0.2, 0.0],
+        "p_repost": [0.35, 0.25, 0.18, 0.1, 0.0, 0.05], "link_carrier_fraction": 0.6,
+        "link_boost": 1.4, "rich_get_richer_gamma": 0.3, "horizon": 40, "max_agents": 500,
+        "initial_agents": 2,
+    }
+
+    def test_table_config_writes_what_the_engine_steps(self, tmp_path):
+        cfg = tmp_path / "tables.json"
+        cfg.write_text(json.dumps(self.TABLE_CONFIG))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--runs", "5", "--seed", "7",
+                     "--out", str(out)]) == 0
+        fields = dict(self.TABLE_CONFIG)
+        run = {name: fields.pop(name) for name in ("horizon", "max_agents", "initial_agents")}
+        result = run_simulation(SimulationConfig(BehaviorParams(**fields), seed=7, **run),
+                                runs=5)
+        life_stats, events = io.BytesIO(), io.BytesIO()
+        life_stats_to_jsonl(result.stats, life_stats)
+        events_to_jsonl(result.events, events)
+        assert (out / "life_stats.jsonl").read_bytes() == life_stats.getvalue()
+        assert (out / "events.jsonl").read_bytes() == events.getvalue()
+        assert json.loads((out / "run_config.json").read_text())["p_like"] == fields["p_like"]
+
+    # One range rule for a probability and for each entry of a table.
+    @pytest.mark.parametrize("field, value", [
+        ("p_like", 1.5), ("p_repost", -0.1), ("p_like", [0.5, 1.05]), ("p_repost", [-0.2]),
+        ("p_like", float("nan")), ("p_repost", [0.1, float("inf")]),
+    ])
+    def test_probability_outside_zero_one_exits_two(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {field} must be in [0, 1], got {value}\n"
+        assert not out.exists()
 
     def test_default_run_config(self, tmp_path):
         out = tmp_path / "out"
@@ -412,7 +458,7 @@ class TestSimulateOutputAgainstOracles:
         # The same runs as one chunk, through the row API.
         result = run_simulation(sim_config(fields, seed), runs=runs)
         assert life_stats == reference_life_stats_to_jsonl(result.stats)
-        assert life_stats_from_jsonl(life_stats) == list(result.stats)
+        assert table_columns(life_stats_from_jsonl(life_stats)) == table_columns(result.stats)
         if events:
             assert event_log == "".join(
                 reference_events_to_jsonl(run, run=k)
@@ -425,8 +471,8 @@ class TestSimulateOutputAgainstOracles:
         assert main(["simulate", "--runs", "1030", "--steps", "30", "--no-events",
                      "--out", str(out)]) == 0
         config = replace(simulator_mod.calibrated_default_config(), horizon=30)
-        assert life_stats_from_jsonl((out / "life_stats.jsonl").read_text()) == list(
-            simulator_mod.replicate(config, 1030))
+        assert table_columns(life_stats_from_jsonl((out / "life_stats.jsonl").read_text())) == (
+            table_columns(simulator_mod.replicate(config, 1030)))
 
 
 class TestFit:

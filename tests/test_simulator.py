@@ -53,6 +53,7 @@ from _oracles import (
     reference_life_stats_to_jsonl,
     reference_run,
     reference_runs,
+    table_columns,
 )
 from _strategies import SIM_FIELDS, sim_config
 
@@ -460,8 +461,8 @@ class TestBatchedReplicate:
         assert output(p_like, (p_repost,) * k) == scalar
 
     # sha256 of life_stats_to_jsonl then events_to_jsonl output of 5 runs,
-    # as the per-energy engine wrote them.  The CLI builds only float
-    # probabilities, so its pinned digests never reach tuple tables.
+    # as the per-energy engine wrote them.  The CLI refuses the clamped
+    # config's out-of-range entries; test_cli runs an in-range table config.
     PINNED_DIGESTS = {
         "energy-dependent, clamped":
             "797b0cd486f444628b3df6dee6268c4764ba9236fe3d678cf71598e8fc5942c1",
@@ -495,8 +496,10 @@ class TestBatchedReplicate:
         assert table.column("run_lengths").tolist() == [
             len(run.stats) for run in reference_runs(cfg, 7, record_events=False)
         ]
-        linked = table.column("link_index") >= 0
-        assert linked.tolist() == [s.carried_link is not None for s in rows]
+        code = table.column("link_code").tolist()
+        assert [None if c < 0 else table.links[c] for c in code] == [
+            s.carried_link for s in rows]
+        assert len(set(table.links)) == len(table.links) > 1
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -572,9 +575,15 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def read_back(rows) -> LifeStatsTable:
+    """The table ``life_stats_from_jsonl`` reads from the lines of ``rows``."""
+    return life_stats_from_jsonl(reference_life_stats_to_jsonl(rows))
+
+
 class TestRepostCountsByLink:
     def test_empty(self):
-        assert repost_counts_by_link([]) == {}
+        assert repost_counts_by_link(read_back([])) == {}
+        assert repost_counts_by_link(replicate(config(0.3, 0.15, e0=2, p_s=0.5), 3)) == {}
 
     def test_sums_by_link(self):
         stats = [
@@ -583,9 +592,45 @@ class TestRepostCountsByLink:
             AgentLifeStats(2, 4, False, 0, 9, carried_link=None),
             AgentLifeStats(3, 2, False, 0, 1, carried_link="y"),
         ]
-        assert repost_counts_by_link(stats) == {"x": 5, "y": 1}
+        assert repost_counts_by_link(read_back(stats)) == {"x": 5, "y": 1}
 
-    def test_generator_and_table_count_as_a_list(self):
+    def test_link_text_in_two_runs_sums_across_them(self):
+        # A read-back file whose runs reuse a text: one code, so one sum.
+        table = read_back([
+            AgentLifeStats(0, 5, False, 0, 3, carried_link="b"),
+            AgentLifeStats(1, 4, False, 0, 2, carried_link="a"),
+            AgentLifeStats(0, 4, False, 0, 9, carried_link="a"),
+            AgentLifeStats(1, 2, False, 0, 1, carried_link=None),
+            AgentLifeStats(2, 2, False, 0, 4, carried_link="b"),
+        ])
+        assert table.column("run_lengths").tolist() == [2, 3]
+        assert table.links == ("b", "a")
+        assert list(repost_counts_by_link(table).items()) == [("b", 7), ("a", 11)]
+
+    def test_link_text_in_two_chunks_sums_across_them(self):
+        # Each chunk codes its own texts; "a" is code 0 in one and 1 in the other.
+        def chunk(reposts, code, links):
+            n = len(reposts)
+            return {"run_lengths": np.array([n]), "lifetime": np.ones(n, dtype=np.int32),
+                    "censored": np.zeros(n, dtype=bool),
+                    "total_likes": np.zeros(n, dtype=np.int32),
+                    "total_reposts": np.array(reposts, dtype=np.int32),
+                    "link_code": np.array(code, dtype=np.int32), "links": links}
+
+        table = LifeStatsTable(None, [chunk([1, 2, 4], [0, -1, 0], ("a",)),
+                                      chunk([8, 16, 32], [0, 1, 1], ("c", "a"))])
+        assert table.column("link_code").tolist() == [0, -1, 0, 1, 2, 2]
+        assert table.links == ("a", "c", "a")
+        assert list(repost_counts_by_link(table).items()) == [("a", 53), ("c", 8)]
+
+    def test_sums_past_float_precision_are_exact(self):
+        big = 10**17 + 1
+        table = read_back([AgentLifeStats(i, 1, False, 0, big, carried_link="x")
+                           for i in range(100)])
+        assert repost_counts_by_link(table) == {"x": 100 * big}
+
+    def test_table_and_its_read_back_count_as_the_rows(self, monkeypatch):
+        monkeypatch.setattr(simulator, "CHUNK_RUNS", 2)  # codes joined across chunks
         table = replicate(config(0.3, 0.15, e0=2, p_s=0.5, horizon=40, seed=50,
                                  link_carrier_fraction=0.5), 5)
         rows = list(table)
@@ -594,7 +639,7 @@ class TestRepostCountsByLink:
             if row.carried_link is not None:
                 expected[row.carried_link] = expected.get(row.carried_link, 0) + row.total_reposts
         assert len(expected) > 1 and any(expected.values())
-        for stats in (rows, table, (row for row in rows)):
+        for stats in (table, read_back(rows)):
             assert list(repost_counts_by_link(stats).items()) == list(expected.items())
 
     def test_boosted_links_power_law_beats_exponential(self):
@@ -693,7 +738,26 @@ class TestSerialization:
         res = run_simulation(config(0.3, 0.1, e0=2, p_s=0.3, horizon=40, seed=2,
                                     link_carrier_fraction=0.5))
         text = text_of(life_stats_to_jsonl, res.stats)
-        assert life_stats_from_jsonl(text) == list(res.stats)
+        assert table_columns(life_stats_from_jsonl(text)) == table_columns(res.stats)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fields=SIM_FIELDS, seed=st.integers(2**32, 2**64), runs=st.integers(1, 9),
+           chunk_runs=st.integers(1, 4))
+    def test_read_back_is_the_writers_table(self, fields, seed, runs, chunk_runs):
+        with pytest.MonkeyPatch.context() as mp:
+            # Tables of one to nine chunks, whose codes column() joins.
+            mp.setattr(simulator, "CHUNK_RUNS", chunk_runs)
+            table = replicate(sim_config(fields, seed), runs)
+        text = text_of(life_stats_to_jsonl, table)
+        read = life_stats_from_jsonl(text)
+        assert table_columns(read) == table_columns(table)
+        assert text_of(life_stats_to_jsonl, read) == text
+
+    def test_negative_count_is_not_written(self):
+        table = read_back([AgentLifeStats(0, -3, False, 0, 0)])
+        assert list(table) == [(0, -3, False, 0, 0, None)]
+        with pytest.raises(ValueError, match="^lifetime -3 is below 0"):
+            text_of(life_stats_to_jsonl, table)
 
     def test_integers_unquoted(self):
         res = run_simulation(config(0.0, 0.0, e0=2, horizon=10))
@@ -713,6 +777,21 @@ life_stats_rows = st.builds(AgentLifeStats, json_int, json_int, st.booleans(), j
                             json_int, st.none() | tricky_text)
 runs = st.none() | st.integers(0, 2**40)
 blank_lines = st.lists(st.sampled_from(["", " ", "\t", "  \t "]), max_size=3)
+# Where runs start among rows that ``counted`` renumbers; None keeps the
+# drawn agent ids, which a table read back rarely can hold.
+run_starts = st.none() | st.lists(st.booleans(), max_size=12)
+
+
+def counted(rows, starts):
+    """``rows`` with agent ids that count 0, 1, ... from row 0 on, again from
+    each row where ``starts`` is true; for None, ``rows`` as they are."""
+    if starts is None:
+        return rows
+    out = []
+    for i, row in enumerate(rows):
+        k = 0 if i == 0 or i < len(starts) and starts[i] else k + 1
+        out.append(row._replace(agent_id=k))
+    return out
 
 
 def with_blank_lines(text: str, blanks: list[str]) -> str:
@@ -732,36 +811,37 @@ def near_template(old: str, new: str) -> str:
     return f"{TEMPLATE_LINE}\n{TEMPLATE_LINE.replace(old, new)}\n{TEMPLATE_LINE}\n"
 
 
-def life_stats_table(seed, chunks):
+def life_stats_table(chunks):
     """A LifeStatsTable of these chunks, each a list of runs of rows
-    (lifetime, censored, total_likes, total_reposts, link_index), and
+    (lifetime, censored, total_likes, total_reposts, carried_link), and
     its rows as the AgentLifeStats they stand for."""
-    columns, rows, run_seed = [], [], seed
+    columns, rows = [], []
     for chunk in chunks:
         flat = [row for run in chunk for row in run]
         lifetime, censored, likes, reposts, link = zip(*flat) if flat else ((),) * 5
+        codes: dict = {}  # each text's code, in order of first row
         columns.append({
             "run_lengths": np.array([len(run) for run in chunk], dtype=np.int64),
-            "lifetime": np.array(lifetime, dtype=np.int32),
+            "lifetime": np.array(lifetime, dtype=np.int64),
             "censored": np.array(censored, dtype=bool),
-            "total_likes": np.array(likes, dtype=np.int32),
-            "total_reposts": np.array(reposts, dtype=np.int32),
-            "link_index": np.array(link, dtype=np.int32),
+            "total_likes": np.array(likes, dtype=np.int64),
+            "total_reposts": np.array(reposts, dtype=np.int64),
+            "link_code": np.array([-1 if t is None else codes.setdefault(t, len(codes))
+                                   for t in link], dtype=np.int32),
+            "links": tuple(codes),
         })
-        for run in chunk:
-            rows += [AgentLifeStats(i, *row[:4], None if row[4] < 0 else f"r{run_seed}-l{row[4]}")
-                     for i, row in enumerate(run)]
-            run_seed += 1
-    return LifeStatsTable(seed, columns), rows
+        rows += [AgentLifeStats(i, *row) for run in chunk for i, row in enumerate(run)]
+    return LifeStatsTable(None, columns), rows
 
 
 @st.composite
 def table_chunks(draw):
     """Chunks of runs for ``life_stats_table``, some chunks without links."""
-    chunks, int32 = [], st.integers(0, 2**31 - 1)
+    chunks, count = [], st.integers(0, 2**31 - 1) | st.integers(0, 2**63 - 1)
     for linked in draw(st.lists(st.booleans(), min_size=1, max_size=4)):
-        link = st.integers(-1, 2**31 - 1) if linked else st.just(-1)
-        row = st.tuples(int32, st.booleans(), int32, int32, link)
+        link = st.none() | st.sampled_from(["r1-l0", "r1-l1"]) | tricky_text if linked \
+            else st.none()
+        row = st.tuples(count, st.booleans(), count, count, link)
         chunks.append(draw(st.lists(st.lists(row, max_size=6), min_size=1, max_size=4)))
     return chunks
 
@@ -770,31 +850,45 @@ class TestSerializationAgainstOracles:
     """The column writers and the reader against json.dumps/json.loads."""
 
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**40), chunks=table_chunks(), block_lines=st.integers(1, 12))
-    def test_table_writer_matches_json_module(self, seed, chunks, block_lines):
-        table, rows = life_stats_table(seed, chunks)
+    @given(chunks=table_chunks(), block_lines=st.integers(1, 12))
+    def test_table_writer_matches_json_module(self, chunks, block_lines):
+        table, rows = life_stats_table(chunks)
         assert list(table) == rows
         with pytest.MonkeyPatch.context() as mp:
             # Blocks that end inside runs and chunks.
             mp.setattr(jsonl, "BLOCK_LINES", block_lines)
             text = text_of(life_stats_to_jsonl, table)
         assert text == reference_life_stats_to_jsonl(rows)
-        assert life_stats_from_jsonl(text) == rows
+        # One chunk, whose codes number each distinct text once.
+        read = life_stats_from_jsonl(text)
+        assert list(read) == rows
+        assert read.links == tuple(dict.fromkeys(row.carried_link for row in rows
+                                                 if row.carried_link is not None))
+        assert text_of(life_stats_to_jsonl, read) == text
 
     @settings(max_examples=200, deadline=None)
-    @given(rows=st.lists(life_stats_rows, max_size=8), blanks=blank_lines)
-    def test_life_stats_match_json_module(self, rows, blanks):
+    @given(rows=st.lists(life_stats_rows, max_size=8), starts=run_starts, blanks=blank_lines)
+    def test_life_stats_match_json_module(self, rows, starts, blanks):
+        rows = counted(rows, starts)
         text = reference_life_stats_to_jsonl(rows)
-        assert life_stats_from_jsonl(text) == rows
         padded = with_blank_lines(text, blanks)
-        assert life_stats_from_jsonl(padded) == reference_life_stats_from_jsonl(padded) == rows
+        for text in (text, padded):
+            expected = read_outcome(reference_life_stats_from_jsonl, text)
+            assert read_outcome(life_stats_from_jsonl, text) == expected
+            if type(expected) is list:
+                assert [tuple(v for _, v in row) for row in expected] == rows
 
     @settings(max_examples=100, deadline=None)
-    @given(row=life_stats_rows, before=st.sampled_from(["", " ", "\t", " \r"]),
+    @given(row=life_stats_rows, first=st.booleans(),
+           before=st.sampled_from(["", " ", "\t", " \r"]),
            after=st.sampled_from(["", " ", "\t\t", "\r "]))
-    def test_surrounding_whitespace_decodes_as_json_loads(self, row, before, after):
+    def test_surrounding_whitespace_decodes_as_json_loads(self, row, first, before, after):
+        if first:
+            row = row._replace(agent_id=0)
         line = before + reference_life_stats_to_jsonl([row]).rstrip("\n") + after
-        assert life_stats_from_jsonl(line) == reference_life_stats_from_jsonl(line) == [row]
+        expected = read_outcome(reference_life_stats_from_jsonl, line)
+        assert read_outcome(life_stats_from_jsonl, line) == expected
+        assert expected == [tuple((type(v), v) for v in row)] or expected[0] is ValueError
 
     @settings(max_examples=100, deadline=None)
     @given(row=life_stats_rows, event=event_records, run=runs,
@@ -826,6 +920,40 @@ class TestSerializationAgainstOracles:
         with pytest.raises(json.JSONDecodeError):
             life_stats_from_jsonl(line + "\n")
 
+    # A value of each kind that a table cannot hold, on line 3 (or line 1)
+    # of two runs of agents 0, 1, 2 and 0.
+    @pytest.mark.parametrize("line, field, value", [
+        (3, "agent_id", 3), (3, "agent_id", 1), (3, "agent_id", -1), (1, "agent_id", 1),
+        (3, "agent_id", True), (3, "agent_id", 2.0), (3, "agent_id", "2"),
+        (3, "lifetime", 1.5), (3, "lifetime", 2**63), (3, "total_likes", -2**63 - 1),
+        (3, "total_reposts", 1000.0), (3, "total_likes", False), (3, "lifetime", None),
+        (3, "censored", 0), (3, "censored", None), (3, "censored", "false"),
+        (3, "carried_link", 7), (3, "carried_link", []), (3, "carried_link", {}),
+        (3, "carried_link", True),
+    ])
+    @pytest.mark.parametrize("blank", [False, True], ids=["template", "decoded"])
+    def test_value_a_table_cannot_hold_names_its_line(self, line, field, value, blank):
+        rows = [dict(AgentLifeStats(i, 4, False, 1, 2, "r1-l0")._asdict())
+                for i in (0, 1, 2, 0)]
+        rows[line - 1][field] = value
+        text = "".join(json.dumps(row) + "\n" for row in rows)
+        if blank:  # a blank first line: decoded line by line, each number one more
+            text, line = "\n" + text, line + 1
+        with pytest.raises(ValueError, match=rf"^line {line}: {field} ") as info:
+            life_stats_from_jsonl(text)
+        assert type(info.value) is ValueError
+        assert read_outcome(reference_life_stats_from_jsonl, text) == (
+            ValueError, ["line", f"{line}:", field])
+
+    def test_values_a_table_can_hold_are_read(self):
+        rows = [AgentLifeStats(0, 2**63 - 1, True, 0, 10**18, ""),
+                AgentLifeStats(1, -2**63, False, -1, 0, "\u00e9\n"),
+                AgentLifeStats(0, 0, False, 0, 0, None)]
+        table = read_back(rows)
+        assert list(table) == rows
+        assert table.column("run_lengths").tolist() == [2, 1]
+        assert table.column("lifetime").dtype == np.int64
+
     # Text close to what life_stats_to_jsonl writes, which the template
     # path must leave to the line-by-line decoder.
     @pytest.mark.parametrize("text", [
@@ -846,12 +974,8 @@ class TestSerializationAgainstOracles:
             "empty_link", "crlf", "no_final_newline", "raw_x85_in_link",
             "raw_u2028_in_link", "duplicate_key", "extra_key", "blank_line"])
     def test_near_template_text_reads_as_json_loads(self, text):
-        def outcome(read):
-            try:
-                return repr([tuple(row) for row in read(text)])
-            except json.JSONDecodeError:
-                return json.JSONDecodeError
-        assert outcome(life_stats_from_jsonl) == outcome(reference_life_stats_from_jsonl)
+        assert read_outcome(life_stats_from_jsonl, text) == read_outcome(
+            reference_life_stats_from_jsonl, text)
 
     def test_writer_output_read_without_the_line_decoder(self, monkeypatch):
         res = run_simulation(config(0.3, 0.1, e0=2, p_s=0.3, horizon=40, seed=2,
@@ -862,7 +986,7 @@ class TestSerializationAgainstOracles:
             raise AssertionError("decoded line by line")
 
         monkeypatch.setattr(simulator, "decode_line", decode_line)
-        assert life_stats_from_jsonl(text) == list(res.stats)
+        assert table_columns(life_stats_from_jsonl(text)) == table_columns(res.stats)
 
     @settings(max_examples=60, deadline=None)
     @given(fields=SIM_FIELDS, seed=st.integers(0, 2**64), runs=st.integers(1, 7),
@@ -880,7 +1004,7 @@ class TestSerializationAgainstOracles:
             stats_text = text_of(life_stats_to_jsonl, table)
             events_text = text_of(events_to_jsonl, result.events, run=run)
         assert stats_text == reference_life_stats_to_jsonl(list(table))
-        assert life_stats_from_jsonl(stats_text) == list(table)
+        assert table_columns(life_stats_from_jsonl(stats_text)) == table_columns(table)
         assert events_text == "".join(
             reference_events_to_jsonl(events, run=run + k)
             for k, events in enumerate(result.events.runs()))
@@ -902,11 +1026,15 @@ EDIT_CHARS = ['"', "\\", "\n", "\r", " ", ",", ":", "{", "}", *"0123456789", "t"
 
 
 def read_outcome(read, text):
-    """The rows ``read`` makes of ``text``, with each value's type, or its error."""
+    """The rows ``read`` makes of ``text``, with each value's type, or its
+    error: a decode error or missing key with its message, or the line and
+    field that a table's refusal names."""
     try:
         return [tuple((type(v), v) for v in row) for row in read(text)]
     except (json.JSONDecodeError, KeyError) as exc:
         return type(exc), str(exc)
+    except ValueError as exc:
+        return ValueError, str(exc).split(" ", 3)[:3]
 
 
 class TestTemplateReader:
@@ -915,12 +1043,14 @@ class TestTemplateReader:
     @settings(max_examples=400, deadline=None)
     @given(rows=st.lists(template_rows, min_size=1, max_size=10),
            outside=st.none() | st.tuples(st.integers(0, 10), outside_rows),
-           edit=st.sampled_from(["none", "insert", "delete", "replace"]),
+           starts=run_starts, edit=st.sampled_from(["none", "insert", "delete", "replace"]),
            where=st.floats(0, 1, exclude_max=True), char=st.sampled_from(EDIT_CHARS),
            block_chars=st.integers(1, 5 * 110))
-    def test_one_edit_reads_as_json_loads(self, rows, outside, edit, where, char, block_chars):
+    def test_one_edit_reads_as_json_loads(self, rows, outside, starts, edit, where, char,
+                                          block_chars):
         if outside is not None:
             rows.insert(*outside)
+        rows = counted(rows, starts)
         text = reference_life_stats_to_jsonl(rows)
         at = int(where * (len(text) + (edit == "insert")))
         text = {"none": text, "insert": text[:at] + char + text[at:],
@@ -947,16 +1077,27 @@ class TestTemplateReader:
                                     link_carrier_fraction=0.5), runs=3)
         text = text_of(life_stats_to_jsonl, res.stats)
         monkeypatch.setattr(simulator, "_READ_BLOCK_CHARS", block_chars)
-        links = [row.carried_link for row in life_stats_from_jsonl(text)
-                 if row.carried_link is not None]
+        read = life_stats_from_jsonl(text)
+        links = [row.carried_link for row in read if row.carried_link is not None]
         first = {}
         assert all(first.setdefault(link, link) is link for link in links)
         assert len(links) > 2 * len(first) > 2
+        # One code per text, numbered in order of first row.
+        assert read.links == tuple(first)
+
+    def test_text_of_the_shortest_lines_reads(self):
+        # The columns are allocated for len(text) // _MIN_LINE_CHARS rows.
+        rows = [AgentLifeStats(i % 10, 0, True, 0, 0, "") for i in range(1_000)]
+        text = reference_life_stats_to_jsonl(rows)
+        assert len(text) == len(rows) * simulator._MIN_LINE_CHARS
+        assert simulator._LIFE_STATS_LINES.fullmatch(text)
+        assert list(life_stats_from_jsonl(text)) == rows
 
     def test_read_holds_a_bounded_excess_over_its_rows(self):
         # 120,000 writer lines.  Read a block at a time, they take about
-        # 2 MiB beyond the rows at the peak, the matcher's backtracking state
-        # for one block included; a match tuple per line, 38 MiB.
+        # 2 MiB beyond the table at the peak, the matcher's backtracking state
+        # for one block included; a match tuple per line, 38 MiB.  The table
+        # is 29 bytes a row: three int64 columns, the flags and int32 codes.
         rng = np.random.default_rng(3)
         n = 120_000
         table = LifeStatsTable(1, [{
@@ -965,16 +1106,18 @@ class TestTemplateReader:
             "censored": rng.random(n) < 0.2,
             "total_likes": rng.integers(0, 50, n, dtype=np.int32),
             "total_reposts": rng.integers(0, 10, n, dtype=np.int32),
-            "link_index": np.where(rng.random(n) < 0.5, rng.integers(0, 40, n), -1).astype(np.int32),
+            "link_code": np.where(rng.random(n) < 0.5, rng.integers(0, 40, n), -1).astype(np.int32),
+            "links": tuple(f"r1-l{i}" for i in range(40)),
         }])
         text = text_of(life_stats_to_jsonl, table)
         tracemalloc.start()
         try:
-            rows = life_stats_from_jsonl(text)
+            read = life_stats_from_jsonl(text)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rows == list(table)
+        assert list(read) == list(table)
+        assert held < 30 * n
         assert peak - held < 8 * 2**20
 
 
@@ -990,7 +1133,8 @@ def collections() -> int:
 
 
 class TestReaderCollector:
-    """life_stats_from_jsonl builds its rows with the cyclic collector paused."""
+    """life_stats_from_jsonl leaves the cyclic collector as it found it, and
+    reads writer output without a collection."""
 
     @pytest.fixture(params=[True, False], ids=["gc_on", "gc_off"])
     def collector_on(self, request):
@@ -1001,7 +1145,7 @@ class TestReaderCollector:
 
     @pytest.mark.parametrize("text, decoded, rows", [
         ((TEMPLATE_LINE + "\n") * 3, False, 3),
-        (near_template('"lifetime": 3', '"lifetime": 1e3'), True, 3),
+        (near_template('"lifetime": 3', '"lifetime": 3 '), True, 3),
         (TEMPLATE_LINE + "\n{'agent_id': 0}\n", True, None),
     ], ids=["template", "decoder", "bad_line"])
     def test_collector_left_as_found(self, monkeypatch, collector_on, text, decoded, rows):
@@ -1018,27 +1162,29 @@ class TestReaderCollector:
         else:
             assert len(life_stats_from_jsonl(text)) == rows
         assert gc.isenabled() is collector_on
-        assert bool(seen) is decoded and not any(seen)  # decoded with the collector paused
+        assert bool(seen) is decoded and all(on is collector_on for on in seen)
 
     def test_template_rows_read_without_a_collection(self):
         text = "".join(
-            f'{{"agent_id": {i}, "lifetime": {i % 40}, "censored": {"true" if i % 3 else "false"}, '
+            f'{{"agent_id": {i % 7}, "lifetime": {i % 40}, '
+            f'"censored": {"true" if i % 3 else "false"}, '
             f'"total_likes": {i % 5}, "total_reposts": {i % 4}, '
             f'"carried_link": {"null" if i % 2 else quote(f"r1-l{i % 9}")}}}\n'
-            for i in range(20_000))
+            for i in range(20_006))
         was = gc.isenabled()
         gc.enable()
         try:
             gc.collect()
             before = collections()
-            rows = life_stats_from_jsonl(text)
+            table = life_stats_from_jsonl(text)
             assert collections() == before
             assert gc.isenabled()
         finally:
             (gc.enable if was else gc.disable)()
-        assert len(rows) == 20_000
-        assert rows[9] == AgentLifeStats(9, 9, False, 4, 1, None)
-        assert rows[10] == AgentLifeStats(10, 10, True, 0, 2, "r1-l1")
+        rows = list(table)
+        assert len(rows) == 20_006 and len(table.column("run_lengths")) == 2_858
+        assert rows[9] == AgentLifeStats(2, 9, False, 4, 1, None)
+        assert rows[10] == AgentLifeStats(3, 10, True, 0, 2, "r1-l1")
 
 
 class TestEarlyStop:
