@@ -24,6 +24,7 @@ and ``life_stats_from_jsonl`` leave the collector alone.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -191,14 +192,15 @@ def _number(token: str, kind):
 
 # ---------------------------------------------------------------- simulate
 
-# Each simulate field's kind: BehaviorParams' fields, then SimulationConfig's,
-# then the number of runs.  A tuple field is a probability or a per-energy
-# table of them.
-_PARAM_FIELDS = {"p_s": float, "e0": int, "p_like": tuple, "p_repost": tuple,
-                 "link_carrier_fraction": float, "link_boost": float,
-                 "rich_get_richer_gamma": float}
-_RUN_FIELDS = {"horizon": int, "seed": int, "max_agents": int, "initial_agents": int}
-_SIM_CONFIG_FIELDS = {**_PARAM_FIELDS, **_RUN_FIELDS, "runs": int}
+# The simulate fields, BehaviorParams' then SimulationConfig's but params then
+# runs, each with its JSON kind (_typed) from _KINDS: a field without one fails
+# at import.  A tuple field is a probability or a per-energy table of them.
+_PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(BehaviorParams))
+_RUN_FIELDS = tuple(f.name for f in dataclasses.fields(SimulationConfig) if f.name != "params")
+_KINDS = {"p_s": float, "e0": int, "p_like": tuple, "p_repost": tuple,
+          "link_carrier_fraction": float, "link_boost": float, "rich_get_richer_gamma": float,
+          "horizon": int, "seed": int, "max_agents": int, "initial_agents": int, "runs": int}
+_SIM_CONFIG_FIELDS = {n: _KINDS[n] for n in (*_PARAM_FIELDS, *_RUN_FIELDS, "runs")}
 
 
 def _default_sim_config() -> dict:
@@ -235,9 +237,9 @@ def cmd_simulate(args) -> int:
         raise CliError(f"runs must be >= 1, got {resolved['runs']}")
     # BehaviorParams clamps a probability outside [0, 1] when it reads it; the
     # command refuses one, in either form.
-    for name, kind in _PARAM_FIELDS.items():
+    for name in _PARAM_FIELDS:
         value = resolved[name]
-        if kind is tuple and not all(0.0 <= p <= 1.0 for p in (
+        if _SIM_CONFIG_FIELDS[name] is tuple and not all(0.0 <= p <= 1.0 for p in (
                 value if isinstance(value, list) else [value])):
             raise CliError(f"{name} must be in [0, 1], got {value}")
     try:
@@ -469,7 +471,7 @@ def cmd_pipeline(args) -> int:
         )
         _write_lines(open_output("resolved.jsonl"), resolved_jsonl(resolved.values()))
 
-        citations = build_link_records(matched, extracted, resolved)
+        citations = build_link_records(extracted, resolved)
         # summary statistics, taken now so that the link occurrences can be
         # freed before ranking; the link ratios are undefined when nothing matched
         stats = link_stats(matched, extracted, resolved, citations) if matched else None

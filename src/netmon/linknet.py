@@ -95,7 +95,9 @@ class FetchFailed(RuntimeError):
 
 @dataclass(slots=True)
 class ExtractedLink:
-    message_id: str
+    """One URL occurrence: the message it was found in, the URL and its offset in the text."""
+
+    message: Message
     raw_url: str
     position: int
 
@@ -192,7 +194,7 @@ def extract_links(messages: Iterable[Message]) -> list[ExtractedLink]:
         if spans is None:
             spans = spans_of[msg.text] = _url_spans(msg.text)
         for url, position in spans:
-            out.append(ExtractedLink(msg.id, url, position))
+            out.append(ExtractedLink(msg, url, position))
     return out
 
 
@@ -358,24 +360,24 @@ class LiveFetcher:
 
 
 def resolve(
-    link: ExtractedLink,
+    raw_url: str,
     fetcher: Callable[[str], Optional[str]],
     registry: Optional[Iterable[str]] = None,
     max_depth: int = 10,
 ) -> ResolvedLink:
-    """Follow redirects for one link; failures are statuses, not raises.
+    """Follow the redirects of one link's ``raw_url``; failures are
+    statuses, not raises.
 
     Parses the raw URL and each redirect target once; ``raw_canonical``
     comes from the raw URL's parse, the final URL and its host from the
     last parse the chain accepted."""
-    raw = link.raw_url
     try:
-        parts = _split_checked(raw)
+        parts = _split_checked(raw_url)
     except LinkParseError:
-        return ResolvedLink(raw, raw, (raw,), False, STATUS_FAILED, "", raw)
+        return ResolvedLink(raw_url, raw_url, (raw_url,), False, STATUS_FAILED, "", raw_url)
     raw_canonical = _canonical(parts)
     from_shortener = parts.host in _registry_hosts(registry)
-    chain = [raw]
+    chain = [raw_url]
     status = None
     while status is None:
         try:
@@ -404,8 +406,8 @@ def resolve(
         parts = target_parts
 
     final_url = _canonical(parts) if len(chain) > 1 else raw_canonical
-    return ResolvedLink(raw, final_url, tuple(chain), from_shortener or len(chain) > 1, status,
-                        parts.host, raw_canonical)
+    return ResolvedLink(raw_url, final_url, tuple(chain), from_shortener or len(chain) > 1,
+                        status, parts.host, raw_canonical)
 
 
 def resolve_all(
@@ -417,20 +419,14 @@ def resolve_all(
 ) -> dict[str, ResolvedLink]:
     """Resolve each distinct raw URL once; the result, keyed by raw URL,
     iterates in first-occurrence order whatever ``max_in_flight`` is."""
-    distinct: list[ExtractedLink] = []
-    seen: set[str] = set()
-    for link in links:
-        if link.raw_url in seen:
-            continue
-        seen.add(link.raw_url)
-        distinct.append(link)
+    distinct = list(dict.fromkeys(link.raw_url for link in links))
     if max_in_flight > 1 and len(distinct) > 1:
         with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
             results = list(
-                pool.map(lambda l: resolve(l, fetcher, registry, max_depth), distinct)
+                pool.map(lambda raw: resolve(raw, fetcher, registry, max_depth), distinct)
             )
     else:
-        results = [resolve(l, fetcher, registry, max_depth) for l in distinct]
+        results = [resolve(raw, fetcher, registry, max_depth) for raw in distinct]
     return {r.raw_url: r for r in results}
 
 
@@ -439,23 +435,20 @@ def _is_social(host: str) -> bool:
 
 
 def build_link_records(
-    messages: Sequence[Message],
     extracted: Sequence[ExtractedLink],
     resolved: Mapping[str, ResolvedLink],
 ) -> list[ResourceCitations]:
-    """Fold each resolved or not-shortened link occurrence, joined with
-    its message, into the citations of its final URL; one entry per
-    final URL, in first-occurrence order.  A message id that recurs
-    takes its last message.  Whether a host is social is decided once
-    per host."""
-    by_id = {m.id: m for m in messages}
+    """Fold each resolved or not-shortened link occurrence, with its
+    message, into the citations of its final URL; one entry per final
+    URL, in first-occurrence order.  Whether a host is social is decided
+    once per host."""
     social_of: dict[str, bool] = {}
     folds: dict[str, ResourceCitations] = {}
     for link in extracted:
         res = resolved[link.raw_url]
         if res.status not in _OK_STATUSES:
             continue
-        msg = by_id[link.message_id]
+        msg = link.message
         fold = folds.get(res.final_url)
         if fold is None:
             social = social_of.get(res.host)
@@ -484,12 +477,12 @@ def link_stats(
     """Corpus-level link ratios and per-source citation counts.
 
     ``resolved`` is ``resolve_all(extracted)`` and ``citations`` is
-    ``build_link_records`` of the three: the final URLs and per-source
-    counts are read off the folds (a canonical final URL fixes its host),
-    not off the link occurrences."""
+    ``build_link_records(extracted, resolved)``: the final URLs and
+    per-source counts are read off the folds (a canonical final URL fixes
+    its host), not off the link occurrences."""
     if not messages:
         raise ValueError("link statistics are undefined for zero messages")
-    with_links = {link.message_id for link in extracted}
+    with_links = {link.message.id for link in extracted}
     n_links = len(extracted)
     per_source: dict[str, int] = {}
     for fold in citations:
@@ -506,7 +499,7 @@ def link_stats(
 def links_jsonl(links: Iterable[ExtractedLink]) -> Iterator[str]:
     """One ``links.jsonl`` line per extracted link occurrence."""
     for link in links:
-        yield (f'{{"message_id": {quote(link.message_id)}, "raw_url": {quote(link.raw_url)}, '
+        yield (f'{{"message_id": {quote(link.message.id)}, "raw_url": {quote(link.raw_url)}, '
                f'"position": {link.position}}}\n')
 
 

@@ -871,10 +871,10 @@ def life_stats_from_jsonl(text: str) -> LifeStatsTable:
 
     Lines decode, and fail with ``json.JSONDecodeError``, exactly as
     ``json.loads`` has them; a value that is not an object fails the
-    same way, and a missing key other than ``carried_link`` (None) is a
-    ``KeyError``.  A run starts wherever ``agent_id`` is 0.  A line
-    whose values the table cannot hold exactly is a ``ValueError`` that
-    names it: an ``agent_id`` that is neither 0 nor one past the one
+    same way.  A run starts wherever ``agent_id`` is 0.  A line that
+    lacks a key other than ``carried_link`` (None) or holds a value the
+    table cannot hold exactly is a ``ValueError`` that names it: a
+    missing key, an ``agent_id`` that is neither 0 nor one past the one
     before it, a lifetime or count that is not a JSON integer within
     int64, a ``censored`` that is not a boolean, or a link that is
     neither a string nor null.  Integer columns are int64, and links are
@@ -948,8 +948,8 @@ class _ReadColumns:
             if type(d) is not dict:
                 raise json.JSONDecodeError("Expecting a JSON object", line, 0)
             agent_id, lifetime, censored, likes, reposts, link = (
-                d["agent_id"], d["lifetime"], d["censored"], d["total_likes"],
-                d["total_reposts"], d.get("carried_link"))
+                d.get("agent_id"), d.get("lifetime"), d.get("censored"), d.get("total_likes"),
+                d.get("total_reposts"), d.get("carried_link"))
             if not (type(agent_id) is int and (agent_id == 0 or agent_id == last_id + 1)
                     and type(lifetime) is int and -2**63 <= lifetime < 2**63
                     and type(censored) is bool
@@ -971,6 +971,8 @@ class _ReadColumns:
     def _refuse(number: int, last_id: int, d: dict) -> None:
         """The ``ValueError`` of line ``number``, whose value is ``d``, for its first bad field."""
         for name in AgentLifeStats._fields:
+            if name not in d and name != "carried_link":
+                raise ValueError(f"line {number}: {name} is missing")
             value = d.get(name)
             if name == "agent_id":
                 held = type(value) is int and value in (0, last_id + 1)

@@ -188,7 +188,7 @@ def reference_extract_links(messages) -> list:
             url = reference_trim_url(m.group(0))
             if len(url) <= len("https://"):
                 continue
-            out.append(ExtractedLink(message_id=message.id, raw_url=url, position=m.start()))
+            out.append(ExtractedLink(message=message, raw_url=url, position=m.start()))
     return out
 
 
@@ -448,11 +448,12 @@ def reference_life_stats_to_jsonl(stats) -> str:
 def reference_life_stats_from_jsonl(text: str) -> list[tuple]:
     """The AgentLifeStats fields, in order, per non-blank line, each line
     checked as it is read: a value that is not an object is a
-    ``json.JSONDecodeError``, and a line with a value that a table read back
-    cannot hold is a ``ValueError`` that starts ``line <number>: <field> ``.
-    A table holds agent ids that count 0, 1, ... within each run (a run
-    starts at each 0), integers within int64 for the other counts,
-    booleans for ``censored`` and strings or None for links."""
+    ``json.JSONDecodeError``, and a line that lacks a key other than
+    ``carried_link``, or has a value that a table read back cannot hold, is
+    a ``ValueError`` that starts ``line <number>: <field> ``, for the first
+    such field.  A table holds agent ids that count 0, 1, ... within each
+    run (a run starts at each 0), integers within int64 for the other
+    counts, booleans for ``censored`` and strings or None for links."""
     out = []
     last_id = -1
     for number, line in enumerate(text.splitlines(), start=1):
@@ -461,16 +462,12 @@ def reference_life_stats_from_jsonl(text: str) -> list[tuple]:
         d = json.loads(line)
         if not isinstance(d, dict):
             raise json.JSONDecodeError("Expecting a JSON object", line, 0)
-        row = (
-            d["agent_id"],
-            d["lifetime"],
-            d["censored"],
-            d["total_likes"],
-            d["total_reposts"],
-            d.get("carried_link"),
-        )
-        for name, value in zip(("agent_id", "lifetime", "censored", "total_likes",
-                                "total_reposts", "carried_link"), row):
+        names = ("agent_id", "lifetime", "censored", "total_likes", "total_reposts",
+                 "carried_link")
+        row = tuple(d.get(name) for name in names)
+        for name, value in zip(names, row):
+            if name not in d and name != "carried_link":
+                raise ValueError(f"line {number}: {name} is missing")
             is_int = isinstance(value, int) and not isinstance(value, bool)
             held = {
                 "agent_id": is_int and (value == 0 or value == last_id + 1),
@@ -564,7 +561,7 @@ def reference_ranking_json(ranked) -> str:
 
 def reference_links_jsonl(links) -> str:
     return "".join(
-        json.dumps({"message_id": l.message_id, "raw_url": l.raw_url, "position": l.position})
+        json.dumps({"message_id": l.message.id, "raw_url": l.raw_url, "position": l.position})
         + "\n"
         for l in links
     )
@@ -626,15 +623,13 @@ class ReferenceLinkRecord(NamedTuple):
     matched_queries: frozenset
 
 
-def reference_link_records(messages, extracted, resolved) -> list:
-    """One ``ReferenceLinkRecord`` per link occurrence, in extraction
-    order, of every status; a message id that recurs takes its last
-    message."""
-    by_id = {m.id: m for m in messages}
+def reference_link_records(extracted, resolved) -> list:
+    """One ``ReferenceLinkRecord`` per link occurrence, joined with its own
+    message, in extraction order, of every status."""
     records = []
     for link in extracted:
         res = resolved[link.raw_url]
-        msg = by_id[link.message_id]
+        msg = link.message
         records.append(ReferenceLinkRecord(
             msg.id, msg.author, msg.timestamp, link.raw_url, res.final_url, res.host,
             res.status, res.was_shortened, res.host.removeprefix("www.") in SOCIAL_HOSTS,
@@ -646,7 +641,7 @@ def reference_link_stats(messages, extracted, resolved) -> LinkStats:
     """``linknet.link_stats`` as first written: one walk over the link
     occurrences, counting each resolved or not-shortened one toward its
     final URL and host, and every one toward its raw URL's canonical form."""
-    with_links = {link.message_id for link in extracted}
+    with_links = {link.message.id for link in extracted}
     n_links = len(extracted)
     finals = set()
     raw_canonicals = set()
@@ -686,11 +681,10 @@ def reference_rank_resources(records, granularity: str = "document") -> list:
             for i, k in enumerate(ordered)]
 
 
-def reference_export_records(messages, records, packet) -> list:
+def reference_export_records(records, packet) -> list:
     """``pipeline.build_export_records`` as first written: query labels
     gathered and ``first_seen`` taken by ``min`` at every link occurrence,
     comparing the instants the timestamp texts stand for."""
-    by_id = {m.id: m for m in messages}
     groups: dict[str, dict] = {}
     for r in records:
         if r.status not in _OK_STATUSES or r.social:
@@ -702,9 +696,7 @@ def reference_export_records(messages, records, packet) -> list:
         g["citations"] += 1
         g["first_seen"] = min(g["first_seen"], r.timestamp, key=parse_timestamp)
         g["ids"].add(r.message_id)
-        msg = by_id.get(r.message_id)
-        if msg is not None:
-            g["queries"].update(packet.queries[i] for i in msg.matched_queries)
+        g["queries"].update(packet.queries[i] for i in r.matched_queries)
     return [
         ExportRecord(
             url=url,

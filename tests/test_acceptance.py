@@ -22,7 +22,6 @@ from netmon.linknet import (
     STATUS_LOOP,
     STATUS_NOT_SHORTENED,
     STATUS_RESOLVED,
-    ExtractedLink,
     OfflineFetcher,
     is_shortener,
     resolve,
@@ -234,7 +233,7 @@ def test_a8_short_link_handling():
 
     fetcher = OfflineFetcher(mapping)
     for raw, want_status, want_final, want_len in expected:
-        res = resolve(ExtractedLink("m", raw, 0), fetcher, max_depth=10)
+        res = resolve(raw, fetcher, max_depth=10)
         ok = ok and res.status == want_status
         ok = ok and res.final_url == want_final
         ok = ok and len(res.redirect_chain) == want_len

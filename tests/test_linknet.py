@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 import urllib.request
 from email.message import Message as HeaderMessage
 from pathlib import Path
@@ -61,7 +62,7 @@ def msg(mid, text, author="user"):
 
 
 def link(url, mid="m1", pos=0):
-    return ExtractedLink(message_id=mid, raw_url=url, position=pos)
+    return ExtractedLink(message=msg(mid, url), raw_url=url, position=pos)
 
 
 @pytest.fixture
@@ -405,7 +406,7 @@ class TestCanonicalize:
 class TestResolve:
     def test_single_hop_shortlink(self):
         fetcher = OfflineFetcher({"http://bit.ly/a": "https://news.test/story1"})
-        res = resolve(link("http://bit.ly/a"), fetcher)
+        res = resolve("http://bit.ly/a", fetcher)
         assert res.status == STATUS_RESOLVED
         assert res.final_url == "https://news.test/story1"
         assert res.redirect_chain == ("http://bit.ly/a", "https://news.test/story1")
@@ -414,54 +415,54 @@ class TestResolve:
     def test_two_cycle_loop(self):
         u, v = "http://bit.ly/u", "http://bit.ly/v"
         fetcher = OfflineFetcher({u: v, v: u})
-        res = resolve(link(u), fetcher)
+        res = resolve(u, fetcher)
         assert res.status == STATUS_LOOP
         assert res.redirect_chain == (u, v)
 
     def test_depth_exceeded_at_eleven_chain_entries(self):
         chain = {f"http://hop.test/{i}": f"http://hop.test/{i+1}" for i in range(12)}
-        res = resolve(link("http://hop.test/0"), OfflineFetcher(chain), max_depth=10)
+        res = resolve("http://hop.test/0", OfflineFetcher(chain), max_depth=10)
         assert res.status == STATUS_DEPTH
         assert len(res.redirect_chain) == 11
 
     def test_fetch_failure_preserves_partial_chain(self):
         fetcher = OfflineFetcher({"http://bit.ly/x": "http://mid.test/a",
                                   "http://mid.test/a": None})
-        res = resolve(link("http://bit.ly/x"), fetcher)
+        res = resolve("http://bit.ly/x", fetcher)
         assert res.status == STATUS_FAILED
         assert res.redirect_chain == ("http://bit.ly/x", "http://mid.test/a")
 
     def test_plain_url_not_shortened(self):
-        res = resolve(link("https://news.test/Story/"), OfflineFetcher({}))
+        res = resolve("https://news.test/Story/", OfflineFetcher({}))
         assert res.status == STATUS_NOT_SHORTENED
         assert not res.was_shortened
         assert res.final_url == "https://news.test/Story/"
 
     def test_plain_url_with_redirect_counts_as_shortened(self):
         fetcher = OfflineFetcher({"http://old.test/x": "http://new.test/x"})
-        res = resolve(link("http://old.test/x"), fetcher)
+        res = resolve("http://old.test/x", fetcher)
         assert res.status == STATUS_RESOLVED
         assert res.was_shortened
 
     def test_shortener_terminal_is_resolved(self):
-        res = resolve(link("http://bit.ly/keep"), OfflineFetcher({}))
+        res = resolve("http://bit.ly/keep", OfflineFetcher({}))
         assert res.status == STATUS_RESOLVED
         assert res.was_shortened
         assert res.redirect_chain == ("http://bit.ly/keep",)
 
     def test_final_url_canonicalized(self):
         fetcher = OfflineFetcher({"http://bit.ly/a": "HTTPS://News.TEST:443/x#sec"})
-        res = resolve(link("http://bit.ly/a"), fetcher)
+        res = resolve("http://bit.ly/a", fetcher)
         assert res.final_url == "https://news.test/x"
 
     def test_host_of_final_url(self):
         fetcher = OfflineFetcher({"http://bit.ly/a": "https://News.TEST/x",
                                   "http://bit.ly/b": "ftp://elsewhere.test/"})
-        assert resolve(link("http://bit.ly/a"), fetcher).host == "news.test"
+        assert resolve("http://bit.ly/a", fetcher).host == "news.test"
         # a rejected target leaves the last accepted URL final
-        assert resolve(link("http://bit.ly/b"), fetcher).host == "bit.ly"
-        assert resolve(link("http://[::1]:8080/x"), fetcher).host == "::1"
-        unparsable = resolve(link("http://[::1"), fetcher)
+        assert resolve("http://bit.ly/b", fetcher).host == "bit.ly"
+        assert resolve("http://[::1]:8080/x", fetcher).host == "::1"
+        unparsable = resolve("http://[::1", fetcher)
         assert (unparsable.status, unparsable.host) == (STATUS_FAILED, "")
 
     @pytest.mark.parametrize("mapping, visited", [
@@ -476,13 +477,13 @@ class TestResolve:
          [f"http://bit.ly/{i}" for i in range(4)]),
     ], ids=["resolved", "loop", "bad_target", "fetch_failed", "depth"])
     def test_each_visited_url_parsed_once(self, parsed, mapping, visited):
-        resolve(link(visited[0]), OfflineFetcher(mapping), max_depth=2)
+        resolve(visited[0], OfflineFetcher(mapping), max_depth=2)
         assert parsed == visited
 
     def test_chain_never_longer_than_depth_plus_one(self):
         chain = {f"http://hop.test/{i}": f"http://hop.test/{i+1}" for i in range(50)}
         for depth in (1, 3, 10):
-            res = resolve(link("http://hop.test/0"), OfflineFetcher(chain), max_depth=depth)
+            res = resolve("http://hop.test/0", OfflineFetcher(chain), max_depth=depth)
             assert len(res.redirect_chain) <= depth + 1
 
 
@@ -679,7 +680,7 @@ class TestLinkRecordsAndStats:
 
     def test_records_carry_provenance_and_social_tag(self):
         messages, extracted, resolved = self._setup()
-        citations = build_link_records(messages, extracted, resolved)
+        citations = build_link_records(extracted, resolved)
         # bit.ly/a and news.test/one both reach news.test/one
         assert [(c.url, c.host, c.social, c.citations, c.authors, c.message_ids)
                 for c in citations] == [
@@ -694,28 +695,42 @@ class TestLinkRecordsAndStats:
             Message("m1", "ann", "2016-05-02T00:00:00Z", "https://a.test/x http://bit.ly/dead",
                     frozenset({0})),
             Message("m2", "bob", "2016-05-01T00:00:00Z", "https://a.test/x", frozenset({1})),
-            # the last message for an id wins the join
+            # a recurring id: each link joins the message it was found in
             Message("m1", "cem", "2016-05-03T00:00:00Z", "https://a.test/x", frozenset({2})),
         ]
         extracted = extract_links(messages)
         resolved = resolve_all(extracted, OfflineFetcher({"http://bit.ly/dead": None}))
-        (cited,) = build_link_records(messages, extracted, resolved)
+        (cited,) = build_link_records(extracted, resolved)
         assert (cited.url, cited.citations, cited.authors, cited.message_ids) == (
-            "https://a.test/x", 3, {"cem", "bob"}, {"m1", "m2"})
+            "https://a.test/x", 3, {"ann", "bob", "cem"}, {"m1", "m2"})
         assert cited.first_seen == "2016-05-01T00:00:00Z"
-        assert cited.query_sets == {frozenset({1}), frozenset({2})}
+        assert cited.query_sets == {frozenset({0}), frozenset({1}), frozenset({2})}
+
+    def test_records_hold_no_table_of_the_messages(self):
+        # Each link carries its message, so folding links that all fail
+        # allocates next to nothing, however many messages there are.
+        messages = [msg(f"m{i}", "see http://bit.ly/dead") for i in range(20_000)]
+        extracted = extract_links(messages)
+        resolved = resolve_all(extracted, OfflineFetcher({"http://bit.ly/dead": None}))
+        tracemalloc.start()
+        try:
+            assert build_link_records(extracted, resolved) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_social_www_variant(self):
         messages = [msg("m1", "https://www.youtube.com/watch?v=1")]
         extracted = extract_links(messages)
         resolved = resolve_all(extracted, OfflineFetcher({}))
-        citations = build_link_records(messages, extracted, resolved)
+        citations = build_link_records(extracted, resolved)
         assert citations[0].social
 
     def test_fractions(self):
         messages, extracted, resolved = self._setup()
         stats = link_stats(messages, extracted, resolved,
-                           build_link_records(messages, extracted, resolved))
+                           build_link_records(extracted, resolved))
         assert stats.messages_with_links_fraction == pytest.approx(3 / 4)
         # 4 occurrences over finals {news.test/one, youtu.be/clip}
         assert stats.unique_links_fraction == pytest.approx(2 / 4)
@@ -732,7 +747,7 @@ class TestLinkRecordsAndStats:
         messages = [msg("m1", "local http://[::1]/x and http://[::1]:80/x")]
         extracted = extract_links(messages)
         resolved = resolve_all(extracted, OfflineFetcher({}))
-        citations = build_link_records(messages, extracted, resolved)
+        citations = build_link_records(extracted, resolved)
         assert [(c.url, c.host, c.citations) for c in citations] == [("http://[::1]/x", "::1", 2)]
         stats = link_stats(messages, extracted, resolved, citations)
         assert stats.per_source_counts == {"::1": 2}
@@ -748,7 +763,7 @@ class TestLinkRecordsAndStats:
         # bit.ly/a and its target, then the two plain URLs
         assert sorted(parsed) == sorted(urls + ["https://news.test/one"])
         parsed.clear()
-        citations = build_link_records(messages, extracted, resolved)
+        citations = build_link_records(extracted, resolved)
         assert parsed == []
         assert [(c.host, c.citations) for c in citations] == [
             ("news.test", 667), ("www.youtube.com", 333)]
@@ -781,14 +796,14 @@ class TestLinkRecordsAndStats:
             expected = canonicalize(raw)
         except LinkParseError:
             expected = raw
-        assert resolve(link(raw), fetcher).raw_canonical == expected
+        assert resolve(raw, fetcher).raw_canonical == expected
 
     def test_failed_links_excluded_from_sources(self):
         messages = [msg("m1", "x http://bit.ly/dead y https://ok.test/a")]
         extracted = extract_links(messages)
         resolved = resolve_all(extracted, OfflineFetcher({"http://bit.ly/dead": None}))
         stats = link_stats(messages, extracted, resolved,
-                           build_link_records(messages, extracted, resolved))
+                           build_link_records(extracted, resolved))
         assert stats.per_source_counts == {"ok.test": 1}
         assert sum(stats.per_source_counts.values()) == 1
 
@@ -821,14 +836,14 @@ class TestLinkRecordsAndStats:
         extracted = extract_links(messages)
         resolved = resolve_all(extracted, OfflineFetcher(self._STATS_REDIRECTS),
                                max_depth=max_depth, max_in_flight=1)
-        citations = build_link_records(messages, extracted, resolved)
+        citations = build_link_records(extracted, resolved)
         assert link_stats(messages, extracted, resolved, citations) == reference_link_stats(
             messages, extracted, resolved)
 
 
 class TestWriters:
-    @given(st.lists(st.builds(ExtractedLink, message_id=JSON_TEXT, raw_url=JSON_TEXT,
-                              position=st.integers(0, 10**6)), max_size=6))
+    @given(st.lists(st.builds(ExtractedLink, message=st.builds(msg, JSON_TEXT, JSON_TEXT),
+                              raw_url=JSON_TEXT, position=st.integers(0, 10**6)), max_size=6))
     @settings(max_examples=150, deadline=None)
     def test_links_agree_with_json_dumps_reference(self, links):
         assert "".join(links_jsonl(links)) == reference_links_jsonl(links)

@@ -71,14 +71,13 @@ def record(url, author="ann", mid=None, status=STATUS_RESOLVED, ts="2016-05-04T1
 def fold(records):
     """``build_link_records`` over the occurrences, each in a message that
     cites its URL once through its raw URL, with its status."""
-    messages, extracted, resolved = [], [], {}
+    extracted, resolved = [], {}
     for i, (url, author, mid, status, ts, queries) in enumerate(records):
         msg = Message(mid or f"m{i}", author, ts, url, queries)
         raw = f"https://raw.test/{i}"
-        messages.append(msg)
-        extracted.append(ExtractedLink(msg.id, raw, 0))
+        extracted.append(ExtractedLink(msg, raw, 0))
         resolved[raw] = ResolvedLink(raw, url, (raw,), False, status, url.split("/")[2], raw)
-    return build_link_records(messages, extracted, resolved)
+    return build_link_records(extracted, resolved)
 
 
 class TestRankResources:
@@ -250,12 +249,12 @@ class TestRecords:
 
     def test_builders_return_keyword_built_records(self):
         fetcher = OfflineFetcher({"http://bit.ly/a": "https://News.test:443/x"})
-        assert _fields(resolve(ExtractedLink("m1", "http://bit.ly/a", 0), fetcher)) == _fields(
+        assert _fields(resolve("http://bit.ly/a", fetcher)) == _fields(
             ResolvedLink(raw_url="http://bit.ly/a", final_url="https://news.test/x",
                          redirect_chain=("http://bit.ly/a", "https://News.test:443/x"),
                          was_shortened=True, status=STATUS_RESOLVED, host="news.test",
                          raw_canonical="http://bit.ly/a"))
-        assert _fields(resolve(ExtractedLink("m1", "http://[::1/", 0), fetcher)) == _fields(
+        assert _fields(resolve("http://[::1/", fetcher)) == _fields(
             ResolvedLink(raw_url="http://[::1/", final_url="http://[::1/",
                          redirect_chain=("http://[::1/",), was_shortened=False,
                          status=STATUS_FAILED, host="", raw_canonical="http://[::1/"))
@@ -324,8 +323,8 @@ class TestPerTextWork:
         resolved = resolve_all(extracted, OfflineFetcher(_POOL_REDIRECTS), max_in_flight=1)
         # The pool gives failed statuses, social hosts, two raw URLs with one
         # final URL and message ids that recur.
-        citations = build_link_records(messages, extracted, resolved)
-        records = reference_link_records(messages, extracted, resolved)
+        citations = build_link_records(extracted, resolved)
+        records = reference_link_records(extracted, resolved)
         assert [c.social for c in citations] == [
             c.host.removeprefix("www.") in SOCIAL_HOSTS for c in citations
         ]
@@ -334,7 +333,7 @@ class TestPerTextWork:
             assert ranked == reference_rank_resources(records, granularity)
             assert ranking_json(ranked) == reference_ranking_json(ranked)
         export = build_export_records(citations, _POOL_PACKET)
-        expected = reference_export_records(messages, records, _POOL_PACKET)
+        expected = reference_export_records(records, _POOL_PACKET)
         assert export == expected
         assert export_stream(export) == reference_export_stream(expected)
 
@@ -355,12 +354,16 @@ class TestPerTextWork:
                    if id(m) not in kept_ids)
         extracted = extract_links(matched)
         resolved = resolve_all(extracted, OfflineFetcher(_POOL_REDIRECTS), max_in_flight=1)
-        citations = build_link_records(matched, extracted, resolved)
-        by_id = {m.id: m for m in matched}  # the last message for an id wins
-        assert [c.query_sets for c in citations] == [
-            {by_id[i].matched_queries for i in c.message_ids} for c in citations]
+        citations = build_link_records(extracted, resolved)
+        # each citation holds the query sets of the messages its links were found in
+        query_sets: dict[str, set] = {}
+        for link in extracted:
+            res = resolved[link.raw_url]
+            if res.status in (STATUS_RESOLVED, STATUS_NOT_SHORTENED):
+                query_sets.setdefault(res.final_url, set()).add(link.message.matched_queries)
+        assert [c.query_sets for c in citations] == [query_sets[c.url] for c in citations]
         assert build_export_records(citations, _POOL_PACKET) == reference_export_records(
-            matched, reference_link_records(matched, extracted, resolved), _POOL_PACKET)
+            reference_link_records(extracted, resolved), _POOL_PACKET)
 
     def test_first_seen_is_the_earliest_citation(self):
         packet = QueryPacket(queries=("q",))

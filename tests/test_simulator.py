@@ -802,6 +802,9 @@ def with_blank_lines(text: str, blanks: list[str]) -> str:
     return "".join(lines)
 
 
+# A parameter value that stands for a key left out of its line.
+MISSING = object()
+
 TEMPLATE_LINE = ('{"agent_id": 0, "lifetime": 3, "censored": false, "total_likes": 1, '
                  '"total_reposts": 0, "carried_link": "r1-l0"}')
 
@@ -920,8 +923,8 @@ class TestSerializationAgainstOracles:
         with pytest.raises(json.JSONDecodeError):
             life_stats_from_jsonl(line + "\n")
 
-    # A value of each kind that a table cannot hold, on line 3 (or line 1)
-    # of two runs of agents 0, 1, 2 and 0.
+    # A value of each kind that a table cannot hold, or a missing key, on
+    # line 3 (or line 1) of two runs of agents 0, 1, 2 and 0.
     @pytest.mark.parametrize("line, field, value", [
         (3, "agent_id", 3), (3, "agent_id", 1), (3, "agent_id", -1), (1, "agent_id", 1),
         (3, "agent_id", True), (3, "agent_id", 2.0), (3, "agent_id", "2"),
@@ -930,12 +933,17 @@ class TestSerializationAgainstOracles:
         (3, "censored", 0), (3, "censored", None), (3, "censored", "false"),
         (3, "carried_link", 7), (3, "carried_link", []), (3, "carried_link", {}),
         (3, "carried_link", True),
+        (1, "agent_id", MISSING), (3, "lifetime", MISSING), (3, "censored", MISSING),
+        (3, "total_likes", MISSING), (3, "total_reposts", MISSING),
     ])
     @pytest.mark.parametrize("blank", [False, True], ids=["template", "decoded"])
     def test_value_a_table_cannot_hold_names_its_line(self, line, field, value, blank):
         rows = [dict(AgentLifeStats(i, 4, False, 1, 2, "r1-l0")._asdict())
                 for i in (0, 1, 2, 0)]
-        rows[line - 1][field] = value
+        if value is MISSING:
+            del rows[line - 1][field]
+        else:
+            rows[line - 1][field] = value
         text = "".join(json.dumps(row) + "\n" for row in rows)
         if blank:  # a blank first line: decoded line by line, each number one more
             text, line = "\n" + text, line + 1
@@ -1027,11 +1035,11 @@ EDIT_CHARS = ['"', "\\", "\n", "\r", " ", ",", ":", "{", "}", *"0123456789", "t"
 
 def read_outcome(read, text):
     """The rows ``read`` makes of ``text``, with each value's type, or its
-    error: a decode error or missing key with its message, or the line and
-    field that a table's refusal names."""
+    error: a decode error with its message, or the line and field that a
+    table's refusal names."""
     try:
         return [tuple((type(v), v) for v in row) for row in read(text)]
-    except (json.JSONDecodeError, KeyError) as exc:
+    except json.JSONDecodeError as exc:
         return type(exc), str(exc)
     except ValueError as exc:
         return ValueError, str(exc).split(" ", 3)[:3]
